@@ -5,11 +5,12 @@ system state, which is just a subspace: the span of the input states
 still considered possible.  Running a circuit folds the steps left to
 right; a run is *impossible* when the final state is the zero space.
 
-``verifies`` implements the projective reading of a verification
-statement: s verifies p when every ray orthogonal to p annihilates s
-under projection.  In the subspace model this coincides with
-containment (tested exhaustively in the suite), but the definition only
-mentions circuits, which is what the rule suite exercises.
+``verifies`` decides a verification statement in the subspace model:
+s verifies p exactly when s is contained in p.  The projective reading,
+that every ray orthogonal to p annihilates s under projection, is
+sampled by ``SampledSemantics.verify`` in ``pqm.axioms``; the tests
+check that the two agree, and the rule suite exercises the circuits the
+projective reading mentions.
 """
 
 from __future__ import annotations
@@ -112,31 +113,9 @@ def is_impossible(circuit: Circuit, state: SystemState, tol: Tolerance = DEFAULT
     return run_circuit(circuit, state, tol).rank == 0
 
 
-def verifies(
-    state: SystemState,
-    prop: Subspace,
-    tol: Tolerance = DEFAULT_TOL,
-    samples: int | None = None,
-    seed: int = 0,
-) -> bool:
-    """Does the state verify the property subspace?
-
-    Exact mode (``samples=None``) decides containment.  Sampled mode
-    draws rays from the complement of ``prop`` and requires each to
-    project the state to the zero space; it can accept a false statement
-    only with vanishing probability and never rejects a true one.
-    """
-    if samples is None:
-        return sub.leq(state, prop, tol)
-    comp = sub.ortho(prop, tol)
-    if comp.rank == 0 or state.rank == 0:
-        return True
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        phi = random_ray_within(rng, comp, tol)
-        if not is_impossible(Circuit(state.dim, (ProjectOnto(phi),)), state, tol):
-            return False
-    return True
+def verifies(state: SystemState, prop: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Does the state verify the property subspace?  Decides containment."""
+    return sub.leq(state, prop, tol)
 
 
 def build_circuit(cp: CircuitProblem, tol: Tolerance = DEFAULT_TOL) -> tuple[Circuit, Subspace]:
@@ -284,12 +263,12 @@ def _rule_orthogonal_pair_join(rng, dim, tol):
 
 
 _RULES = (
-    ("orthogonal-wipe", _rule_orthogonal_wipe, None),
-    ("coarse-then-fine", _rule_coarse_then_fine, None),
-    ("coarse-then-fine-then-any", _rule_coarse_then_fine_then_any, None),
-    ("unitary-conjugation", _rule_unitary_conjugation, None),
-    ("unitary-preserves-impossibility", _rule_unitary_preserves_impossibility, None),
-    ("orthogonal-pair-join", _rule_orthogonal_pair_join, None),
+    ("orthogonal-wipe", _rule_orthogonal_wipe),
+    ("coarse-then-fine", _rule_coarse_then_fine),
+    ("coarse-then-fine-then-any", _rule_coarse_then_fine_then_any),
+    ("unitary-conjugation", _rule_unitary_conjugation),
+    ("unitary-preserves-impossibility", _rule_unitary_preserves_impossibility),
+    ("orthogonal-pair-join", _rule_orthogonal_pair_join),
 )
 
 
@@ -307,7 +286,7 @@ def check_rule_suite(
     antecedent actually fires.
     """
     results = []
-    for index, (name, make, _) in enumerate(_RULES):
+    for index, (name, make) in enumerate(_RULES):
         rng = np.random.default_rng([seed, dim, index, 101])
         hits = 0
         violations = 0

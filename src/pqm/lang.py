@@ -42,6 +42,7 @@ from .subspace import (
 )
 
 __all__ = [
+    "MAX_FORMULA_DEPTH",
     "FrontendError",
     "LexError",
     "ParseError",
@@ -294,10 +295,19 @@ class _RawFile:
     input_sym: str | None
 
 
+# Deepest formula the parser accepts.  Depth counts the connectives,
+# quantifiers, parentheses, atom brackets and term constructors on the
+# way down to a variable; the parser, the validator, the normalizer and
+# the evaluator all recurse along it, and at this bound they stay within
+# the interpreter's default recursion limit.
+MAX_FORMULA_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.toks = tokens
         self.pos = 0
+        self.open = 0  # constructs entered and not yet closed
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -358,79 +368,105 @@ class _Parser:
         return vecs
 
     # -- formulas
+    #
+    # Each formula and term method returns the node with its depth
+    # (see MAX_FORMULA_DEPTH).
 
-    def formula(self) -> Formula:
+    def level(self, tok: _Token, *depths: int) -> int:
+        """Depth of a node built at ``tok`` over children of ``depths``."""
+        depth = 1 + max(depths)
+        if depth > MAX_FORMULA_DEPTH:
+            raise ParseError(
+                f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", tok.line, tok.col
+            )
+        return depth
+
+    def inside(self, tok: _Token, parse):
+        """Run ``parse`` one construct further down, within the bound."""
+        self.level(tok, self.open)
+        self.open += 1
+        out = parse()
+        self.open -= 1
+        return out
+
+    def formula(self) -> tuple[Formula, int]:
         parts = [self.imp()]
-        while self.accept("<->"):
+        ops = []
+        while op := self.accept("<->"):
+            ops.append(op)
             parts.append(self.imp())
-        out = parts[-1]
-        for f in reversed(parts[:-1]):
-            out = Iff(f, out)
-        return out
+        out, depth = parts[-1]
+        for (f, d), op in zip(reversed(parts[:-1]), reversed(ops)):
+            out, depth = Iff(f, out), self.level(op, d, depth)
+        return out, depth
 
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.accept("->"):
-            return Implies(left, self.imp())
-        return left
+    def imp(self) -> tuple[Formula, int]:
+        left, depth = self.disj()
+        if op := self.accept("->"):
+            right, d = self.inside(op, self.imp)
+            return Implies(left, right), self.level(op, depth, d)
+        return left, depth
 
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.accept("|"):
-            out = Or(out, self.conj())
-        return out
+    def disj(self) -> tuple[Formula, int]:
+        out, depth = self.conj()
+        while op := self.accept("|"):
+            right, d = self.conj()
+            out, depth = Or(out, right), self.level(op, depth, d)
+        return out, depth
 
-    def conj(self) -> Formula:
-        out = self.unary()
-        while self.accept("&"):
-            out = And(out, self.unary())
-        return out
+    def conj(self) -> tuple[Formula, int]:
+        out, depth = self.unary()
+        while op := self.accept("&"):
+            right, d = self.unary()
+            out, depth = And(out, right), self.level(op, depth, d)
+        return out, depth
 
-    def unary(self) -> Formula:
-        if self.accept("~"):
-            return Not(self.unary())
-        if self.accept("exists"):
+    def unary(self) -> tuple[Formula, int]:
+        if op := self.accept("~"):
+            arg, d = self.inside(op, self.unary)
+            return Not(arg), self.level(op, d)
+        op = self.peek()
+        if op.kind in ("exists", "forall"):
+            self.next()
             name = self.expect("IDENT", "a variable name")
             self.expect(".")
-            return Exists(str(name.value), self.formula())
-        if self.accept("forall"):
-            name = self.expect("IDENT", "a variable name")
-            self.expect(".")
-            return Forall(str(name.value), self.formula())
+            body, d = self.inside(op, self.formula)
+            node = Exists if op.kind == "exists" else Forall
+            return node(str(name.value), body), self.level(op, d)
         return self.primary()
 
-    def primary(self) -> Formula:
-        if self.accept("["):
-            t = self.term()
+    def primary(self) -> tuple[Formula, int]:
+        if op := self.accept("["):
+            t, d = self.term()
             self.expect(":")
             sym = self.symref()
             self.expect("]")
-            return Atom(t, sym)
-        if self.accept("("):
-            f = self.formula()
+            return Atom(t, sym), self.level(op, d)
+        if op := self.accept("("):
+            f, d = self.inside(op, self.formula)
             self.expect(")")
-            return f
+            return f, self.level(op, d)
         t = self.peek()
         raise ParseError(f"expected '[', '(', '~' or a quantifier, found {t.kind!r}", t.line, t.col)
 
-    def term(self) -> Term:
-        if self.accept("proj"):
+    def term(self) -> tuple[Term, int]:
+        if op := self.accept("proj"):
             self.expect("[")
             sym = self.symref()
             self.expect("]")
             self.expect("(")
-            arg = self.term()
+            arg, d = self.inside(op, self.term)
             self.expect(")")
-            return Proj(sym, arg)
+            return Proj(sym, arg), self.level(op, d)
         t = self.peek()
         if t.kind == "IDENT":
             self.next()
             name = str(t.value)
             if self.accept("("):
-                arg = self.term()
+                arg, d = self.inside(t, self.term)
                 self.expect(")")
-                return Apply(name, arg)
-            return Var(name)
+                return Apply(name, arg), self.level(t, d)
+            return Var(name), 1
         raise ParseError(f"expected a term, found {t.kind!r}", t.line, t.col)
 
     def symref(self) -> str:
@@ -476,7 +512,7 @@ class _Parser:
                 if sentence is not None:
                     raise ParseError("only one 'assert' is allowed", t.line, t.col)
                 self.next()
-                sentence = self.formula()
+                sentence, _ = self.formula()
                 continue
             if t.kind == "circuit":
                 if circuit is not None:
@@ -640,7 +676,7 @@ def parse_definitions(text: str, tol: Tolerance = DEFAULT_TOL) -> tuple[int, dic
 def parse_formula(text: str) -> Formula:
     """Parse a bare formula (syntax only, no symbol table)."""
     p = _Parser(_lex(text))
-    f = p.formula()
+    f, _ = p.formula()
     t = p.peek()
     if t.kind != "EOF":
         raise ParseError(f"trailing input after formula: {t.kind!r}", t.line, t.col)

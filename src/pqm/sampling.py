@@ -10,12 +10,10 @@ import numpy as np
 
 from .subspace import (
     DEFAULT_TOL,
-    InternalInvariantError,
     Subspace,
     Tolerance,
     UnitaryOp,
     bottom,
-    compatible,
     span_of,
 )
 
@@ -27,7 +25,6 @@ __all__ = [
     "random_subspace_within",
     "random_ray_within",
     "random_compatible_pair",
-    "random_incompatible_pair",
 ]
 
 
@@ -114,21 +111,3 @@ def random_compatible_pair(
     p = Subspace(dim, u.matrix[:, mask_p])
     q = Subspace(dim, u.matrix[:, mask_q])
     return p, q
-
-
-def random_incompatible_pair(
-    rng: np.random.Generator,
-    dim: int,
-    tol: Tolerance = DEFAULT_TOL,
-    max_tries: int = 64,
-) -> tuple[Subspace, Subspace]:
-    """A pair that fails the compatibility test.  Requires dim >= 2; for
-    generic proper subspaces incompatibility is the typical case."""
-    if dim < 2:
-        raise ValueError("incompatible pairs need dimension >= 2")
-    for _ in range(max_tries):
-        p = random_subspace(rng, dim, rank=int(rng.integers(1, dim)), tol=tol)
-        q = random_subspace(rng, dim, rank=int(rng.integers(1, dim)), tol=tol)
-        if not compatible(p, q, tol):
-            return p, q
-    raise InternalInvariantError("failed to sample an incompatible pair")

@@ -309,60 +309,6 @@ def structure_to_json(s: FiniteStructure) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Fragment index: precomputed lattice facts about the declared symbols
-
-
-class _Fragment:
-    def __init__(self, s: FiniteStructure, tol: Tolerance):
-        self.s = s
-        self.tol = tol
-        self.syms = list(s.subspaces)
-        self.val = dict(s.subspaces)
-        self.top_sym = s.top_symbol(tol)
-        self.bot_sym = s.bot_symbol(tol)
-        self.proj_syms = list(s.projectors)
-        self.leq = {
-            (p, q): sub.leq(self.val[p], self.val[q], tol)
-            for p in self.syms
-            for q in self.syms
-        }
-        self.compat = {}
-        self.meet_sym = {}
-        for i, p in enumerate(self.syms):
-            for q in self.syms[i:]:
-                c = sub.compatible(self.val[p], self.val[q], tol)
-                self.compat[(p, q)] = self.compat[(q, p)] = c
-                m = s.symbol_of(sub.meet(self.val[p], self.val[q], tol), tol)
-                self.meet_sym[(p, q)] = self.meet_sym[(q, p)] = m
-        self.sasaki_sym = {
-            (p, q): s.symbol_of(sub.sasaki_and(self.val[p], self.val[q], tol), tol)
-            for p in self.syms
-            for q in self.proj_syms
-        }
-        self.hook_sym = {
-            (p, q): s.symbol_of(sub.sasaki_hook(self.val[p], self.val[q], tol), tol)
-            for p in self.syms
-            for q in self.proj_syms
-        }
-        self.ortho_sym = {
-            q: s.symbol_of(sub.ortho(self.val[q], tol), tol) for q in self.proj_syms
-        }
-        self.img_sym = {}
-        self.preimg_sym = {}
-        for uname, tu in s.unitaries.items():
-            for p in self.syms:
-                self.img_sym[(uname, p)] = s.symbol_of(
-                    sub.apply_unitary(tu.op, self.val[p], tol), tol
-                )
-                self.preimg_sym[(uname, p)] = s.symbol_of(
-                    sub.apply_unitary(tu.op.adjoint(), self.val[p], tol), tol
-                )
-
-    def strictly_below(self, p: str, q: str) -> bool:
-        return self.leq[(p, q)] and not self.leq[(q, p)]
-
-
-# ---------------------------------------------------------------------------
 # Axiom checking over the fragment
 
 
@@ -436,37 +382,41 @@ class _Tally:
         self.skipped += 1
 
 
-def _sx_verify_top(s, fr, t):
+def _sx_verify_top(s, tol, t):
+    top_sym = s.top_symbol(tol)
     for m in s.domain:
-        t.instance(s.related(m, fr.top_sym), f"{m} does not verify {fr.top_sym}")
+        t.instance(s.related(m, top_sym), f"{m} does not verify {top_sym}")
 
 
-def _sx_some_possible(s, fr, t):
+def _sx_some_possible(s, tol, t):
+    bot_sym = s.bot_symbol(tol)
     if not s.domain:
         t.instance(False, "empty domain: no element can witness possibility")
         return
     t.instance(
-        any(not s.related(m, fr.bot_sym) for m in s.domain),
-        f"every element verifies {fr.bot_sym}",
+        any(not s.related(m, bot_sym) for m in s.domain),
+        f"every element verifies {bot_sym}",
     )
 
 
-def _sx_monotone(s, fr, t):
-    for p in fr.syms:
-        for q in fr.syms:
-            if p == q or not fr.leq[(p, q)]:
+def _sx_monotone(s, tol, t):
+    for p, pv in s.subspaces.items():
+        for q, qv in s.subspaces.items():
+            if p == q or not sub.leq(pv, qv, tol):
                 continue
             for m in s.domain:
                 holds = (not s.related(m, p)) or s.related(m, q)
                 t.instance(holds, f"{m} verifies {p} <= {q} but not {q}")
 
 
-def _meet_axiom(s, fr, t, need_compatible: bool):
-    for i, p in enumerate(fr.syms):
-        for q in fr.syms[i + 1 :]:
-            if need_compatible and not fr.compat[(p, q)]:
+def _meet_axiom(s, tol, t, need_compatible: bool):
+    syms = list(s.subspaces)
+    for i, p in enumerate(syms):
+        for q in syms[i + 1 :]:
+            pv, qv = s.subspaces[p], s.subspaces[q]
+            if need_compatible and not sub.compatible(pv, qv, tol):
                 continue
-            msym = fr.meet_sym[(p, q)]
+            msym = s.symbol_of(sub.meet(pv, qv, tol), tol)
             for m in s.domain:
                 if not (s.related(m, p) and s.related(m, q)):
                     t.instance(True, "")
@@ -479,19 +429,18 @@ def _meet_axiom(s, fr, t, need_compatible: bool):
                     )
 
 
-def _sx_meet_compatible(s, fr, t):
-    _meet_axiom(s, fr, t, need_compatible=True)
+def _sx_meet_compatible(s, tol, t):
+    _meet_axiom(s, tol, t, need_compatible=True)
 
 
-def _sx_meet(s, fr, t):
-    _meet_axiom(s, fr, t, need_compatible=False)
+def _sx_meet(s, tol, t):
+    _meet_axiom(s, tol, t, need_compatible=False)
 
 
-def _sx_project_intro(s, fr, t):
-    for q in fr.proj_syms:
-        table = s.projectors[q]
-        for p in fr.syms:
-            target = fr.sasaki_sym[(p, q)]
+def _sx_project_intro(s, tol, t):
+    for q, table in s.projectors.items():
+        for p, pv in s.subspaces.items():
+            target = s.symbol_of(sub.sasaki_and(pv, s.subspaces[q], tol), tol)
             for m in s.domain:
                 if not s.related(m, p):
                     t.instance(True, "")
@@ -504,25 +453,24 @@ def _sx_project_intro(s, fr, t):
                     )
 
 
-def _sx_project_chain(s, fr, t):
-    for p in fr.proj_syms:
-        tp = s.projectors[p]
-        for q in fr.proj_syms:
-            if not fr.leq[(p, q)]:
+def _sx_project_chain(s, tol, t):
+    bot_sym = s.bot_symbol(tol)
+    for p, tp in s.projectors.items():
+        for q, tq in s.projectors.items():
+            if not sub.leq(s.subspaces[p], s.subspaces[q], tol):
                 continue
-            tq = s.projectors[q]
             for m in s.domain:
-                hyp = s.related(tp[tq[m]], fr.bot_sym)
-                holds = (not hyp) or s.related(tp[m], fr.bot_sym)
+                hyp = s.related(tp[tq[m]], bot_sym)
+                holds = (not hyp) or s.related(tp[m], bot_sym)
                 t.instance(holds, f"{m}: impossible through {q} then {p}, possible through {p}")
 
 
-def _sx_project_bottom(s, fr, t):
-    for q in fr.proj_syms:
-        table = s.projectors[q]
-        target = fr.ortho_sym[q]
+def _sx_project_bottom(s, tol, t):
+    bot_sym = s.bot_symbol(tol)
+    for q, table in s.projectors.items():
+        target = s.symbol_of(sub.ortho(s.subspaces[q], tol), tol)
         for m in s.domain:
-            if not s.related(table[m], fr.bot_sym):
+            if not s.related(table[m], bot_sym):
                 t.instance(True, "")
             elif target is None:
                 t.skip()
@@ -533,11 +481,10 @@ def _sx_project_bottom(s, fr, t):
                 )
 
 
-def _sx_project_adjoint(s, fr, t):
-    for q in fr.proj_syms:
-        table = s.projectors[q]
-        for p in fr.syms:
-            target = fr.hook_sym[(p, q)]
+def _sx_project_adjoint(s, tol, t):
+    for q, table in s.projectors.items():
+        for p, pv in s.subspaces.items():
+            target = s.symbol_of(sub.sasaki_hook(pv, s.subspaces[q], tol), tol)
             for m in s.domain:
                 if not s.related(table[m], p):
                     t.instance(True, "")
@@ -550,10 +497,10 @@ def _sx_project_adjoint(s, fr, t):
                     )
 
 
-def _sx_unitary_intro(s, fr, t):
+def _sx_unitary_intro(s, tol, t):
     for uname, tu in s.unitaries.items():
-        for p in fr.syms:
-            target = fr.img_sym[(uname, p)]
+        for p, pv in s.subspaces.items():
+            target = s.symbol_of(sub.apply_unitary(tu.op, pv, tol), tol)
             for m in s.domain:
                 if not s.related(m, p):
                     t.instance(True, "")
@@ -566,10 +513,11 @@ def _sx_unitary_intro(s, fr, t):
                     )
 
 
-def _sx_unitary_elim(s, fr, t):
+def _sx_unitary_elim(s, tol, t):
     for uname, tu in s.unitaries.items():
-        for p in fr.syms:
-            target = fr.preimg_sym[(uname, p)]
+        inverse = tu.op.adjoint()
+        for p, pv in s.subspaces.items():
+            target = s.symbol_of(sub.apply_unitary(inverse, pv, tol), tol)
             for m in s.domain:
                 if not s.related(tu.table[m], p):
                     t.instance(True, "")
@@ -613,7 +561,6 @@ def check_structure_axioms(
     declared projectors and unitaries only: symbols without tables are
     not in the structure's language.
     """
-    fr = _Fragment(s, tol)
     results = []
     for axiom in AXIOMS:
         if figure == "base" and not axiom.in_base:
@@ -621,7 +568,7 @@ def check_structure_axioms(
         if figure == "revised" and not axiom.in_revised:
             continue
         t = _Tally(max_examples)
-        _STRUCTURE_CHECKS[axiom.name](s, fr, t)
+        _STRUCTURE_CHECKS[axiom.name](s, tol, t)
         results.append(
             StructureAxiomResult(axiom.name, t.checked, t.skipped, t.violations, tuple(t.examples))
         )
@@ -644,25 +591,20 @@ class Filter:
 def filter_of(s: FiniteStructure, elem: str, tol: Tolerance = DEFAULT_TOL) -> Filter:
     if elem not in s.domain:
         raise ValueError(f"unknown element {elem!r}")
-    fr = _Fragment(s, tol)
-    return _filter_of(s, fr, elem)
-
-
-def _filter_of(s: FiniteStructure, fr: _Fragment, elem: str) -> Filter:
-    members = tuple(p for p in fr.syms if s.related(elem, p))
+    val = s.subspaces
+    top_sym = s.top_symbol(tol)
+    members = tuple(p for p in val if s.related(elem, p))
     issues = []
-    if fr.top_sym not in members:
-        issues.append(f"{fr.top_sym} missing from the filter")
+    if top_sym not in members:
+        issues.append(f"{top_sym} missing from the filter")
     member_set = set(members)
     for p in members:
-        for q in fr.syms:
-            if q not in member_set and fr.leq[(p, q)]:
+        for q in val:
+            if q not in member_set and sub.leq(val[p], val[q], tol):
                 issues.append(f"not upward closed: {p} in filter, {p} <= {q}, {q} missing")
     for p in members:
         for q in members:
-            target = s.symbol_of(
-                sub.sasaki_and(fr.val[p], fr.val[q], fr.tol), fr.tol
-            )
+            target = s.symbol_of(sub.sasaki_and(val[p], val[q], tol), tol)
             if target is not None and target not in member_set:
                 issues.append(f"not projection closed: {p}&{q} = {target} missing")
     return Filter(elem, members, tuple(issues))
@@ -696,31 +638,32 @@ class KappaResult:
         }
 
 
+def _strictly_below(p: Subspace, q: Subspace, tol: Tolerance) -> bool:
+    return sub.leq(p, q, tol) and not sub.leq(q, p, tol)
+
+
 def kappa_of(s: FiniteStructure, elem: str, tol: Tolerance = DEFAULT_TOL) -> KappaResult:
     if elem not in s.domain:
         raise ValueError(f"unknown element {elem!r}")
-    return _kappa_of(s, _Fragment(s, tol), elem)
-
-
-def _kappa_of(s: FiniteStructure, fr: _Fragment, elem: str) -> KappaResult:
-    members = [p for p in fr.syms if s.related(elem, p)]
+    val = s.subspaces
+    members = [p for p in val if s.related(elem, p)]
     value = sub.top(s.dim)
     for p in members:
-        value = sub.meet(value, fr.val[p], fr.tol)
+        value = sub.meet(value, val[p], tol)
     member_symbol = None
     for p in members:
-        if sub.eq(fr.val[p], value, fr.tol):
+        if sub.eq(val[p], value, tol):
             member_symbol = p
             break
     conflict = None
     if member_symbol is None:
         minimal = [
             p for p in members
-            if not any(q != p and fr.strictly_below(q, p) for q in members)
+            if not any(q != p and _strictly_below(val[q], val[p], tol) for q in members)
         ]
         for i, p in enumerate(minimal):
             for q in minimal[i + 1 :]:
-                if not sub.eq(fr.val[p], fr.val[q], fr.tol):
+                if not sub.eq(val[p], val[q], tol):
                     conflict = (p, q)
                     break
             if conflict:
@@ -782,8 +725,7 @@ def check_strong_morphism(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> M
     touching them are counted in ``not_evaluated``.  The map must also
     send some element to a nonzero subspace.
     """
-    fr = _Fragment(s, tol)
-    kappa = {m: _kappa_of(s, fr, m) for m in s.domain}
+    kappa = {m: kappa_of(s, m, tol) for m in s.domain}
     no_least = tuple(m for m in s.domain if kappa[m].no_least)
     usable = {m for m in s.domain if not kappa[m].no_least}
 
@@ -794,11 +736,11 @@ def check_strong_morphism(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> M
 
     for m in s.domain:
         if m not in usable:
-            not_evaluated += len(fr.syms)
+            not_evaluated += len(s.subspaces)
             continue
         km = kappa[m].value
-        for p in fr.syms:
-            holds = sub.leq(km, fr.val[p], tol)
+        for p, pv in s.subspaces.items():
+            holds = sub.leq(km, pv, tol)
             if s.related(m, p) != holds:
                 direction = "related without containment" if s.related(m, p) else "containment without relation"
                 rel_bad.append(f"({m}, {p}): {direction}")
@@ -809,7 +751,7 @@ def check_strong_morphism(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> M
             if m not in usable or target not in usable:
                 not_evaluated += 1
                 continue
-            expected = sub.sasaki_and(kappa[m].value, fr.val[q], tol)
+            expected = sub.sasaki_and(kappa[m].value, s.subspaces[q], tol)
             if not sub.eq(kappa[target].value, expected, tol):
                 proj_bad.append(f"projector {q} at {m}: table target {target} has the wrong value")
 
@@ -886,14 +828,13 @@ def check_characterization(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> 
 
 def check_ray_coverage(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> dict[str, bool]:
     """For each fragment symbol naming a ray: is it hit by the element map?"""
-    fr = _Fragment(s, tol)
-    kappa = {m: _kappa_of(s, fr, m) for m in s.domain}
+    kappa = {m: kappa_of(s, m, tol) for m in s.domain}
     out = {}
-    for p in fr.syms:
-        if fr.val[p].rank != 1:
+    for p, pv in s.subspaces.items():
+        if pv.rank != 1:
             continue
         out[p] = any(
-            not kappa[m].no_least and sub.eq(kappa[m].value, fr.val[p], tol)
+            not kappa[m].no_least and sub.eq(kappa[m].value, pv, tol)
             for m in s.domain
         )
     return out
@@ -904,19 +845,20 @@ def check_two_ray_floor(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> tup
 
     Returns (instances checked, violating elements).
     """
-    fr = _Fragment(s, tol)
+    val = s.subspaces
+    bot_sym = s.bot_symbol(tol)
     checked = 0
     bad = []
     for m in s.domain:
-        rays = [p for p in fr.syms if s.related(m, p) and fr.val[p].rank == 1]
+        rays = [p for p in val if s.related(m, p) and val[p].rank == 1]
         distinct = any(
-            not sub.eq(fr.val[p], fr.val[q], tol)
+            not sub.eq(val[p], val[q], tol)
             for i, p in enumerate(rays)
             for q in rays[i + 1 :]
         )
         if distinct:
             checked += 1
-            if not s.related(m, fr.bot_sym):
+            if not s.related(m, bot_sym):
                 bad.append(m)
     return checked, bad
 
@@ -927,19 +869,19 @@ def check_incompatible_pairs(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -
     Meaningful from dimension 3 up.  Returns (instances checked,
     violation notes).
     """
-    fr = _Fragment(s, tol)
+    val = s.subspaces
     checked = 0
     bad = []
     for m in s.domain:
-        members = [p for p in fr.syms if s.related(m, p)]
+        members = [p for p in val if s.related(m, p)]
         for i, p in enumerate(members):
             for q in members[i + 1 :]:
-                if fr.compat[(p, q)]:
+                if sub.compatible(val[p], val[q], tol):
                     continue
                 checked += 1
                 for r in (p, q):
                     minimal = not any(
-                        x != r and fr.strictly_below(x, r) for x in members
+                        x != r and _strictly_below(val[x], val[r], tol) for x in members
                     )
                     if minimal:
                         bad.append(f"{m}: {r} is minimal despite incompatible partner")
@@ -1082,6 +1024,24 @@ def _mask_name(bits: tuple[int, ...], dim: int) -> str:
     return "s" + "".join(str(i + 1) for i in bits)
 
 
+def _frame_power_set(
+    rng: np.random.Generator, dim: int, tol: Tolerance
+) -> tuple[np.ndarray, list[tuple[str, Subspace]]]:
+    """A random orthonormal frame and the spans of every subset of its
+    columns, smallest first."""
+    from .sampling import random_unitary
+
+    if dim < 2:
+        raise ValueError(f"fragments need dimension >= 2, got {dim}")
+    frame = random_unitary(rng, dim).matrix
+    fragment = []
+    for size in range(dim + 1):
+        for bits in _subsets(dim, size):
+            cols = frame[:, list(bits)] if bits else np.zeros((dim, 0))
+            fragment.append((_mask_name(bits, dim), sub.span_of(cols.T, dim, tol)))
+    return frame, fragment
+
+
 def boolean_fragment(
     rng: np.random.Generator, dim: int = 3, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[list[tuple[str, Subspace]], list[str], dict[str, UnitaryOp]]:
@@ -1089,16 +1049,10 @@ def boolean_fragment(
 
     Every symbol gets a projector; the fragment is closed under meet,
     projection, complement and the permutation images, so the exported
-    image structure is fully checkable with zero skips.
+    image structure is fully checkable with zero skips.  ``dim`` must be
+    at least 2, as it must for ``mixed_fragment``.
     """
-    from .sampling import random_unitary
-
-    frame = random_unitary(rng, dim).matrix
-    fragment = []
-    for size in range(dim + 1):
-        for bits in _subsets(dim, size):
-            cols = frame[:, list(bits)] if bits else np.zeros((dim, 0))
-            fragment.append((_mask_name(bits, dim), sub.span_of(cols.T, dim, tol)))
+    frame, fragment = _frame_power_set(rng, dim, tol)
     cycle = np.zeros((dim, dim))
     for i in range(dim):
         cycle[(i + 1) % dim, i] = 1.0
@@ -1120,24 +1074,19 @@ def _subsets(n: int, size: int):
 def mixed_fragment(
     rng: np.random.Generator, dim: int = 3, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[list[tuple[str, Subspace]], list[str], dict[str, UnitaryOp]]:
-    """Boolean fragment plus a probe ray and its plane projections.
+    """Boolean fragment plus a probe ray and its coordinate projections.
 
     The probe ray is generic (no zero coordinate against the frame), so
-    its projections onto the coordinate planes are three further rays.
-    Projectors are declared for the Boolean symbols only; projecting any
-    probe-derived ray onto a Boolean value lands on a probe-derived ray
-    or the zero space, so the export stays closed.  The probe rays are
+    its projection onto each coordinate subspace spanned by 2 to dim - 1
+    frame vectors is a further ray, named after those vectors.
+    Projectors are declared for the Boolean symbols only; projecting the
+    probe's projection onto S further onto a Boolean value T gives its
+    projection onto S & T: a probe-derived ray, a frame ray or the zero
+    space, so the export stays closed.  The probe rays are
     pairwise incompatible with off-axis Boolean values, which makes the
     incompatibility diagnostics non-vacuous.
     """
-    from .sampling import random_unitary
-
-    frame = random_unitary(rng, dim).matrix
-    fragment = []
-    for size in range(dim + 1):
-        for bits in _subsets(dim, size):
-            cols = frame[:, list(bits)] if bits else np.zeros((dim, 0))
-            fragment.append((_mask_name(bits, dim), sub.span_of(cols.T, dim, tol)))
+    frame, fragment = _frame_power_set(rng, dim, tol)
     boolean_syms = [name for name, _ in fragment]
 
     while True:
@@ -1148,12 +1097,11 @@ def mixed_fragment(
     probe = sub.span_of([frame @ coeffs], dim, tol)
     fragment.append(("probe", probe))
     vals = dict(fragment)
-    for bits in _subsets(dim, dim - 1):
-        plane = vals[_mask_name(bits, dim)]
-        w = sub.sasaki_and(probe, plane, tol)
-        fragment.append(("probe" + "".join(str(i + 1) for i in bits), w))
+    for size in range(dim - 1, 1, -1):
+        for bits in _subsets(dim, size):
+            w = sub.sasaki_and(probe, vals[_mask_name(bits, dim)], tol)
+            fragment.append(("probe" + "".join(str(i + 1) for i in bits), w))
 
-    names = [name for name, _ in fragment]
     values = [v for _, v in fragment]
     for i, a in enumerate(values):
         for b in values[i + 1 :]:

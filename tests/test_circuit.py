@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pqm.axioms import SampledSemantics
 from pqm.circuit import (
     ApplyUnitary,
     Circuit,
@@ -140,7 +141,7 @@ def test_verifies_exact_and_sampled_agree(seed):
     rng = np.random.default_rng(seed)
     s = random_subspace(rng, 3)
     p = random_subspace(rng, 3)
-    assert verifies(s, p) == verifies(s, p, samples=100, seed=seed)
+    assert verifies(s, p) == SampledSemantics(np.random.default_rng(seed), 100).verify(s, p)
 
 
 def test_trace_matches_run(rng):

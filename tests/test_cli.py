@@ -8,6 +8,7 @@ import pytest
 
 from pqm import cli
 from pqm.cli import main
+from pqm.lang import MAX_FORMULA_DEPTH
 from pqm.subspace import InternalInvariantError
 
 from test_structures import tiny_structure_json
@@ -130,6 +131,34 @@ def test_syntax_error_reports_position(tmp_path, capsys):
     code, _, err = run(capsys, "decide", str(f))
     assert code == 2
     assert "3:1:" in err  # EOF right after the dangling colon
+
+
+DEEP_HEAD = "dim 3\nlet p = span{(1,0,0)}\nassert "
+
+
+@pytest.mark.parametrize("sentence", [
+    "exists x . " + "~" * 5000 + "[x : p]",
+    "exists x . " + "(" * 5000 + "[x : p]" + ")" * 5000,
+    "exists x . " + " & ".join(["[x : p]"] * 5000),
+], ids=["negations", "parentheses", "conjuncts"])
+def test_overdeep_sentence_is_a_usage_error(tmp_path, capsys, sentence):
+    f = tmp_path / "deep.pqm"
+    f.write_text(DEEP_HEAD + sentence + "\n")
+    code, out, err = run(capsys, "decide", str(f))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: 3:")
+    assert f"deeper than {MAX_FORMULA_DEPTH}" in err
+
+
+def test_sentence_at_depth_bound_decides(tmp_path, capsys):
+    # exists, the atom bracket and the variable are three of the levels
+    f = tmp_path / "deep.pqm"
+    f.write_text(DEEP_HEAD + "exists x . " + "~" * (MAX_FORMULA_DEPTH - 3) + "[x : p]\n")
+    code, out, err = run(capsys, "decide", str(f))
+    assert code in (0, 1)
+    assert err == ""
 
 
 def test_corrupt_structure_json_is_a_usage_error(tmp_path, capsys):

@@ -228,3 +228,38 @@ def test_mixed_fragment_probe_is_generic(rng):
     assert probe.rank == 1
     assert all(abs(c) > 0.25 for c in probe.basis[:, 0])
     assert "probe" not in proj_syms
+
+
+def test_mixed_fragment_closed_at_dim_4():
+    fragment, proj_syms, unitaries = mixed_fragment(np.random.default_rng(0), dim=4)
+    assert len(fragment) == 27
+    s, _ = image_structure(fragment, 4, proj_syms, unitaries)
+    report = check_characterization(s)
+    assert report.verdict == "model"
+    assert report.axioms.total_skipped == 0
+
+
+@pytest.mark.parametrize("missing", ["top", "bot"])
+def test_checks_reading_a_lost_builtin_symbol_raise(missing):
+    base = parse_structure_json(tiny_structure_json())
+    s = FiniteStructure(
+        3,
+        base.domain,
+        {k: v for k, v in base.subspaces.items() if k != missing},
+        {},
+        {},
+        frozenset(pair for pair in base.relation if pair[1] != missing),
+    )
+    with pytest.raises(InternalInvariantError):
+        check_structure_axioms(s, "base")
+    with pytest.raises(InternalInvariantError):
+        if missing == "top":
+            filter_of(s, "m")
+        else:
+            check_two_ray_floor(s)
+
+
+@pytest.mark.parametrize("maker", [boolean_fragment, mixed_fragment])
+def test_fragment_builders_reject_dimension_below_two(maker):
+    with pytest.raises(ValueError):
+        maker(np.random.default_rng(0), dim=1)
