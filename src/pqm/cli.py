@@ -22,6 +22,7 @@ from .circuit import (
 )
 from .decide import check_axiom_suite, evaluate, verdict_to_json
 from .lang import (
+    MAX_DIM,
     FrontendError,
     parse_circuit_file,
     parse_definitions,
@@ -61,6 +62,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _dimension(text: str) -> int:
+    value = _positive(text)
+    if value > MAX_DIM:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DIM}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pqm",
@@ -91,14 +99,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_emit(p)
 
     p = commands.add_parser("check-axioms", help="randomized axiom suite in the subspace and ray models")
-    p.add_argument("--dim", type=_positive, required=True)
+    p.add_argument("--dim", type=_dimension, required=True)
     p.add_argument("--samples", type=_positive, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--figure", choices=("base", "revised", "all"), default="all")
     add_emit(p)
 
     p = commands.add_parser("check-rules", help="randomized circuit-rule suite")
-    p.add_argument("--dim", type=_positive, required=True)
+    p.add_argument("--dim", type=_dimension, required=True)
     p.add_argument("--samples", type=_positive, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--derived-axioms", action="store_true",

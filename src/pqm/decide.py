@@ -4,7 +4,9 @@ A basic sentence  exists x . /\\ [x:p_i] & /\\ ~[x:q_j]  is true exactly
 when the meet of the positives is contained in no negative: a finite
 union of strict subspaces can never cover a complex subspace, so a
 witness ray avoiding every negative exists precisely then.  Boolean
-combinations are decided leafwise; every verdict carries a full trace
+combinations are decided leafwise: each distinct leaf is decided once
+per call, and its repeated occurrences share one LeafVerdict, while the
+trace still lists every occurrence.  Every verdict carries a full trace
 and, where the shape admits one, a concrete witness ray that re-checks
 against the literals it came from.
 """
@@ -65,29 +67,66 @@ class Verdict:
     leaves: tuple[LeafVerdict, ...]
 
 
-def _decide_leaf(basic: BasicSentence, dim: int, tol: Tolerance, seed: int) -> LeafVerdict:
-    p_inf = top(dim)
-    for p in basic.positives:
-        p_inf = meet(p_inf, p, tol)
-    contained = tuple(leq(p_inf, q, tol) for q in basic.negatives)
-    truth = not any(contained)
-    witness: Subspace | None = None
-    if truth:
-        if not basic.negatives:
-            # The zero space satisfies every positive literal and there is
-            # nothing to avoid.
-            witness = bottom(dim)
-        else:
-            witness = ray_in_avoiding(p_inf, list(basic.negatives), tol, seed)
-            if witness is None:
-                raise InternalInvariantError("witness search failed after containment check")
-    return LeafVerdict(basic, truth, p_inf, contained, witness)
+class _LeafDecider:
+    """Decides the leaves of one call, each distinct piece of work once.
+
+    Leaf verdicts are keyed by the BasicSentence object, the meet of each
+    ordered prefix of positives by (meet of the shorter prefix, literal),
+    containment tests by (meet, negative) and witness searches by (meet,
+    negatives), all by identity.  Each key object is kept alive by the
+    tables or by the caller's combo, so no id is reused during the call.
+    Literals are never dropped, reordered or compared by value, so every
+    result is bit-for-bit the one the uncached fold computes.
+    """
+
+    def __init__(self, dim: int, tol: Tolerance, seed: int):
+        self.dim, self.tol, self.seed = dim, tol, seed
+        self.top = top(dim)
+        self.verdicts: dict[int, LeafVerdict] = {}
+        self.meets: dict[tuple[int, int], Subspace] = {}
+        self.contains: dict[tuple[int, int], bool] = {}
+        self.witnesses: dict[tuple, Subspace | None] = {}
+
+    def __call__(self, basic: BasicSentence) -> LeafVerdict:
+        return _once(self.verdicts, id(basic), self._decide, basic)
+
+    def _decide(self, basic: BasicSentence) -> LeafVerdict:
+        tol = self.tol
+        p_inf = self.top
+        for p in basic.positives:
+            p_inf = _once(self.meets, (id(p_inf), id(p)), meet, p_inf, p, tol)
+        contained = tuple(
+            _once(self.contains, (id(p_inf), id(q)), leq, p_inf, q, tol)
+            for q in basic.negatives
+        )
+        truth = not any(contained)
+        witness: Subspace | None = None
+        if truth:
+            if not basic.negatives:
+                # The zero space satisfies every positive literal and there is
+                # nothing to avoid.
+                witness = bottom(self.dim)
+            else:
+                key = (id(p_inf), tuple(map(id, basic.negatives)))
+                witness = _once(
+                    self.witnesses, key, ray_in_avoiding, p_inf, list(basic.negatives), tol, self.seed
+                )
+                if witness is None:
+                    raise InternalInvariantError("witness search failed after containment check")
+        return LeafVerdict(basic, truth, p_inf, contained, witness)
+
+
+def _once(table: dict, key, fn, *args):
+    """fn(*args), computed only the first time key is seen in table."""
+    if key not in table:
+        table[key] = fn(*args)
+    return table[key]
 
 
 def decide_basic(
     basic: BasicSentence, dim: int, tol: Tolerance = DEFAULT_TOL, seed: int = 0
 ) -> Verdict:
-    leaf = _decide_leaf(basic, dim, tol, seed)
+    leaf = _LeafDecider(dim, tol, seed)(basic)
     return Verdict(leaf.truth, leaf.witness, (leaf,))
 
 
@@ -96,16 +135,19 @@ def evaluate(
 ) -> Verdict:
     """Decide a Boolean combination of basic sentences.
 
-    All leaves are evaluated (no short-circuiting) so the trace is
-    complete and deterministic.  A top-level witness is propagated when
-    the truth of the combination rests on a single true leaf: from the
-    leaf itself or from the first true branch of a disjunction.
+    Each distinct leaf is decided once per call, and repeated
+    occurrences share one LeafVerdict; there is no short-circuiting, and
+    the trace still lists every occurrence, so it is complete and
+    deterministic.  A top-level witness is propagated when the truth of
+    the combination rests on a single true leaf: from the leaf itself or
+    from the first true branch of a disjunction.
     """
+    decide_leaf = _LeafDecider(dim, tol, seed)
     leaves: list[LeafVerdict] = []
 
     def go(c: BoolCombo) -> tuple[bool, Subspace | None]:
         if isinstance(c, Leaf):
-            v = _decide_leaf(c.basic, dim, tol, seed)
+            v = decide_leaf(c.basic)
             leaves.append(v)
             return v.truth, v.witness
         if isinstance(c, BNot):
@@ -204,9 +246,7 @@ def cross_check_vd(
     # every candidate still has to pass the pointwise literal check
     streams = [None]
     streams.extend(p.basis for p in basic.positives if p.rank > 0)
-    p_inf = top(dim)
-    for p in basic.positives:
-        p_inf = meet(p_inf, p, tol)
+    p_inf = verdict.leaves[0].meet_all
     if p_inf.rank > 0 and p_inf.rank < dim:
         streams.append(p_inf.basis)
     share = max(1, samples // len(streams))

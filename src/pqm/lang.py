@@ -42,6 +42,7 @@ from .subspace import (
 )
 
 __all__ = [
+    "MAX_DIM",
     "MAX_FORMULA_DEPTH",
     "FrontendError",
     "LexError",
@@ -302,6 +303,12 @@ class _RawFile:
 # the interpreter's default recursion limit.
 MAX_FORMULA_DEPTH = 100
 
+# Largest ambient dimension accepted from a problem file, a structure
+# file or a --dim option.  The full space alone is a dim x dim complex
+# matrix, 16 MiB at this bound; without one a one-line file could ask
+# for any amount of memory.
+MAX_DIM = 1024
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
@@ -482,8 +489,11 @@ class _Parser:
         t = self.expect("dim", "'dim' as the first statement")
         num = self.expect("NUMBER", "a dimension")
         dim_f = float(num.value)
-        if dim_f != int(dim_f) or int(dim_f) < 1:
-            raise ParseError("dimension must be a positive integer", num.line, num.col)
+        # the range test comes first: int() of an overflowed literal raises
+        if not 1 <= dim_f <= MAX_DIM or dim_f != int(dim_f):
+            raise ParseError(
+                f"dimension must be an integer from 1 to {MAX_DIM}", num.line, num.col
+            )
         lets: list[tuple[str, str, object]] = []
         sentence: Formula | None = None
         circuit: list[tuple[str, str]] | None = None

@@ -177,10 +177,23 @@ def _negate(m) -> object:
     raise InternalInvariantError(f"unknown mixed node {m!r}")
 
 
-class _Budget:
-    def __init__(self, limit: int):
+class _Run:
+    """One normalize call: the DNF node budget and the sharing tables.
+
+    Equal atoms reduce once, to one Subspace object (Iff and Implies
+    expansion copy subtrees), and conjunctions with the same literal
+    objects in the same order become one Leaf, so the decider can tell
+    repeated leaves by identity.  A leaf is keyed by the ids of its
+    literals, which the stored leaf keeps alive.
+    """
+
+    def __init__(self, problem: Problem, tol: Tolerance, limit: int):
+        self.problem = problem
+        self.tol = tol
         self.limit = limit
         self.count = 0
+        self.atoms: dict[Atom, tuple[str, Subspace]] = {}
+        self.leaves: dict[tuple, Leaf] = {}
 
     def charge(self, n: int) -> None:
         self.count += n
@@ -189,39 +202,50 @@ class _Budget:
                 f"normal form exceeds {self.limit} nodes; sentence out of scope"
             )
 
+    def atom(self, atom: Atom) -> tuple[str, Subspace]:
+        if atom not in self.atoms:
+            self.atoms[atom] = reduce_atom(atom, self.problem, self.tol)
+        return self.atoms[atom]
 
-def _dnf(m, budget: _Budget) -> list[tuple]:
+    def leaf(self, positives: tuple[Subspace, ...], negatives: tuple[Subspace, ...]) -> Leaf:
+        key = (tuple(map(id, positives)), tuple(map(id, negatives)))
+        if key not in self.leaves:
+            self.leaves[key] = Leaf(BasicSentence(positives, negatives))
+        return self.leaves[key]
+
+
+def _dnf(m, run: _Run) -> list[tuple]:
     """Disjunctive normal form of a mixed tree, as a list of conjunctions."""
     if isinstance(m, (_Lit, _Closed)):
-        budget.charge(1)
+        run.charge(1)
         return [(m,)]
     if isinstance(m, _MOr):
         out: list[tuple] = []
         for item in m.items:
-            out.extend(_dnf(item, budget))
+            out.extend(_dnf(item, run))
         return out
     if isinstance(m, _MAnd):
         acc: list[tuple] = [()]
         for item in m.items:
-            branches = _dnf(item, budget)
-            budget.charge(len(acc) * len(branches))
+            branches = _dnf(item, run)
+            run.charge(len(acc) * len(branches))
             acc = [conj + br for conj in acc for br in branches]
         return acc
     raise InternalInvariantError(f"unknown mixed node {m!r}")
 
 
-def _eliminate_exists(var: str, m, budget: _Budget) -> object:
-    disjuncts = _dnf(m, budget)
+def _eliminate_exists(var: str, m, run: _Run) -> object:
+    disjuncts = _dnf(m, run)
     out = []
     for conj in disjuncts:
         var_lits = [l for l in conj if isinstance(l, _Lit) and l.var == var]
         rest = [l for l in conj if not (isinstance(l, _Lit) and l.var == var)]
         if var_lits:
-            basic = BasicSentence(
+            leaf = run.leaf(
                 tuple(l.space for l in var_lits if l.positive),
                 tuple(l.space for l in var_lits if not l.positive),
             )
-            rest.append(_Closed(Leaf(basic), True))
+            rest.append(_Closed(leaf, True))
         # A disjunct with no literals of the bound variable is unchanged:
         # exists y . psi is equivalent to psi when y does not occur
         # (domains are nonempty).
@@ -229,33 +253,33 @@ def _eliminate_exists(var: str, m, budget: _Budget) -> object:
     return _mk_or(out)
 
 
-def _elim(f: Formula, neg: bool, problem: Problem, tol: Tolerance, budget: _Budget):
+def _elim(f: Formula, neg: bool, run: _Run):
     # biconditional towers double the tree per level, so the work here
     # can explode long before any quantifier gets eliminated
-    budget.charge(1)
+    run.charge(1)
     if isinstance(f, Atom):
-        var, space = reduce_atom(f, problem, tol)
+        var, space = run.atom(f)
         return _Lit(var, space, not neg)
     if isinstance(f, Not):
-        return _elim(f.arg, not neg, problem, tol, budget)
+        return _elim(f.arg, not neg, run)
     if isinstance(f, And):
-        parts = (_elim(f.left, neg, problem, tol, budget), _elim(f.right, neg, problem, tol, budget))
+        parts = (_elim(f.left, neg, run), _elim(f.right, neg, run))
         return _mk_or(parts) if neg else _mk_and(parts)
     if isinstance(f, Or):
-        parts = (_elim(f.left, neg, problem, tol, budget), _elim(f.right, neg, problem, tol, budget))
+        parts = (_elim(f.left, neg, run), _elim(f.right, neg, run))
         return _mk_and(parts) if neg else _mk_or(parts)
     if isinstance(f, Implies):
-        return _elim(Or(Not(f.left), f.right), neg, problem, tol, budget)
+        return _elim(Or(Not(f.left), f.right), neg, run)
     if isinstance(f, Iff):
         expanded = Or(And(f.left, f.right), And(Not(f.left), Not(f.right)))
-        return _elim(expanded, neg, problem, tol, budget)
+        return _elim(expanded, neg, run)
     if isinstance(f, Exists):
-        inner = _elim(f.body, False, problem, tol, budget)
-        closed = _eliminate_exists(f.var, inner, budget)
+        inner = _elim(f.body, False, run)
+        closed = _eliminate_exists(f.var, inner, run)
         return _negate(closed) if neg else closed
     if isinstance(f, Forall):
-        inner = _elim(f.body, True, problem, tol, budget)
-        closed = _eliminate_exists(f.var, inner, budget)
+        inner = _elim(f.body, True, run)
+        closed = _eliminate_exists(f.var, inner, run)
         return closed if neg else _negate(closed)
     raise ValueError(f"unknown formula node {f!r}")
 
@@ -285,10 +309,10 @@ def _fold_balanced(items: list[BoolCombo], ctor) -> BoolCombo:
 
 def normalize(sentence: Formula, problem: Problem, tol: Tolerance = DEFAULT_TOL) -> BoolCombo:
     """Quantifier-free normal form of a closed sentence over the
-    problem's definitions.  Raises NormalizationLimitError past the DNF
+    problem's definitions.  A leaf that recurs with the same literals is
+    one shared Leaf object.  Raises NormalizationLimitError past the DNF
     node budget."""
-    budget = _Budget(DNF_NODE_LIMIT)
-    return _to_combo(_elim(sentence, False, problem, tol, budget))
+    return _to_combo(_elim(sentence, False, _Run(problem, tol, DNF_NODE_LIMIT)))
 
 
 def combo_size(c: BoolCombo) -> int:

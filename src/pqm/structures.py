@@ -42,6 +42,7 @@ import numpy as np
 
 from . import subspace as sub
 from .axioms import AXIOMS
+from .lang import MAX_DIM
 from .subspace import DEFAULT_TOL, Subspace, Tolerance, UnitaryOp
 
 __all__ = [
@@ -177,8 +178,8 @@ def parse_structure_json(data, tol: Tolerance = DEFAULT_TOL) -> FiniteStructure:
         if key not in data:
             issues.append(f"top level: missing key {key!r}")
     dim = data.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        issues.append(f"dim: expected a positive integer, got {data.get('dim')!r}")
+    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
+        issues.append(f"dim: expected an integer from 1 to {MAX_DIM}, got {data.get('dim')!r}")
         dim = 1
 
     raw_domain = data.get("domain", [])

@@ -26,7 +26,7 @@ from pqm.lang import (
     Term,
     Var,
 )
-from pqm.normalize import BasicSentence
+from pqm.normalize import BAnd, BNot, BOr, BasicSentence, BoolCombo, Leaf
 from pqm.sampling import random_ray, random_ray_within, random_subspace, random_unitary
 from pqm.subspace import (
     DEFAULT_TOL,
@@ -93,6 +93,27 @@ def random_sentence(rng: np.random.Generator, problem: Problem,
         return ctor(left, right)
 
     return formula(depth=max_depth, scope=(), quants=max_quants)
+
+
+def deep_disjunction() -> tuple[Formula, Problem]:
+    """The seed-645 sentence: its normal form has 41,472 leaf
+    occurrences but only 10 distinct leaves."""
+    rng = np.random.default_rng(645)
+    problem = random_problem(rng, 3)
+    return random_sentence(rng, problem, max_depth=4, max_quants=3), problem
+
+
+def combo_basics(c: BoolCombo):
+    """The basic sentence of every leaf occurrence, left to right."""
+    if isinstance(c, Leaf):
+        yield c.basic
+    elif isinstance(c, BNot):
+        yield from combo_basics(c.arg)
+    elif isinstance(c, (BAnd, BOr)):
+        yield from combo_basics(c.left)
+        yield from combo_basics(c.right)
+    else:
+        raise TypeError(c)
 
 
 def eval_term(t: Term, env: dict[str, Subspace], problem: Problem) -> Subspace:

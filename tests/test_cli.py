@@ -3,12 +3,13 @@
 import json
 import shutil
 import subprocess
+import tracemalloc
 
 import pytest
 
 from pqm import cli
 from pqm.cli import main
-from pqm.lang import MAX_FORMULA_DEPTH
+from pqm.lang import MAX_DIM, MAX_FORMULA_DEPTH
 from pqm.subspace import InternalInvariantError
 
 from test_structures import tiny_structure_json
@@ -159,6 +160,35 @@ def test_sentence_at_depth_bound_decides(tmp_path, capsys):
     code, out, err = run(capsys, "decide", str(f))
     assert code in (0, 1)
     assert err == ""
+
+
+@pytest.mark.parametrize("dim", ["1e400", "100000000", str(MAX_DIM + 1)])
+def test_out_of_range_dim_is_a_usage_error(tmp_path, capsys, dim):
+    f = tmp_path / "big.pqm"
+    f.write_text(f"dim {dim}\nassert exists x . [x : top]\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "decide", str(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: 1:5:")
+    assert f"from 1 to {MAX_DIM}" in err
+    # rejected before any dim x dim array exists: the full space at
+    # MAX_DIM + 1 alone would take 16 MiB
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("command", ["check-axioms", "check-rules"])
+@pytest.mark.parametrize("dim", ["0", str(MAX_DIM + 1)])
+def test_out_of_range_dim_option_is_rejected(capsys, command, dim):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--dim", dim])
+    assert exc.value.code == 2
+    assert "argument --dim" in capsys.readouterr().err
 
 
 def test_corrupt_structure_json_is_a_usage_error(tmp_path, capsys):

@@ -11,11 +11,18 @@ from pqm.decide import (
     evaluate,
     verdict_to_json,
 )
-from pqm.normalize import BAnd, BNot, BOr, BasicSentence, Leaf
+from pqm.normalize import BAnd, BNot, BOr, BasicSentence, Leaf, normalize
 from pqm.sampling import random_subspace
 from pqm.subspace import DimensionMismatchError, bottom, eq, leq, span_of, top
 
-from _helpers import basic_holds_pointwise, random_basic
+from _helpers import (
+    basic_holds_pointwise,
+    combo_basics,
+    deep_disjunction,
+    random_basic,
+    random_problem,
+    random_sentence,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -125,6 +132,41 @@ def test_vd_sampler_consistent_on_contradiction():
     p = _sp(E1, E2)
     report = cross_check_vd(BasicSentence((p,), (p,)), 3, samples=2_000, seed=0)
     assert not report.sampler_found and not report.decider_truth
+
+
+def _assert_memo_matches_fresh_leaves(combo, dim):
+    # evaluate shares leaf work across a call; decide_basic decides one
+    # leaf with nothing shared.  It is deterministic, so one fresh
+    # decision per distinct leaf object checks every occurrence.
+    basics = list(combo_basics(combo))
+    memo = evaluate(combo, dim).leaves
+    assert len(memo) == len(basics)
+    fresh = {}
+    for basic, got in zip(basics, memo):
+        assert got.basic is basic
+        if id(basic) not in fresh:
+            fresh[id(basic)] = decide_basic(basic, dim).leaves[0]
+        want = fresh[id(basic)]
+        assert got.truth == want.truth
+        assert got.contained == want.contained
+        assert np.array_equal(got.meet_all.basis, want.meet_all.basis)
+        assert (got.witness is None) == (want.witness is None)
+        if want.witness is not None:
+            assert np.array_equal(got.witness.basis, want.witness.basis)
+
+
+def test_memoized_leaves_match_fresh_decisions_on_deep_disjunction():
+    sentence, problem = deep_disjunction()
+    _assert_memo_matches_fresh_leaves(normalize(sentence, problem), 3)
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_memoized_leaves_match_fresh_decisions(seed):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, 3)
+    sentence = random_sentence(rng, problem, max_depth=3, max_quants=2)
+    _assert_memo_matches_fresh_leaves(normalize(sentence, problem), 3)
 
 
 def test_verdict_json_shape():

@@ -1,16 +1,14 @@
 """Normalizer: atom reduction, quantifier elimination, truth preservation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pqm.lang import Atom, Exists, Forall, Iff, Not, Problem, Var, parse_problem
+from pqm.lang import Atom, Exists, Forall, Formula, Iff, Not, Problem, Var, parse_problem
 from pqm.normalize import (
-    BAnd,
-    BNot,
-    BOr,
     BasicSentence,
-    Leaf,
     NormalizationLimitError,
     combo_size,
     combo_to_formula,
@@ -21,21 +19,16 @@ from pqm.decide import evaluate
 from pqm.sampling import random_ray
 from pqm.subspace import bottom, leq
 
-from _helpers import eval_term, random_problem, random_sentence, sampled_eval
+from _helpers import (
+    combo_basics,
+    deep_disjunction,
+    eval_term,
+    random_problem,
+    random_sentence,
+    sampled_eval,
+)
 
 seeds = st.integers(0, 2**32 - 1)
-
-
-def _leaves(c):
-    if isinstance(c, Leaf):
-        yield c.basic
-    elif isinstance(c, BNot):
-        yield from _leaves(c.arg)
-    elif isinstance(c, (BAnd, BOr)):
-        yield from _leaves(c.left)
-        yield from _leaves(c.right)
-    else:
-        raise TypeError(c)
 
 
 @given(seeds)
@@ -63,7 +56,7 @@ def test_normalize_produces_single_variable_leaves():
         "assert forall x . [x : p] -> exists y . [proj[q](y) : p] & ~[U(x) : q]\n"
     )
     combo = normalize(pr.sentence, pr)
-    for basic in _leaves(combo):
+    for basic in combo_basics(combo):
         assert isinstance(basic, BasicSentence)
         assert all(s.dim == 3 for s in basic.positives + basic.negatives)
 
@@ -85,12 +78,29 @@ def test_normalize_preserves_truth_one_sided(seed):
 def test_deep_disjunction_fits_default_stack():
     # regression: a two-line sentence used to normalize into a fold so
     # deep that evaluation hit the recursion limit
-    rng = np.random.default_rng(645)
-    problem = random_problem(rng, 3)
-    sentence = random_sentence(rng, problem, max_depth=4, max_quants=3)
+    sentence, problem = deep_disjunction()
     combo = normalize(sentence, problem)
     assert combo_size(combo) > 50_000
     assert evaluate(combo, 3).truth is True
+
+
+def _atoms(f: Formula) -> set[Atom]:
+    if isinstance(f, Atom):
+        return {f}
+    kids = (getattr(f, field.name) for field in fields(f))
+    return set().union(*(_atoms(k) for k in kids if isinstance(k, Formula)))
+
+
+def test_normalize_shares_atoms_and_leaves():
+    # equal atoms reduce to one literal object and repeated literal
+    # sequences to one leaf; the tree keeps its shape
+    sentence, problem = deep_disjunction()
+    combo = normalize(sentence, problem)
+    basics = list(combo_basics(combo))
+    literals = {id(x) for b in basics for x in b.positives + b.negatives}
+    assert len(literals) <= len(_atoms(sentence))
+    assert len({id(b) for b in basics}) == 10
+    assert combo_size(combo) > 50_000
 
 
 @given(seeds)

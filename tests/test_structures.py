@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pqm.lang import MAX_DIM
 from pqm.structures import (
     FiniteStructure,
     StructureValidationError,
@@ -81,6 +82,15 @@ def test_validation_collects_every_issue():
     text = "\n".join(exc.value.issues)
     assert "ghost" in text and "nosuch" in text and "alsomissing" in text
     assert len(exc.value.issues) >= 3
+
+
+@pytest.mark.parametrize("dim", [0, MAX_DIM + 1, 10**8, 1e400])
+def test_structure_dim_out_of_range_is_rejected(dim):
+    data = tiny_structure_json()
+    data["dim"] = dim
+    with pytest.raises(StructureValidationError) as exc:
+        parse_structure_json(data)
+    assert any(i.startswith(f"dim: expected an integer from 1 to {MAX_DIM}") for i in exc.value.issues)
 
 
 def test_load_reports_json_position(tmp_path):
