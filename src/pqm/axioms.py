@@ -1,9 +1,16 @@
-"""Randomized validity checking for the verification-statement axioms.
+"""The verification-statement axioms, each stated once, and their random suites.
 
-Each axiom is an implication (or an existential) quantified over system
-elements x and subspace parameters.  Instances are generated with the
-antecedent deliberately biased towards truth, since for random data most
-antecedents are vacuously false.  Evaluation is parameterized twice:
+Each axiom in ``AXIOMS`` is an implication (or an existential) over a
+system element x and parameters, written once as a hypothesis and a
+conclusion over an interpretation ``I``, which offers ``verify``,
+``project``, ``transform``, ``top``, ``bottom`` and the lattice terms
+the axioms name.  Two interpretations read the same statements: over
+subspaces, where ``run_axiom_suite`` draws random instances, and over a
+finite structure, where ``pqm.structures`` enumerates them.
+
+Random instances bias the antecedent towards truth, since for random
+data most antecedents are vacuously false.  Evaluation is parameterized
+twice:
 
 * the *element domain* decides what x ranges over: arbitrary subspaces,
   or only rays and the zero space;
@@ -19,8 +26,9 @@ circuit rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -42,7 +50,7 @@ __all__ = [
     "SubspaceElements",
     "RayElements",
     "AXIOMS",
-    "axiom_names",
+    "select_axioms",
     "run_axiom_suite",
 ]
 
@@ -82,21 +90,13 @@ class RayElements:
 
 
 class ExactSemantics:
-    """[s : p] is containment; projections and unitaries act directly."""
-
-    label = "exact"
+    """[s : p] is containment."""
 
     def __init__(self, tol: Tolerance = DEFAULT_TOL):
         self.tol = tol
 
     def verify(self, s: Subspace, p: Subspace) -> bool:
         return sub.leq(s, p, self.tol)
-
-    def project(self, s: Subspace, q: Subspace) -> Subspace:
-        return sub.sasaki_and(s, q, self.tol)
-
-    def transform(self, u: UnitaryOp, s: Subspace) -> Subspace:
-        return sub.apply_unitary(u, s, self.tol)
 
 
 class SampledSemantics:
@@ -108,8 +108,6 @@ class SampledSemantics:
     sampling, so suites under this semantics are one-sided in the safe
     direction.
     """
-
-    label = "sampled"
 
     def __init__(self, rng: np.random.Generator, rays_per_check: int = 64,
                  tol: Tolerance = DEFAULT_TOL):
@@ -133,11 +131,22 @@ class SampledSemantics:
         overlaps = np.linalg.norm(s.basis.conj().T @ phis, axis=0)
         return bool(np.all(overlaps < self.tol.eq_tol))
 
-    def project(self, s: Subspace, q: Subspace) -> Subspace:
-        return sub.sasaki_and(s, q, self.tol)
 
-    def transform(self, u: UnitaryOp, s: Subspace) -> Subspace:
-        return sub.apply_unitary(u, s, self.tol)
+class _OverSubspaces:
+    """The axioms read over subspaces of C^dim: ``verify`` is the given
+    one, and projection, unitary action and every lattice term come from
+    ``pqm.subspace``.  Projecting an element is its Sasaki conjunction,
+    and a unitary moves an element as it moves a subspace."""
+
+    def __init__(self, verify, dim: int, tol: Tolerance):
+        self.verify = verify
+        self.top, self.bottom = sub.top(dim), sub.bottom(dim)
+        self.meet = partial(sub.meet, tol=tol)
+        self.ortho = partial(sub.ortho, tol=tol)
+        self.sasaki_and = self.project = partial(sub.sasaki_and, tol=tol)
+        self.sasaki_hook = partial(sub.sasaki_hook, tol=tol)
+        self.image = self.transform = partial(sub.apply_unitary, tol=tol)
+        self.preimage = lambda u, p: sub.apply_unitary(u.adjoint(), p, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +155,27 @@ class SampledSemantics:
 
 @dataclass(frozen=True)
 class AxiomDef:
+    """One axiom, stated once.
+
+    ``hypothesis``, ``conclusion`` and ``note`` take an interpretation
+    and the instance's arguments: the element x, then the parameters.
+    ``draw(rng, dim, domain, tol)`` samples the arguments over subspaces.
+    ``cases(s, tol)`` yields the parameter tuples of a finite structure
+    ``s`` in checking order, each taken with every domain element as x.
+    ``note`` describes a violated instance over a structure, where every
+    argument is a name.  An existential axiom asks for some x whose
+    conclusion holds; its note takes the parameters only.
+    """
+
     name: str
     in_base: bool
     in_revised: bool
     existential: bool
-    instance: Callable  # (rng, dim, domain, sem, tol) -> (hypothesis, conclusion)
+    draw: Callable[..., tuple]
+    cases: Callable[..., Iterable[tuple]]
+    hypothesis: Callable[..., bool]
+    conclusion: Callable[..., bool]
+    note: Callable[..., str]
 
 
 def _mix(rng, domain, dim, tol, inside_of: Subspace | None):
@@ -160,46 +185,33 @@ def _mix(rng, domain, dim, tol, inside_of: Subspace | None):
     return domain.free(rng, dim, tol)
 
 
-def _ax_verify_top(rng, dim, domain, sem, tol):
-    x = domain.free(rng, dim, tol)
-    return True, sem.verify(x, sub.top(dim))
+def _draw_free(rng, dim, domain, tol):
+    return (domain.free(rng, dim, tol),)
 
 
-def _ax_some_possible(rng, dim, domain, sem, tol):
-    x = domain.free(rng, dim, tol)
-    return True, not sem.verify(x, sub.bottom(dim))
-
-
-def _ax_monotone(rng, dim, domain, sem, tol):
+def _draw_monotone(rng, dim, domain, tol):
     p = random_subspace(rng, dim, tol=tol)
     q = sub.join(p, random_subspace(rng, dim, tol=tol), tol)
-    x = _mix(rng, domain, dim, tol, p)
-    return sem.verify(x, p), sem.verify(x, q)
+    return _mix(rng, domain, dim, tol, p), p, q
 
 
-def _ax_meet_compatible(rng, dim, domain, sem, tol):
+def _draw_compatible_pair(rng, dim, domain, tol):
     p, q = random_compatible_pair(rng, dim, tol)
-    x = _mix(rng, domain, dim, tol, sub.meet(p, q, tol))
-    hyp = sem.verify(x, p) and sem.verify(x, q)
-    return hyp, sem.verify(x, sub.meet(p, q, tol))
+    return _mix(rng, domain, dim, tol, sub.meet(p, q, tol)), p, q
 
 
-def _ax_meet(rng, dim, domain, sem, tol):
-    p = random_subspace(rng, dim, tol=tol)
-    q = random_subspace(rng, dim, tol=tol)
-    x = _mix(rng, domain, dim, tol, sub.meet(p, q, tol))
-    hyp = sem.verify(x, p) and sem.verify(x, q)
-    return hyp, sem.verify(x, sub.meet(p, q, tol))
+def _free_pair(bias):
+    """Draw free p and q, then x biased into ``bias(p, q, tol)``."""
+
+    def draw(rng, dim, domain, tol):
+        p = random_subspace(rng, dim, tol=tol)
+        q = random_subspace(rng, dim, tol=tol)
+        return _mix(rng, domain, dim, tol, bias(p, q, tol)), p, q
+
+    return draw
 
 
-def _ax_project_intro(rng, dim, domain, sem, tol):
-    p = random_subspace(rng, dim, tol=tol)
-    q = random_subspace(rng, dim, tol=tol)
-    x = _mix(rng, domain, dim, tol, p)
-    return sem.verify(x, p), sem.verify(sem.project(x, q), sub.sasaki_and(p, q, tol))
-
-
-def _ax_project_chain(rng, dim, domain, sem, tol):
+def _draw_project_chain(rng, dim, domain, tol):
     q = random_subspace(rng, dim, tol=tol)
     p = random_subspace_within(rng, q, tol=tol)
     # Bias: x projecting into q inside the complement of p.  Seed a ray of
@@ -218,62 +230,138 @@ def _ax_project_chain(rng, dim, domain, sem, tol):
         x = sub.span_of([vec], dim, tol)
     else:
         x = domain.inside(rng, sub.ortho(q, tol), tol)
-    hyp = sem.verify(sem.project(sem.project(x, q), p), sub.bottom(dim))
-    concl = sem.verify(sem.project(x, p), sub.bottom(dim))
-    return hyp, concl
+    return x, p, q
 
 
-def _ax_project_bottom(rng, dim, domain, sem, tol):
+def _draw_project_bottom(rng, dim, domain, tol):
     q = random_subspace(rng, dim, tol=tol)
-    x = _mix(rng, domain, dim, tol, sub.ortho(q, tol))
-    hyp = sem.verify(sem.project(x, q), sub.bottom(dim))
-    return hyp, sem.verify(x, sub.ortho(q, tol))
+    return _mix(rng, domain, dim, tol, sub.ortho(q, tol)), q
 
 
-def _ax_project_adjoint(rng, dim, domain, sem, tol):
-    p = random_subspace(rng, dim, tol=tol)
-    q = random_subspace(rng, dim, tol=tol)
-    x = _mix(rng, domain, dim, tol, sub.sasaki_hook(p, q, tol))
-    hyp = sem.verify(sem.project(x, q), p)
-    return hyp, sem.verify(x, sub.sasaki_hook(p, q, tol))
+def _draw_unitary(bias):
+    """Draw a unitary u and a free p, then x biased into ``bias(u, p, tol)``."""
+
+    def draw(rng, dim, domain, tol):
+        u = random_unitary(rng, dim)
+        p = random_subspace(rng, dim, tol=tol)
+        return _mix(rng, domain, dim, tol, bias(u, p, tol)), u, p
+
+    return draw
 
 
-def _ax_unitary_intro(rng, dim, domain, sem, tol):
-    u = random_unitary(rng, dim)
-    p = random_subspace(rng, dim, tol=tol)
-    x = _mix(rng, domain, dim, tol, p)
-    return sem.verify(x, p), sem.verify(sem.transform(u, x), sub.apply_unitary(u, p, tol))
+def _no_parameters(s, tol):
+    return [()]
 
 
-def _ax_unitary_elim(rng, dim, domain, sem, tol):
-    u = random_unitary(rng, dim)
-    p = random_subspace(rng, dim, tol=tol)
-    back = sub.apply_unitary(u.adjoint(), p, tol)
-    x = _mix(rng, domain, dim, tol, back)
-    return sem.verify(sem.transform(u, x), p), sem.verify(x, back)
+def _unordered_pairs(s, tol):
+    syms = list(s.subspaces)
+    return [(p, q) for i, p in enumerate(syms) for q in syms[i + 1 :]]
 
+
+def _onto_projectors(s, tol):
+    return ((p, q) for q in s.projectors for p in s.subspaces)
+
+
+def _under_unitaries(s, tol):
+    return ((u, p) for u in s.unitaries for p in s.subspaces)
+
+
+_MEET_COMPATIBLE = AxiomDef(
+    "meet-compatible", True, False, False, _draw_compatible_pair,
+    lambda s, tol: (
+        (p, q) for p, q in _unordered_pairs(s, tol)
+        if sub.compatible(s.subspaces[p], s.subspaces[q], tol)
+    ),
+    hypothesis=lambda I, x, p, q: I.verify(x, p) and I.verify(x, q),
+    conclusion=lambda I, x, p, q: I.verify(x, I.meet(p, q)),
+    note=lambda I, x, p, q: f"{x} verifies {p} and {q} but not their meet {I.meet(p, q)}",
+)
 
 AXIOMS: tuple[AxiomDef, ...] = (
-    AxiomDef("verify-top", True, True, False, _ax_verify_top),
-    AxiomDef("some-possible", True, True, True, _ax_some_possible),
-    AxiomDef("monotone", True, True, False, _ax_monotone),
-    AxiomDef("meet-compatible", True, False, False, _ax_meet_compatible),
-    AxiomDef("meet", False, True, False, _ax_meet),
-    AxiomDef("project-intro", True, True, False, _ax_project_intro),
-    AxiomDef("project-chain", True, False, False, _ax_project_chain),
-    AxiomDef("project-bottom", True, False, False, _ax_project_bottom),
-    AxiomDef("project-adjoint", False, True, False, _ax_project_adjoint),
-    AxiomDef("unitary-intro", True, True, False, _ax_unitary_intro),
-    AxiomDef("unitary-elim", True, True, False, _ax_unitary_elim),
+    AxiomDef(
+        "verify-top", True, True, False, _draw_free, _no_parameters,
+        hypothesis=lambda I, x: True,
+        conclusion=lambda I, x: I.verify(x, I.top),
+        note=lambda I, x: f"{x} does not verify {I.top}",
+    ),
+    AxiomDef(
+        "some-possible", True, True, True, _draw_free, _no_parameters,
+        hypothesis=lambda I, x: True,
+        conclusion=lambda I, x: not I.verify(x, I.bottom),
+        note=lambda I: f"every element verifies {I.bottom}",
+    ),
+    AxiomDef(
+        "monotone", True, True, False, _draw_monotone,
+        lambda s, tol: (
+            (p, q) for p, pv in s.subspaces.items() for q, qv in s.subspaces.items()
+            if p != q and sub.leq(pv, qv, tol)
+        ),
+        hypothesis=lambda I, x, p, q: I.verify(x, p),
+        conclusion=lambda I, x, p, q: I.verify(x, q),
+        note=lambda I, x, p, q: f"{x} verifies {p} <= {q} but not {q}",
+    ),
+    _MEET_COMPATIBLE,
+    # the same statement over every pair, compatible or not
+    replace(
+        _MEET_COMPATIBLE, name="meet", in_base=False, in_revised=True,
+        draw=_free_pair(lambda p, q, tol: sub.meet(p, q, tol)), cases=_unordered_pairs,
+    ),
+    AxiomDef(
+        "project-intro", True, True, False, _free_pair(lambda p, q, tol: p), _onto_projectors,
+        hypothesis=lambda I, x, p, q: I.verify(x, p),
+        conclusion=lambda I, x, p, q: I.verify(I.project(x, q), I.sasaki_and(p, q)),
+        note=lambda I, x, p, q: f"projecting {x} onto {q} loses {p}&{q} = {I.sasaki_and(p, q)}",
+    ),
+    AxiomDef(
+        "project-chain", True, False, False, _draw_project_chain,
+        lambda s, tol: (
+            (p, q) for p in s.projectors for q in s.projectors
+            if sub.leq(s.subspaces[p], s.subspaces[q], tol)
+        ),
+        hypothesis=lambda I, x, p, q: I.verify(I.project(I.project(x, q), p), I.bottom),
+        conclusion=lambda I, x, p, q: I.verify(I.project(x, p), I.bottom),
+        note=lambda I, x, p, q: f"{x}: impossible through {q} then {p}, possible through {p}",
+    ),
+    AxiomDef(
+        "project-bottom", True, False, False, _draw_project_bottom,
+        lambda s, tol: ((q,) for q in s.projectors),
+        hypothesis=lambda I, x, q: I.verify(I.project(x, q), I.bottom),
+        conclusion=lambda I, x, q: I.verify(x, I.ortho(q)),
+        note=lambda I, x, q: f"{x} impossible through {q} but does not verify its complement",
+    ),
+    AxiomDef(
+        "project-adjoint", False, True, False,
+        _free_pair(lambda p, q, tol: sub.sasaki_hook(p, q, tol)), _onto_projectors,
+        hypothesis=lambda I, x, p, q: I.verify(I.project(x, q), p),
+        conclusion=lambda I, x, p, q: I.verify(x, I.sasaki_hook(p, q)),
+        note=lambda I, x, p, q: (
+            f"projection of {x} onto {q} verifies {p} but {x} misses {I.sasaki_hook(p, q)}"
+        ),
+    ),
+    AxiomDef(
+        "unitary-intro", True, True, False, _draw_unitary(lambda u, p, tol: p), _under_unitaries,
+        hypothesis=lambda I, x, u, p: I.verify(x, p),
+        conclusion=lambda I, x, u, p: I.verify(I.transform(u, x), I.image(u, p)),
+        note=lambda I, x, u, p: f"{u} applied to {x} loses the image of {p}",
+    ),
+    AxiomDef(
+        "unitary-elim", True, True, False,
+        _draw_unitary(lambda u, p, tol: sub.apply_unitary(u.adjoint(), p, tol)), _under_unitaries,
+        hypothesis=lambda I, x, u, p: I.verify(I.transform(u, x), p),
+        conclusion=lambda I, x, u, p: I.verify(x, I.preimage(u, p)),
+        note=lambda I, x, u, p: f"{u} image of {x} verifies {p} but {x} misses its preimage",
+    ),
 )
 
 
-def axiom_names(figure: str = "all") -> list[str]:
-    if figure == "base":
-        return [a.name for a in AXIOMS if a.in_base]
-    if figure == "revised":
-        return [a.name for a in AXIOMS if a.in_revised]
-    return [a.name for a in AXIOMS]
+def select_axioms(figure: str) -> list[AxiomDef]:
+    """The axioms of a figure: ``"base"``, ``"revised"`` or ``"all"``."""
+    if figure not in ("base", "revised", "all"):
+        raise ValueError(f"unknown figure {figure!r}: expected 'base', 'revised' or 'all'")
+    return [
+        a for a in AXIOMS
+        if figure == "all" or (a.in_base if figure == "base" else a.in_revised)
+    ]
 
 
 @dataclass(frozen=True)
@@ -317,37 +405,34 @@ def run_axiom_suite(
     figure: str = "all",
     tol: Tolerance = DEFAULT_TOL,
 ) -> list[AxiomResult]:
-    """Evaluate every axiom on ``samples`` random instances.
+    """Evaluate every axiom of the figure on ``samples`` random instances.
 
     For a conditional axiom a violation is an instance whose antecedent
     holds and conclusion fails; for an existential the whole run must
-    produce at least one witness.  The unconditioned meet axiom is
-    marked informational below dimension 3: it is recorded there, never
-    asserted.
+    produce at least one witness.  Both sides are evaluated on every
+    instance: a sampled semantics draws from its own generator, so the
+    stream must not depend on the hypothesis.  The unconditioned meet
+    axiom is marked informational below dimension 3: it is recorded
+    there, never asserted.
     """
-    selected = [
-        a for a in AXIOMS
-        if figure == "all" or (figure == "base" and a.in_base) or (figure == "revised" and a.in_revised)
-    ]
+    interp = _OverSubspaces(semantics.verify, dim, tol)
     results = []
-    for index, axiom in enumerate(selected):
+    for index, axiom in enumerate(select_axioms(figure)):
         rng = np.random.default_rng([seed, dim, index])
         hits = 0
         violations = 0
         witnessed = False
         for _ in range(samples):
-            hyp, concl = axiom.instance(rng, dim, domain, semantics, tol)
-            if axiom.existential:
-                if concl:
-                    witnessed = True
-                continue
+            args = axiom.draw(rng, dim, domain, tol)
+            hyp = axiom.hypothesis(interp, *args)
+            concl = axiom.conclusion(interp, *args)
+            witnessed = witnessed or concl
             if hyp:
                 hits += 1
-                if not concl:
-                    violations += 1
+                violations += not concl
         if axiom.existential:
             hits = int(witnessed)
-            violations = 0 if witnessed else 1
+            violations = int(not witnessed)
         results.append(
             AxiomResult(
                 name=axiom.name,

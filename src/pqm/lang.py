@@ -24,8 +24,10 @@ spelled out in full in docs/grammar.md.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -571,6 +573,9 @@ def _build_definitions(
     for name, kind, vectors in raw.lets:
         if name in subspaces or name in unitaries:
             raise SemanticError(f"duplicate definition of {name!r}")
+        # a literal past the float range lexes as infinity
+        if not all(map(cmath.isfinite, chain.from_iterable(vectors))):
+            raise SemanticError(f"in {name!r}: entries must be finite numbers")
         if kind == "span":
             for v in vectors:
                 if len(v) != dim:

@@ -7,6 +7,12 @@ axiom instance is only checkable when the operations it mentions land on
 fragment symbols again.  Instances that fall outside are counted as
 skipped, never silently dropped.
 
+The axioms are the statements of ``pqm.axioms.AXIOMS``, each written
+once; the random suites read them over subspaces, and
+``check_structure_axioms`` reads the same statements over the structure,
+where elements, symbols, projectors and unitaries are names and each
+axiom's ``cases`` enumerate its instances.
+
 The model-characterization pipeline computes, for every domain element,
 the least member of its filter (the set of symbols it is related to).
 When every filter has a least member the induced map into the subspace
@@ -35,13 +41,15 @@ onto and must be total on the domain, as must unitary tables.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import subspace as sub
-from .axioms import AXIOMS
+from .axioms import _OverSubspaces, select_axioms
 from .lang import MAX_DIM
 from .subspace import DEFAULT_TOL, Subspace, Tolerance, UnitaryOp
 
@@ -133,6 +141,10 @@ def _complex_entry(obj, where: str, issues: list[str]) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
     ):
         issues.append(f"{where}: expected a [re, im] pair, got {obj!r}")
+        return 0j
+    # exact for integers too, which float() cannot take past the range
+    if not all(abs(x) <= sys.float_info.max for x in obj):
+        issues.append(f"{where}: expected finite numbers, got {obj!r}")
         return 0j
     return complex(obj[0], obj[1])
 
@@ -258,6 +270,9 @@ def parse_structure_json(data, tol: Tolerance = DEFAULT_TOL) -> FiniteStructure:
         if not isinstance(pair, list) or len(pair) != 2:
             issues.append(f"relation[{k}]: expected an [element, symbol] pair")
             continue
+        if not all(isinstance(name, str) for name in pair):
+            issues.append(f"relation[{k}]: expected two names, got {pair!r}")
+            continue
         elem, symbol = pair
         ok = True
         if elem not in known_elems:
@@ -283,6 +298,9 @@ def load_structure(path, tol: Tolerance = DEFAULT_TOL) -> FiniteStructure:
         raise StructureValidationError(
             [f"line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past the interpreter's digit limit, or too deep nesting
+        raise StructureValidationError([f"unreadable JSON: {exc}"]) from exc
     return parse_structure_json(data, tol)
 
 
@@ -362,195 +380,89 @@ class StructureAxiomReport:
         }
 
 
-class _Tally:
-    """Checked/skipped/violation counters with a capped example list."""
-
-    def __init__(self, max_examples: int):
-        self.checked = 0
-        self.skipped = 0
-        self.violations = 0
-        self.examples: list[str] = []
-        self.max_examples = max_examples
-
-    def instance(self, holds: bool, note: str):
-        self.checked += 1
-        if not holds:
-            self.violations += 1
-            if len(self.examples) < self.max_examples:
-                self.examples.append(note)
-
-    def skip(self):
-        self.skipped += 1
+_MAX_EXAMPLES = 5
 
 
-def _sx_verify_top(s, tol, t):
-    top_sym = s.top_symbol(tol)
-    for m in s.domain:
-        t.instance(s.related(m, top_sym), f"{m} does not verify {top_sym}")
+class _Unresolved(Exception):
+    """A conclusion names a subspace that no fragment symbol denotes."""
 
 
-def _sx_some_possible(s, tol, t):
-    bot_sym = s.bot_symbol(tol)
-    if not s.domain:
-        t.instance(False, "empty domain: no element can witness possibility")
-        return
-    t.instance(
-        any(not s.related(m, bot_sym) for m in s.domain),
-        f"every element verifies {bot_sym}",
-    )
+class _OverStructure:
+    """The axioms read over a finite structure, where elements, symbols,
+    projectors and unitaries are names.  A lattice term over symbols
+    resolves to the first fragment symbol denoting its value, or to None,
+    once per check call; verifying against None skips the instance.  The
+    full-space and zero-space symbols resolve on construction."""
 
+    def __init__(self, s: FiniteStructure, tol: Tolerance):
+        self.s, self.tol = s, tol
+        self.top, self.bottom = s.top_symbol(tol), s.bot_symbol(tol)
+        self._values = _OverSubspaces(None, s.dim, tol)
+        self._symbols: dict[tuple, str | None] = {}
+        self.meet = partial(self._symbol, "meet")
+        self.ortho = partial(self._symbol, "ortho")
+        self.sasaki_and = partial(self._symbol, "sasaki_and")
+        self.sasaki_hook = partial(self._symbol, "sasaki_hook")
+        self.image = partial(self._symbol, "image")
+        self.preimage = partial(self._symbol, "preimage")
 
-def _sx_monotone(s, tol, t):
-    for p, pv in s.subspaces.items():
-        for q, qv in s.subspaces.items():
-            if p == q or not sub.leq(pv, qv, tol):
-                continue
-            for m in s.domain:
-                holds = (not s.related(m, p)) or s.related(m, q)
-                t.instance(holds, f"{m} verifies {p} <= {q} but not {q}")
+    def verify(self, x: str, p: str | None) -> bool:
+        if p is None:
+            raise _Unresolved
+        return (x, p) in self.s.relation
 
+    def project(self, x: str, q: str) -> str:
+        return self.s.projectors[q][x]
 
-def _meet_axiom(s, tol, t, need_compatible: bool):
-    syms = list(s.subspaces)
-    for i, p in enumerate(syms):
-        for q in syms[i + 1 :]:
-            pv, qv = s.subspaces[p], s.subspaces[q]
-            if need_compatible and not sub.compatible(pv, qv, tol):
-                continue
-            msym = s.symbol_of(sub.meet(pv, qv, tol), tol)
-            for m in s.domain:
-                if not (s.related(m, p) and s.related(m, q)):
-                    t.instance(True, "")
-                elif msym is None:
-                    t.skip()
-                else:
-                    t.instance(
-                        s.related(m, msym),
-                        f"{m} verifies {p} and {q} but not their meet {msym}",
-                    )
+    def transform(self, u: str, x: str) -> str:
+        return self.s.unitaries[u].table[x]
 
-
-def _sx_meet_compatible(s, tol, t):
-    _meet_axiom(s, tol, t, need_compatible=True)
-
-
-def _sx_meet(s, tol, t):
-    _meet_axiom(s, tol, t, need_compatible=False)
-
-
-def _sx_project_intro(s, tol, t):
-    for q, table in s.projectors.items():
-        for p, pv in s.subspaces.items():
-            target = s.symbol_of(sub.sasaki_and(pv, s.subspaces[q], tol), tol)
-            for m in s.domain:
-                if not s.related(m, p):
-                    t.instance(True, "")
-                elif target is None:
-                    t.skip()
-                else:
-                    t.instance(
-                        s.related(table[m], target),
-                        f"projecting {m} onto {q} loses {p}&{q} = {target}",
-                    )
-
-
-def _sx_project_chain(s, tol, t):
-    bot_sym = s.bot_symbol(tol)
-    for p, tp in s.projectors.items():
-        for q, tq in s.projectors.items():
-            if not sub.leq(s.subspaces[p], s.subspaces[q], tol):
-                continue
-            for m in s.domain:
-                hyp = s.related(tp[tq[m]], bot_sym)
-                holds = (not hyp) or s.related(tp[m], bot_sym)
-                t.instance(holds, f"{m}: impossible through {q} then {p}, possible through {p}")
-
-
-def _sx_project_bottom(s, tol, t):
-    bot_sym = s.bot_symbol(tol)
-    for q, table in s.projectors.items():
-        target = s.symbol_of(sub.ortho(s.subspaces[q], tol), tol)
-        for m in s.domain:
-            if not s.related(table[m], bot_sym):
-                t.instance(True, "")
-            elif target is None:
-                t.skip()
+    def _symbol(self, term: str, *names: str) -> str | None:
+        key = (term, *names)
+        if key not in self._symbols:
+            v = self.s.subspaces
+            if term in ("image", "preimage"):
+                values = (self.s.unitaries[names[0]].op, v[names[1]])
             else:
-                t.instance(
-                    s.related(m, target),
-                    f"{m} impossible through {q} but does not verify its complement",
-                )
+                values = tuple(v[n] for n in names)
+            self._symbols[key] = self.s.symbol_of(getattr(self._values, term)(*values), self.tol)
+        return self._symbols[key]
 
 
-def _sx_project_adjoint(s, tol, t):
-    for q, table in s.projectors.items():
-        for p, pv in s.subspaces.items():
-            target = s.symbol_of(sub.sasaki_hook(pv, s.subspaces[q], tol), tol)
-            for m in s.domain:
-                if not s.related(table[m], p):
-                    t.instance(True, "")
-                elif target is None:
-                    t.skip()
-                else:
-                    t.instance(
-                        s.related(m, target),
-                        f"projection of {m} onto {q} verifies {p} but {m} misses {target}",
-                    )
-
-
-def _sx_unitary_intro(s, tol, t):
-    for uname, tu in s.unitaries.items():
-        for p, pv in s.subspaces.items():
-            target = s.symbol_of(sub.apply_unitary(tu.op, pv, tol), tol)
-            for m in s.domain:
-                if not s.related(m, p):
-                    t.instance(True, "")
-                elif target is None:
-                    t.skip()
-                else:
-                    t.instance(
-                        s.related(tu.table[m], target),
-                        f"{uname} applied to {m} loses the image of {p}",
-                    )
-
-
-def _sx_unitary_elim(s, tol, t):
-    for uname, tu in s.unitaries.items():
-        inverse = tu.op.adjoint()
-        for p, pv in s.subspaces.items():
-            target = s.symbol_of(sub.apply_unitary(inverse, pv, tol), tol)
-            for m in s.domain:
-                if not s.related(tu.table[m], p):
-                    t.instance(True, "")
-                elif target is None:
-                    t.skip()
-                else:
-                    t.instance(
-                        s.related(m, target),
-                        f"{uname} image of {m} verifies {p} but {m} misses its preimage",
-                    )
-
-
-_STRUCTURE_CHECKS = {
-    "verify-top": _sx_verify_top,
-    "some-possible": _sx_some_possible,
-    "monotone": _sx_monotone,
-    "meet-compatible": _sx_meet_compatible,
-    "meet": _sx_meet,
-    "project-intro": _sx_project_intro,
-    "project-chain": _sx_project_chain,
-    "project-bottom": _sx_project_bottom,
-    "project-adjoint": _sx_project_adjoint,
-    "unitary-intro": _sx_unitary_intro,
-    "unitary-elim": _sx_unitary_elim,
-}
+def _check_axiom(axiom, s: FiniteStructure, interp: _OverStructure) -> StructureAxiomResult:
+    """Count one axiom's instances; the conclusion is read only where the
+    hypothesis holds.  An existential is one instance over the domain."""
+    hypothesis, conclusion = axiom.hypothesis, axiom.conclusion
+    checked = skipped = 0
+    failed = []  # the note arguments of each violated instance
+    for params in axiom.cases(s, interp.tol):
+        if axiom.existential:
+            checked += 1
+            if not any(conclusion(interp, x, *params) for x in s.domain):
+                failed.append(params)
+            continue
+        for x in s.domain:
+            if hypothesis(interp, x, *params):
+                try:
+                    holds = conclusion(interp, x, *params)
+                except _Unresolved:
+                    skipped += 1
+                    continue
+                if not holds:
+                    failed.append((x, *params))
+            checked += 1
+    examples = tuple(
+        # only an existential fails over an empty domain
+        axiom.note(interp, *args) if s.domain else "empty domain: no element can witness possibility"
+        for args in failed[:_MAX_EXAMPLES]
+    )
+    return StructureAxiomResult(axiom.name, checked, skipped, len(failed), examples)
 
 
 def check_structure_axioms(
     s: FiniteStructure,
     figure: str = "base",
     tol: Tolerance = DEFAULT_TOL,
-    max_examples: int = 5,
 ) -> StructureAxiomReport:
     """Exhaustively check the axioms over the domain and fragment.
 
@@ -560,20 +472,12 @@ def check_structure_axioms(
     as skipped (only when its hypothesis holds, otherwise it is vacuously
     true regardless).  Projection and unitary axioms quantify over the
     declared projectors and unitaries only: symbols without tables are
-    not in the structure's language.
+    not in the structure's language.  At most five violations per axiom
+    are described.
     """
-    results = []
-    for axiom in AXIOMS:
-        if figure == "base" and not axiom.in_base:
-            continue
-        if figure == "revised" and not axiom.in_revised:
-            continue
-        t = _Tally(max_examples)
-        _STRUCTURE_CHECKS[axiom.name](s, tol, t)
-        results.append(
-            StructureAxiomResult(axiom.name, t.checked, t.skipped, t.violations, tuple(t.examples))
-        )
-    return StructureAxiomReport(figure, tuple(results))
+    axioms = select_axioms(figure)
+    interp = _OverStructure(s, tol)
+    return StructureAxiomReport(figure, tuple(_check_axiom(a, s, interp) for a in axioms))
 
 
 # ---------------------------------------------------------------------------

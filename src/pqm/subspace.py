@@ -108,7 +108,7 @@ class Subspace:
             raise ValueError("rank cannot exceed the ambient dimension")
         if b.shape[1]:
             gram = b.conj().T @ b
-            if np.abs(gram - np.eye(b.shape[1])).max() > 1e-7:
+            if not np.abs(gram - np.eye(b.shape[1])).max() <= 1e-7:  # NaN fails too
                 raise ValueError("basis columns are not orthonormal")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
@@ -146,7 +146,7 @@ class UnitaryOp:
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix must be ({self.dim}, {self.dim}), got {m.shape}")
         dev = unitary_deviation(m)
-        if dev > UNITARY_TOL:
+        if not dev <= UNITARY_TOL:  # NaN from a non-finite entry fails too
             raise ValueError(f"matrix is not unitary: max-norm deviation {dev:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -188,7 +188,7 @@ def span_of(vectors: Iterable[Sequence[complex]], dim: int, tol: Tolerance = DEF
     """Orthonormalized span of a finite family of vectors in C^dim.
 
     Accepts dependent, repeated and zero vectors; the empty family gives
-    the bottom subspace.
+    the bottom subspace.  Raises ValueError on a non-finite entry.
     """
     cols = []
     for v in vectors:
@@ -198,7 +198,10 @@ def span_of(vectors: Iterable[Sequence[complex]], dim: int, tol: Tolerance = DEF
         cols.append(arr)
     if not cols:
         return bottom(dim)
-    return _span_from_matrix(np.column_stack(cols), dim, tol)
+    a = np.column_stack(cols)
+    if not np.isfinite(a).all():
+        raise ValueError("vector entries must be finite")
+    return _span_from_matrix(a, dim, tol)
 
 
 def _same_dim(p: Subspace, q: Subspace) -> None:

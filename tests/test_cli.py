@@ -211,6 +211,75 @@ def test_validation_issues_all_reach_stderr(tmp_path, capsys):
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 2
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("relation", 0, 1), ["top"], "relation[0]: expected two names"),
+    (("relation", 0, 0), {"m": 1}, "relation[0]: expected two names"),
+    (("subspaces", "s1", 0, 0, 0), 10**400, "subspaces.s1[0][0]: expected finite numbers"),
+    (("subspaces", "s1", 0, 1, 1), float("inf"), "subspaces.s1[0][1]: expected finite numbers"),
+    (("unitaries", "cycle", "matrix", 0, 0, 0), float("nan"),
+     "unitaries.cycle.matrix[0][0]: expected finite numbers"),
+    (("unitaries", "swap", "matrix", 2, 1, 1), float("-inf"),
+     "unitaries.swap.matrix[2][1]: expected finite numbers"),
+], ids=["relation-list", "relation-object", "huge-integer", "infinite-vector",
+        "nan-matrix", "infinite-matrix"])
+@pytest.mark.parametrize("command", ["model-check", "kappa"])
+def test_malformed_structure_value_is_a_usage_error(
+    samples_dir, tmp_path, capsys, command, path, value, message
+):
+    data = json.loads((samples_dir / "model3.json").read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(f))
+    assert code == 2
+    assert out == ""
+    assert all(line.startswith("error: ") for line in err.splitlines())
+    assert err.startswith(f"error: {message}, got ")
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": ' + "1" * 5000 + "}",
+    "[" * 100_000 + "]" * 100_000,
+], ids=["over-long-integer", "over-deep-nesting"])
+def test_unreadable_structure_json_is_a_usage_error(tmp_path, capsys, text):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    code, out, err = run(capsys, "model-check", str(f))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: unreadable JSON: ")
+
+
+@pytest.mark.parametrize("command, definition, use", [
+    ("decide", "U = matrix{(1e400, 0), (0, 1)}", "assert exists x . [U(x) : top]"),
+    ("decide", "p = span{(1e400, 0)}", "assert exists x . [x : p]"),
+    ("decide", "p = span{(" + "9" * 400 + ", 1)}", "assert exists x . [x : p]"),
+    ("circuit", "U = matrix{(1, 0), (0, -1e400i)}", "circuit = [U]"),
+    ("circuit", "p = span{(0, 1+1e400i)}", "circuit = [proj[p]]"),
+], ids=["matrix", "span", "long-literal", "circuit-matrix", "circuit-span"])
+def test_non_finite_definition_is_a_usage_error(tmp_path, capsys, command, definition, use):
+    f = tmp_path / "inf.pqm"
+    f.write_text(f"dim 2\nlet {definition}\n{use}\n")
+    code, out, err = run(capsys, command, str(f))
+    name = definition.split()[0]
+    assert code == 2
+    assert out == ""
+    assert err == f"error: in {name!r}: entries must be finite numbers\n"
+
+
+def test_undecodable_file_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "binary.pqm"
+    f.write_bytes(b"\x80\x81dim 3\n")
+    code, out, err = run(capsys, "decide", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_internal_invariant_exits_three(tmp_path, capsys, monkeypatch):
     f = tmp_path / "gap.json"
     f.write_text(json.dumps(tiny_structure_json()))

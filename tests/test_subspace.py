@@ -9,6 +9,7 @@ from pqm.subspace import (
     DEFAULT_TOL,
     DimensionMismatchError,
     Subspace,
+    UnitaryOp,
     apply_unitary,
     bottom,
     compatible,
@@ -48,6 +49,19 @@ def test_span_drops_dependent_vectors():
 def test_span_of_nothing_is_bottom():
     assert span_of([], 3).rank == 0
     assert eq(span_of([np.zeros(3)], 3), bottom(3))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_non_finite_input_is_rejected(bad):
+    # an infinite entry must not make the span numerically zero, and a NaN
+    # deviation must pass neither the unitarity nor the orthonormality test
+    with pytest.raises(ValueError, match="finite"):
+        span_of([np.array([bad, 1, 0])], 3)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="not unitary"):
+            UnitaryOp(2, np.array([[bad, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(2, np.array([[bad], [0]]))
 
 
 def test_top_bottom_extremes():
