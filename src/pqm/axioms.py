@@ -26,7 +26,7 @@ circuit rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Callable, Iterable
 
@@ -44,7 +44,8 @@ from .sampling import (
 from .subspace import DEFAULT_TOL, Subspace, Tolerance, UnitaryOp
 
 __all__ = [
-    "AxiomResult",
+    "CheckResult",
+    "CheckReport",
     "ExactSemantics",
     "SampledSemantics",
     "SubspaceElements",
@@ -354,6 +355,9 @@ AXIOMS: tuple[AxiomDef, ...] = (
 )
 
 
+_EXISTENTIAL = frozenset(a.name for a in AXIOMS if a.existential)
+
+
 def select_axioms(figure: str) -> list[AxiomDef]:
     """The axioms of a figure: ``"base"``, ``"revised"`` or ``"all"``."""
     if figure not in ("base", "revised", "all"):
@@ -365,35 +369,67 @@ def select_axioms(figure: str) -> list[AxiomDef]:
 
 
 @dataclass(frozen=True)
-class AxiomResult:
+class CheckResult:
+    """The count of one law over one domain: an axiom, over random
+    instances or over a finite structure, or a circuit rule.
+
+    ``hypothesis_hits`` counts the instances whose hypothesis held; for
+    a random existential it is 1 when some instance witnessed it.
+    ``skipped`` counts the instances of a structure whose conclusion names
+    a subspace outside the fragment; they are not in ``instances``.
+    ``examples`` describe the first violations over a structure.  An
+    ``informational`` result is recorded but never asserted.
+    """
+
     name: str
-    figure: str  # "base" | "revised" | "both"
-    existential: bool
     instances: int
     hypothesis_hits: int
     violations: int
+    skipped: int = 0
+    examples: tuple[str, ...] = ()
     informational: bool = False
 
     @property
+    def existential(self) -> bool:
+        """Whether the law is an existential axiom of ``AXIOMS``."""
+        return self.name in _EXISTENTIAL
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """The results of one law check: ``params`` holds the arguments of
+    the call, and ``by_domain`` maps a label of what the instances range
+    over to that domain's results."""
+
+    params: dict
+    by_domain: dict[str, tuple[CheckResult, ...]]
+
+    @property
+    def results(self) -> tuple[CheckResult, ...]:
+        return tuple(r for results in self.by_domain.values() for r in results)
+
+    @property
+    def total_violations(self) -> int:
+        return sum(r.violations for r in self.results if not r.informational)
+
+    @property
+    def total_skipped(self) -> int:
+        return sum(r.skipped for r in self.results)
+
+    @property
     def ok(self) -> bool:
-        return self.violations == 0
+        return self.total_violations == 0
 
     def to_json(self) -> dict:
         return {
-            "name": self.name,
-            "figure": self.figure,
-            "existential": self.existential,
-            "instances": self.instances,
-            "hypothesis_hits": self.hypothesis_hits,
-            "violations": self.violations,
-            "informational": self.informational,
+            **self.params,
+            "domains": {
+                label: [asdict(r) for r in results] for label, results in self.by_domain.items()
+            },
+            "total_violations": self.total_violations,
+            "total_skipped": self.total_skipped,
+            "ok": self.ok,
         }
-
-
-def _figure_label(a: AxiomDef) -> str:
-    if a.in_base and a.in_revised:
-        return "both"
-    return "base" if a.in_base else "revised"
 
 
 def run_axiom_suite(
@@ -404,7 +440,7 @@ def run_axiom_suite(
     semantics,
     figure: str = "all",
     tol: Tolerance = DEFAULT_TOL,
-) -> list[AxiomResult]:
+) -> tuple[CheckResult, ...]:
     """Evaluate every axiom of the figure on ``samples`` random instances.
 
     For a conditional axiom a violation is an instance whose antecedent
@@ -434,14 +470,9 @@ def run_axiom_suite(
             hits = int(witnessed)
             violations = int(not witnessed)
         results.append(
-            AxiomResult(
-                name=axiom.name,
-                figure=_figure_label(axiom),
-                existential=axiom.existential,
-                instances=samples,
-                hypothesis_hits=hits,
-                violations=violations,
+            CheckResult(
+                axiom.name, samples, hits, violations,
                 informational=(axiom.name == "meet" and dim < 3),
             )
         )
-    return results
+    return tuple(results)

@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from . import subspace as sub
-from .axioms import AxiomResult, SampledSemantics, SubspaceElements, run_axiom_suite
+from .axioms import CheckReport, CheckResult, SampledSemantics, SubspaceElements, run_axiom_suite
 from .lang import CircuitProblem
 from .sampling import (
     random_ray,
@@ -43,8 +43,6 @@ __all__ = [
     "is_impossible",
     "verifies",
     "build_circuit",
-    "RuleResult",
-    "RuleSuiteReport",
     "check_rule_suite",
     "check_axioms_from_rules",
 ]
@@ -131,52 +129,6 @@ def build_circuit(cp: CircuitProblem, tol: Tolerance = DEFAULT_TOL) -> tuple[Cir
 
 # ---------------------------------------------------------------------------
 # Rule suite
-
-
-@dataclass(frozen=True)
-class RuleResult:
-    name: str
-    instances: int
-    hypothesis_hits: int
-    violations: int
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "hypothesis_hits": self.hypothesis_hits,
-            "violations": self.violations,
-        }
-
-
-@dataclass(frozen=True)
-class RuleSuiteReport:
-    dim: int
-    samples: int
-    seed: int
-    results: list[RuleResult]
-
-    @property
-    def total_violations(self) -> int:
-        return sum(r.violations for r in self.results)
-
-    @property
-    def ok(self) -> bool:
-        return self.total_violations == 0
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "samples": self.samples,
-            "seed": self.seed,
-            "rules": [r.to_json() for r in self.results],
-            "total_violations": self.total_violations,
-            "ok": self.ok,
-        }
 
 
 def _proj(p: Subspace) -> Step:
@@ -277,7 +229,7 @@ def check_rule_suite(
     samples: int = 500,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-) -> RuleSuiteReport:
+) -> CheckReport:
     """Randomized check of the projection rules.
 
     Each instance is evaluated on a random state, on the unconstrained
@@ -309,40 +261,12 @@ def check_rule_suite(
                     hits += 1
                     if not concl:
                         violations += 1
-        results.append(RuleResult(name, instances, hits, violations))
-    return RuleSuiteReport(dim, samples, seed, results)
+        results.append(CheckResult(name, instances, hits, violations))
+    return CheckReport({"dim": dim, "samples": samples, "seed": seed}, {"states": tuple(results)})
 
 
 # ---------------------------------------------------------------------------
 # Axioms through the projective semantics only
-
-
-@dataclass(frozen=True)
-class DerivedAxiomReport:
-    dim: int
-    samples: int
-    seed: int
-    rays_per_check: int
-    results: list[AxiomResult]
-
-    @property
-    def total_violations(self) -> int:
-        return sum(r.violations for r in self.results if not r.informational)
-
-    @property
-    def ok(self) -> bool:
-        return self.total_violations == 0
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "samples": self.samples,
-            "seed": self.seed,
-            "rays_per_check": self.rays_per_check,
-            "axioms": [r.to_json() for r in self.results],
-            "total_violations": self.total_violations,
-            "ok": self.ok,
-        }
 
 
 def check_axioms_from_rules(
@@ -351,7 +275,7 @@ def check_axioms_from_rules(
     seed: int = 0,
     rays_per_check: int = 64,
     tol: Tolerance = DEFAULT_TOL,
-) -> DerivedAxiomReport:
+) -> CheckReport:
     """Check the base axioms using only the projective semantics.
 
     Verification statements are evaluated by sampling complement rays
@@ -359,5 +283,7 @@ def check_axioms_from_rules(
     how the axioms are derived from the circuit rules.
     """
     sem = SampledSemantics(np.random.default_rng([seed, dim, 7]), rays_per_check, tol)
-    results = run_axiom_suite(dim, samples, seed, SubspaceElements(), sem, "base", tol)
-    return DerivedAxiomReport(dim, samples, seed, rays_per_check, results)
+    domain = SubspaceElements()
+    results = run_axiom_suite(dim, samples, seed, domain, sem, "base", tol)
+    params = {"dim": dim, "samples": samples, "seed": seed, "rays_per_check": rays_per_check}
+    return CheckReport(params, {domain.label: results})

@@ -3,9 +3,9 @@
 One command per invocation; results on standard output, diagnostics on
 standard error.  Exit codes: 0 the sentence or check holds, 1 it does
 not (still a clean run), 2 malformed input or usage, 3 a broken
-internal invariant.  JSON output carries a top-level ``"schema": 1``
+internal invariant.  JSON output carries a top-level ``"schema": 2``
 marker, keys are emitted sorted, and a fixed input plus fixed seed
-yields byte-identical bytes.
+yields byte-identical bytes; docs/grammar.md lists every key.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output format (default text)")
 
     p = commands.add_parser("decide", help="decide a sentence file")
+    p.set_defaults(run=_cmd_decide)
     p.add_argument("file")
     p.add_argument("--emit-normal-form", action="store_true",
                    help="include the quantifier-free normal form")
@@ -93,12 +94,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "circuit",
         help="run a circuit file (exit 0 if some state survives, 1 if impossible)",
     )
+    p.set_defaults(run=_cmd_circuit)
     p.add_argument("file")
     p.add_argument("--trace", action="store_true",
                    help="include the state after every step")
     add_emit(p)
 
     p = commands.add_parser("check-axioms", help="randomized axiom suite in the subspace and ray models")
+    p.set_defaults(run=_cmd_check_axioms)
     p.add_argument("--dim", type=_dimension, required=True)
     p.add_argument("--samples", type=_positive, default=500)
     p.add_argument("--seed", type=int, default=0)
@@ -106,6 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_emit(p)
 
     p = commands.add_parser("check-rules", help="randomized circuit-rule suite")
+    p.set_defaults(run=_cmd_check_rules)
     p.add_argument("--dim", type=_dimension, required=True)
     p.add_argument("--samples", type=_positive, default=500)
     p.add_argument("--seed", type=int, default=0)
@@ -115,10 +119,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_emit(p)
 
     p = commands.add_parser("model-check", help="check a finite structure for modelhood")
+    p.set_defaults(run=_cmd_model_check)
     p.add_argument("file")
     add_emit(p)
 
     p = commands.add_parser("kappa", help="least filter members of a structure's elements")
+    p.set_defaults(run=_cmd_kappa)
     p.add_argument("file")
     p.add_argument("--element", help="restrict to one domain element")
     add_emit(p)
@@ -127,10 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
     oracles = p.add_subparsers(dest="oracle", required=True)
 
     q = oracles.add_parser("f-steps", help="step-map chain from a to 1")
+    q.set_defaults(run=_oracle_f_steps)
     q.add_argument("a", type=float)
     add_emit(q)
 
     q = oracles.add_parser("ellipse", help="two-ray probe orthogonality at (x, y)")
+    q.set_defaults(run=_oracle_ellipse)
     q.add_argument("a", type=float)
     q.add_argument("x", type=float)
     q.add_argument("y", type=float)
@@ -138,12 +146,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_emit(q)
 
     q = oracles.add_parser("incompat", help="mediator subspace for an incompatible pair")
+    q.set_defaults(run=_oracle_incompat)
     q.add_argument("file", help="definitions file declaring the two subspaces")
     q.add_argument("first")
     q.add_argument("second")
     add_emit(q)
 
     q = oracles.add_parser("collapse", help="iterate a ray pair to orthogonality")
+    q.set_defaults(run=_oracle_collapse)
     q.add_argument("a", type=float)
     add_emit(q)
 
@@ -151,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps({"schema": 1, **payload}, sort_keys=True, indent=2))
+    print(json.dumps({"schema": 2, **payload}, sort_keys=True, indent=2))
 
 
 def _vector_text(s: Subspace) -> str:
@@ -170,14 +180,15 @@ def _cmd_decide(args) -> int:
         print(f"{diag.severity}: {diag.message}", file=sys.stderr)
     combo = normalize(problem.sentence, problem)
     verdict = evaluate(combo, problem.dim)
-    vj = verdict_to_json(verdict)
 
     if args.emit == "json":
-        payload = {"command": "decide", "truth": verdict.truth, "witness": vj["witness"]}
+        payload = {"command": "decide", "truth": verdict.truth, "witness": None}
+        if verdict.witness is not None:
+            payload["witness"] = subspace_to_json(verdict.witness)
         if args.emit_normal_form:
             payload["normal_form"] = combo_to_json(combo)
         if args.trace:
-            payload["leaves"] = vj["leaves"]
+            payload["leaves"] = verdict_to_json(verdict)["leaves"]
         _print_json(payload)
     else:
         print("true" if verdict.truth else "false")
@@ -282,7 +293,7 @@ def _cmd_model_check(args) -> int:
         print(f"verdict: {report.verdict}")
         for r in report.axioms.results:
             if r.violations or r.skipped:
-                print(f"axiom {r.name}: checked={r.checked} skipped={r.skipped} violations={r.violations}")
+                print(f"axiom {r.name}: checked={r.instances} skipped={r.skipped} violations={r.violations}")
                 for ex in r.examples:
                     print(f"  {ex}")
         m = report.morphism
@@ -336,136 +347,115 @@ def _cmd_kappa(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_oracle(args) -> int:
-    if args.oracle == "f-steps":
-        chain = f_chain(args.a)
-        if args.emit == "json":
-            _print_json(
-                {
-                    "command": "oracle",
-                    "oracle": "f-steps",
-                    "a": args.a,
-                    "steps": len(chain) - 1,
-                    "chain": chain,
-                }
-            )
-        else:
-            print(f"steps: {len(chain) - 1}")
-            print("chain: " + " -> ".join(f"{x:.12g}" for x in chain))
-        return 0
+def _oracle_f_steps(args) -> int:
+    chain = f_chain(args.a)
+    if args.emit == "json":
+        _print_json(
+            {
+                "command": "oracle",
+                "oracle": "f-steps",
+                "a": args.a,
+                "steps": len(chain) - 1,
+                "chain": chain,
+            }
+        )
+    else:
+        print(f"steps: {len(chain) - 1}")
+        print("chain: " + " -> ".join(f"{x:.12g}" for x in chain))
+    return 0
 
-    if args.oracle == "ellipse":
-        w = ellipse_witness(args.a, args.x, args.y, tol=args.tol)
-        if w.orthogonal != w.on_ellipse:
-            print(
-                "note: the probe sits in the tolerance band where the two tests differ",
-                file=sys.stderr,
-            )
-        if args.emit == "json":
-            _print_json(
-                {
-                    "command": "oracle",
-                    "oracle": "ellipse",
-                    "a": w.a,
-                    "x": w.x,
-                    "y": w.y,
-                    "inner": w.inner,
-                    "residual": w.residual,
-                    "orthogonal": w.orthogonal,
-                    "on_ellipse": w.on_ellipse,
-                }
-            )
-        else:
-            print(f"inner: {w.inner:.12g}")
-            print(f"residual: {w.residual:.12g}")
-            print("orthogonal" if w.orthogonal else "not orthogonal")
-        return 0 if w.orthogonal else 1
 
-    if args.oracle == "incompat":
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        _, subspaces, _ = parse_definitions(text)
-        for name in (args.first, args.second):
-            if name not in subspaces:
-                print(f"error: {name!r} is not defined in {args.file}", file=sys.stderr)
-                return 2
-        try:
-            d = incompat_decompose(subspaces[args.first], subspaces[args.second])
-        except CompatibleInputError:
-            print("compatible")
-            return 1
-        if args.emit == "json":
-            _print_json(
-                {
-                    "command": "oracle",
-                    "oracle": "incompat",
-                    "eigenvalue": d.eigenvalue,
-                    "u": [[float(z.real), float(z.imag)] for z in d.u],
-                    "v": [[float(z.real), float(z.imag)] for z in d.v],
-                    "mediator": subspace_to_json(d.c),
-                }
-            )
-        else:
-            print(f"eigenvalue: {d.eigenvalue:.12g}")
-            print(f"u: {_vector_text(d.u_span)}")
-            print(f"v: {_vector_text(d.v_span)}")
-            print(f"mediator rank: {d.c.rank}")
-        return 0
+def _oracle_ellipse(args) -> int:
+    w = ellipse_witness(args.a, args.x, args.y, tol=args.tol)
+    if w.orthogonal != w.on_ellipse:
+        print(
+            "note: the probe sits in the tolerance band where the two tests differ",
+            file=sys.stderr,
+        )
+    if args.emit == "json":
+        _print_json(
+            {
+                "command": "oracle",
+                "oracle": "ellipse",
+                "a": w.a,
+                "x": w.x,
+                "y": w.y,
+                "inner": w.inner,
+                "residual": w.residual,
+                "orthogonal": w.orthogonal,
+                "on_ellipse": w.on_ellipse,
+            }
+        )
+    else:
+        print(f"inner: {w.inner:.12g}")
+        print(f"residual: {w.residual:.12g}")
+        print("orthogonal" if w.orthogonal else "not orthogonal")
+    return 0 if w.orthogonal else 1
 
-    if args.oracle == "collapse":
-        t = two_ray_collapse(args.a)
-        if args.emit == "json":
-            _print_json(
-                {
-                    "command": "oracle",
-                    "oracle": "collapse",
-                    "a": t.a,
-                    "rounds": t.rounds,
-                    "parameters": list(t.parameters),
-                    "final_meet_rank": t.final_meet_rank,
-                }
-            )
-        else:
-            print(f"rounds: {t.rounds}")
-            print("parameters: " + " -> ".join(f"{x:.12g}" for x in t.parameters))
-        return 0
 
-    raise AssertionError("unreachable oracle dispatch")
+def _oracle_incompat(args) -> int:
+    with open(args.file, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    _, subspaces, _ = parse_definitions(text)
+    for name in (args.first, args.second):
+        if name not in subspaces:
+            print(f"error: {name!r} is not defined in {args.file}", file=sys.stderr)
+            return 2
+    try:
+        d = incompat_decompose(subspaces[args.first], subspaces[args.second])
+    except CompatibleInputError:
+        print("compatible")
+        return 1
+    if args.emit == "json":
+        _print_json(
+            {
+                "command": "oracle",
+                "oracle": "incompat",
+                "eigenvalue": d.eigenvalue,
+                "u": [[float(z.real), float(z.imag)] for z in d.u],
+                "v": [[float(z.real), float(z.imag)] for z in d.v],
+                "mediator": subspace_to_json(d.c),
+            }
+        )
+    else:
+        print(f"eigenvalue: {d.eigenvalue:.12g}")
+        print(f"u: {_vector_text(d.u_span)}")
+        print(f"v: {_vector_text(d.v_span)}")
+        print(f"mediator rank: {d.c.rank}")
+    return 0
+
+
+def _oracle_collapse(args) -> int:
+    t = two_ray_collapse(args.a)
+    if args.emit == "json":
+        _print_json(
+            {
+                "command": "oracle",
+                "oracle": "collapse",
+                "a": t.a,
+                "rounds": t.rounds,
+                "parameters": list(t.parameters),
+                "final_meet_rank": t.final_meet_rank,
+            }
+        )
+    else:
+        print(f"rounds: {t.rounds}")
+        print("parameters: " + " -> ".join(f"{x:.12g}" for x in t.parameters))
+    return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "decide":
-            return _cmd_decide(args)
-        if args.command == "circuit":
-            return _cmd_circuit(args)
-        if args.command == "check-axioms":
-            return _cmd_check_axioms(args)
-        if args.command == "check-rules":
-            return _cmd_check_rules(args)
-        if args.command == "model-check":
-            return _cmd_model_check(args)
-        if args.command == "kappa":
-            return _cmd_kappa(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        raise AssertionError("unreachable command dispatch")
-    except FrontendError as exc:
+        return args.run(args)
+    except (
+        FrontendError, NormalizationLimitError, OracleDomainError, OSError, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StructureValidationError as exc:
         for issue in exc.issues:
             print(f"error: {issue}", file=sys.stderr)
-        return 2
-    except NormalizationLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OracleDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

@@ -13,12 +13,13 @@ against the literals it came from.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .axioms import (
-    AxiomResult,
+    CheckReport,
     ExactSemantics,
     RayElements,
     SubspaceElements,
@@ -45,7 +46,6 @@ __all__ = [
     "evaluate",
     "VdCrossCheck",
     "cross_check_vd",
-    "AxiomSuiteReport",
     "check_axiom_suite",
     "verdict_to_json",
 ]
@@ -168,6 +168,14 @@ def evaluate(
 
 
 def verdict_to_json(v: Verdict) -> dict:
+    """The verdict, with each distinct leaf verdict once, in order of
+    first occurrence and with its number of occurrences; leaf k decides
+    leaf k of ``combo_to_json`` of the same combination."""
+    distinct: dict[int, LeafVerdict] = {}
+    occurrences: Counter = Counter()
+    for leaf in v.leaves:
+        distinct.setdefault(id(leaf.basic), leaf)
+        occurrences[id(leaf.basic)] += 1
     return {
         "truth": v.truth,
         "witness": subspace_to_json(v.witness) if v.witness is not None else None,
@@ -177,8 +185,9 @@ def verdict_to_json(v: Verdict) -> dict:
                 "meet_of_positives": subspace_to_json(leaf.meet_all),
                 "negative_contains_meet": list(leaf.contained),
                 "witness": subspace_to_json(leaf.witness) if leaf.witness is not None else None,
+                "occurrences": occurrences[key],
             }
-            for leaf in v.leaves
+            for key, leaf in distinct.items()
         ],
     }
 
@@ -272,47 +281,13 @@ def cross_check_vd(
 # Axiom suite over both element domains
 
 
-@dataclass(frozen=True)
-class AxiomSuiteReport:
-    dim: int
-    samples: int
-    seed: int
-    by_domain: dict[str, list[AxiomResult]]
-
-    @property
-    def total_violations(self) -> int:
-        return sum(
-            r.violations
-            for results in self.by_domain.values()
-            for r in results
-            if not r.informational
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.total_violations == 0
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "samples": self.samples,
-            "seed": self.seed,
-            "domains": {
-                label: [r.to_json() for r in results]
-                for label, results in self.by_domain.items()
-            },
-            "total_violations": self.total_violations,
-            "ok": self.ok,
-        }
-
-
 def check_axiom_suite(
     dim: int,
     samples: int = 500,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
     figure: str = "all",
-) -> AxiomSuiteReport:
+) -> CheckReport:
     """Randomized check of every axiom against the subspace model and the
     ray model, under exact containment semantics."""
     sem = ExactSemantics(tol)
@@ -320,4 +295,4 @@ def check_axiom_suite(
         domain.label: run_axiom_suite(dim, samples, seed, domain, sem, figure, tol)
         for domain in (SubspaceElements(), RayElements())
     }
-    return AxiomSuiteReport(dim, samples, seed, by_domain)
+    return CheckReport({"dim": dim, "samples": samples, "seed": seed, "figure": figure}, by_domain)

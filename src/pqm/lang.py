@@ -589,7 +589,7 @@ def _build_definitions(
                 raise SemanticError(f"in {name!r}: matrix must be {dim}x{dim}")
             m = np.array(rows, dtype=np.complex128)
             dev = unitary_deviation(m)
-            if dev > UNITARY_TOL:
+            if not dev <= UNITARY_TOL:  # NaN from an overflowing product fails too
                 raise SemanticError(
                     f"matrix {name!r} is not unitary: max-norm deviation {dev:.3e}"
                 )

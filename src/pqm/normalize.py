@@ -326,19 +326,60 @@ def combo_size(c: BoolCombo) -> int:
 
 
 def combo_to_json(c: BoolCombo) -> dict:
-    if isinstance(c, Leaf):
-        return {
-            "type": "basic",
-            "positives": [subspace_to_json(p) for p in c.basic.positives],
-            "negatives": [subspace_to_json(q) for q in c.basic.negatives],
-        }
-    if isinstance(c, BNot):
-        return {"type": "not", "arg": combo_to_json(c.arg)}
-    if isinstance(c, BAnd):
-        return {"type": "and", "left": combo_to_json(c.left), "right": combo_to_json(c.right)}
-    if isinstance(c, BOr):
-        return {"type": "or", "left": combo_to_json(c.left), "right": combo_to_json(c.right)}
-    raise ValueError(f"unknown combo node {c!r}")
+    """The normal form as flat tables, sized by the distinct objects.
+
+    ``subspaces`` lists each distinct literal subspace and ``leaves``
+    each distinct basic sentence, whose literals are subspace indices;
+    both are numbered in order of first occurrence from the left, and
+    leaves are told apart by identity, as the decider tells them.
+    ``nodes`` lists the distinct Boolean nodes, shared by structure and
+    children first: ``["leaf", k]``, ``["not", a]``, ``["and", a, b]`` and
+    ``["or", a, b]``, where k indexes ``leaves`` and a and b index
+    ``nodes``.  ``root`` indexes the whole combination.
+    """
+    subspaces: dict[int, int] = {}
+    leaves: dict[int, int] = {}
+    subspace_json: list[dict] = []
+    leaf_json: list[dict] = []
+    nodes: dict[tuple, int] = {}
+    walked: dict[int, int] = {}  # node index by id; the combo keeps each node alive
+
+    def space(p: Subspace) -> int:
+        if id(p) not in subspaces:
+            subspaces[id(p)] = len(subspace_json)
+            subspace_json.append(subspace_to_json(p))
+        return subspaces[id(p)]
+
+    def walk(c: BoolCombo) -> int:
+        if id(c) in walked:
+            return walked[id(c)]
+        if isinstance(c, Leaf):
+            b = c.basic
+            if id(b) not in leaves:
+                leaves[id(b)] = len(leaf_json)
+                leaf_json.append({
+                    "positives": [space(p) for p in b.positives],
+                    "negatives": [space(q) for q in b.negatives],
+                })
+            key: tuple = ("leaf", leaves[id(b)])
+        elif isinstance(c, BNot):
+            key = ("not", walk(c.arg))
+        elif isinstance(c, BAnd):
+            key = ("and", walk(c.left), walk(c.right))
+        elif isinstance(c, BOr):
+            key = ("or", walk(c.left), walk(c.right))
+        else:
+            raise ValueError(f"unknown combo node {c!r}")
+        walked[id(c)] = nodes.setdefault(key, len(nodes))
+        return walked[id(c)]
+
+    root = walk(c)
+    return {
+        "subspaces": subspace_json,
+        "leaves": leaf_json,
+        "nodes": [list(key) for key in nodes],
+        "root": root,
+    }
 
 
 def combo_to_formula(

@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import subspace as sub
-from .axioms import _OverSubspaces, select_axioms
+from .axioms import CheckReport, CheckResult, _OverSubspaces, select_axioms
 from .lang import MAX_DIM
 from .subspace import DEFAULT_TOL, Subspace, Tolerance, UnitaryOp
 
@@ -59,8 +59,6 @@ __all__ = [
     "TableUnitary",
     "Filter",
     "KappaResult",
-    "StructureAxiomResult",
-    "StructureAxiomReport",
     "MorphismReport",
     "CharacterizationReport",
     "SaturationResult",
@@ -253,8 +251,12 @@ def parse_structure_json(data, tol: Tolerance = DEFAULT_TOL) -> FiniteStructure:
         if not isinstance(rows_obj, list) or len(rows_obj) != dim:
             issues.append(f"{where}.matrix: expected {dim} rows")
             continue
+        known = len(issues)
         mat = np.array([_vector(r, dim, f"{where}.matrix[{k}]", issues) for k, r in enumerate(rows_obj)])
+        entries_ok = len(issues) == known
         table = _check_table(entry["table"], dom, f"{where}.table", issues)
+        if not entries_ok:
+            continue  # a rejected entry stands as 0, so unitarity would fail twice
         try:
             unitaries[name] = TableUnitary(UnitaryOp(dim, mat), table)
         except ValueError as exc:
@@ -331,55 +333,6 @@ def structure_to_json(s: FiniteStructure) -> dict:
 # Axiom checking over the fragment
 
 
-@dataclass(frozen=True)
-class StructureAxiomResult:
-    name: str
-    checked: int
-    skipped: int
-    violations: int
-    examples: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "violations": self.violations,
-            "examples": list(self.examples),
-        }
-
-
-@dataclass(frozen=True)
-class StructureAxiomReport:
-    figure: str
-    results: tuple[StructureAxiomResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    @property
-    def total_violations(self) -> int:
-        return sum(r.violations for r in self.results)
-
-    @property
-    def total_skipped(self) -> int:
-        return sum(r.skipped for r in self.results)
-
-    def to_json(self) -> dict:
-        return {
-            "figure": self.figure,
-            "ok": self.ok,
-            "violations": self.total_violations,
-            "skipped": self.total_skipped,
-            "axioms": [r.to_json() for r in self.results],
-        }
-
-
 _MAX_EXAMPLES = 5
 
 
@@ -429,20 +382,23 @@ class _OverStructure:
         return self._symbols[key]
 
 
-def _check_axiom(axiom, s: FiniteStructure, interp: _OverStructure) -> StructureAxiomResult:
+def _check_axiom(axiom, s: FiniteStructure, interp: _OverStructure) -> CheckResult:
     """Count one axiom's instances; the conclusion is read only where the
-    hypothesis holds.  An existential is one instance over the domain."""
+    hypothesis holds.  An existential is one instance over the domain,
+    and its hypothesis always holds."""
     hypothesis, conclusion = axiom.hypothesis, axiom.conclusion
-    checked = skipped = 0
+    instances = hits = skipped = 0
     failed = []  # the note arguments of each violated instance
     for params in axiom.cases(s, interp.tol):
         if axiom.existential:
-            checked += 1
+            instances += 1
+            hits += 1
             if not any(conclusion(interp, x, *params) for x in s.domain):
                 failed.append(params)
             continue
         for x in s.domain:
             if hypothesis(interp, x, *params):
+                hits += 1
                 try:
                     holds = conclusion(interp, x, *params)
                 except _Unresolved:
@@ -450,20 +406,20 @@ def _check_axiom(axiom, s: FiniteStructure, interp: _OverStructure) -> Structure
                     continue
                 if not holds:
                     failed.append((x, *params))
-            checked += 1
+            instances += 1
     examples = tuple(
         # only an existential fails over an empty domain
         axiom.note(interp, *args) if s.domain else "empty domain: no element can witness possibility"
         for args in failed[:_MAX_EXAMPLES]
     )
-    return StructureAxiomResult(axiom.name, checked, skipped, len(failed), examples)
+    return CheckResult(axiom.name, instances, hits, len(failed), skipped, examples)
 
 
 def check_structure_axioms(
     s: FiniteStructure,
     figure: str = "base",
     tol: Tolerance = DEFAULT_TOL,
-) -> StructureAxiomReport:
+) -> CheckReport:
     """Exhaustively check the axioms over the domain and fragment.
 
     Conditional axioms quantify over all elements and all fragment
@@ -477,7 +433,8 @@ def check_structure_axioms(
     """
     axioms = select_axioms(figure)
     interp = _OverStructure(s, tol)
-    return StructureAxiomReport(figure, tuple(_check_axiom(a, s, interp) for a in axioms))
+    results = tuple(_check_axiom(a, s, interp) for a in axioms)
+    return CheckReport({"figure": figure}, {"elements": results})
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +641,7 @@ def check_strong_morphism(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> M
 
 @dataclass(frozen=True)
 class CharacterizationReport:
-    axioms: StructureAxiomReport
+    axioms: CheckReport
     morphism: MorphismReport
 
     @property

@@ -159,9 +159,12 @@ class UnitaryOp:
 
 
 def unitary_deviation(matrix: np.ndarray) -> float:
-    """Max-norm of U*U - I, the quantity reported for non-unitary input."""
+    """Max-norm of U*U - I, the quantity reported for non-unitary input.
+    Entries near the float range make it inf or NaN, which the unitarity
+    checks reject, so numpy's overflow warnings are silenced."""
     m = np.asarray(matrix, dtype=np.complex128)
-    return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
 
 
 def top(dim: int) -> Subspace:

@@ -54,10 +54,11 @@ def test_decide_json_payload_shape(samples_dir, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["command"] == "decide"
     assert payload["truth"] is True
     assert payload["leaves"]
+    assert all(leaf["occurrences"] >= 1 for leaf in payload["leaves"])
 
 
 def test_circuit_reachable_output_exits_zero(samples_dir, capsys):
@@ -236,8 +237,43 @@ def test_malformed_structure_value_is_a_usage_error(
     code, out, err = run(capsys, command, str(f))
     assert code == 2
     assert out == ""
-    assert all(line.startswith("error: ") for line in err.splitlines())
+    assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {message}, got ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry, message", [
+    ([float("nan"), 0], "unitaries.cycle.matrix[0][0]: expected finite numbers, got [nan, 0]"),
+    ([1e308, 0], "unitaries.cycle.matrix: matrix is not unitary: max-norm deviation inf"),
+], ids=["nan", "overflow"])
+@pytest.mark.parametrize("command", ["model-check", "kappa"])
+def test_bad_unitary_entry_is_one_diagnostic(samples_dir, tmp_path, capsys, command, entry, message):
+    # a rejected entry is not reported again as a non-unitary matrix, and
+    # an overflowing one raises no numpy warning (an error here)
+    data = json.loads((samples_dir / "model3.json").read_text())
+    data["unitaries"]["cycle"]["matrix"][0][0] = entry
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(f))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, rows, deviation", [
+    ("decide", "(1e308, 0), (0, 1)", "inf"),
+    ("circuit", "(1e308, 0), (0, 1)", "inf"),
+    ("decide", "(1e308+1e308i, 1e308), (1e308, 1)", "nan"),
+], ids=["decide", "circuit", "nan-deviation"])
+def test_overflowing_matrix_is_one_diagnostic(tmp_path, capsys, command, rows, deviation):
+    use = "assert exists x . [U(x) : top]" if command == "decide" else "circuit = [U]"
+    f = tmp_path / "big.pqm"
+    f.write_text(f"dim 2\nlet U = matrix{{{rows}}}\n{use}\n")
+    code, out, err = run(capsys, command, str(f))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: matrix 'U' is not unitary: max-norm deviation {deviation}\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -323,7 +359,7 @@ def test_json_output_is_byte_identical_across_runs(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
-    assert json.loads(first)["schema"] == 1
+    assert json.loads(first)["schema"] == 2
 
 
 def test_oracle_f_steps(capsys):

@@ -11,9 +11,9 @@ from pqm.decide import (
     evaluate,
     verdict_to_json,
 )
-from pqm.normalize import BAnd, BNot, BOr, BasicSentence, Leaf, normalize
+from pqm.normalize import BAnd, BNot, BOr, BasicSentence, Leaf, combo_to_json, normalize
 from pqm.sampling import random_subspace
-from pqm.subspace import DimensionMismatchError, bottom, eq, leq, span_of, top
+from pqm.subspace import DimensionMismatchError, bottom, eq, leq, span_of, subspace_to_json, top
 
 from _helpers import (
     basic_holds_pointwise,
@@ -175,6 +175,28 @@ def test_verdict_json_shape():
     assert j["truth"] is True
     assert j["witness"]["rank"] == 1
     assert j["leaves"][0]["negative_contains_meet"] == [False]
+    assert j["leaves"][0]["occurrences"] == 1
+
+
+def test_verdict_json_lists_each_distinct_leaf_once():
+    sentence, problem = deep_disjunction()
+    combo = normalize(sentence, problem)
+    v = evaluate(combo, 3)
+    trace = verdict_to_json(v)["leaves"]
+    nf = combo_to_json(combo)
+    first = {}
+    for leaf in v.leaves:
+        first.setdefault(id(leaf.basic), leaf)
+    assert len(trace) == len(first) == len(nf["leaves"]) == 10
+    assert sum(entry["occurrences"] for entry in trace) == len(v.leaves) == 41_472
+    # entry k decides leaf k of the normal form
+    for entry, leaf, nf_leaf in zip(trace, first.values(), nf["leaves"]):
+        assert entry["occurrences"] == sum(other.basic is leaf.basic for other in v.leaves)
+        assert entry["truth"] == leaf.truth
+        assert entry["meet_of_positives"] == subspace_to_json(leaf.meet_all)
+        for side in ("positives", "negatives"):
+            literals = [subspace_to_json(p) for p in getattr(leaf.basic, side)]
+            assert [nf["subspaces"][i] for i in nf_leaf[side]] == literals
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

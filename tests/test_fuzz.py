@@ -1,4 +1,5 @@
-"""Hostile input through ``main()``: every run exits 0, 1 or 2 and raises nothing.
+"""Hostile input through ``main()``: every run exits 0, 1 or 2, raises
+nothing, not even a warning, and writes only diagnostics to stderr.
 
 Two mutators, each bounded in examples so the file runs in seconds:
 
@@ -15,6 +16,7 @@ import json
 import pathlib
 import re
 import tempfile
+import warnings
 
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +30,7 @@ HOSTILE_VALUES = [
 ]
 
 HOSTILE_PIECES = [
-    "1e400", "9" * 400, "0", "2.5", "-", "+", "i", "2i", "(", ")", "[", "]", "{", "}",
+    "1e400", "1e308", "9" * 400, "0", "2.5", "-", "+", "i", "2i", "(", ")", "[", "]", "{", "}",
     ",", ":", ".", "=", "~", "&", "|", "->", "<->", "#", "let", "dim", "span",
     "matrix", "exists", "forall", "proj", "circuit", "input", "top", "bot", "x", "",
 ]
@@ -66,8 +68,14 @@ def _replaced(path, value):
 
 
 def _exit_code(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    for line in err.getvalue().splitlines():
+        assert not line or line.startswith(("error: ", "warning: ")), line
+    return code
 
 
 @settings(max_examples=150, deadline=None)

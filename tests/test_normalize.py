@@ -1,5 +1,6 @@
 """Normalizer: atom reduction, quantifier elimination, truth preservation."""
 
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -8,16 +9,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pqm.lang import Atom, Exists, Forall, Formula, Iff, Not, Problem, Var, parse_problem
 from pqm.normalize import (
+    BAnd,
+    BNot,
+    BOr,
     BasicSentence,
+    Leaf,
     NormalizationLimitError,
     combo_size,
     combo_to_formula,
+    combo_to_json,
     normalize,
     reduce_atom,
 )
 from pqm.decide import evaluate
 from pqm.sampling import random_ray
-from pqm.subspace import bottom, leq
+from pqm.subspace import bottom, leq, subspace_to_json
 
 from _helpers import (
     combo_basics,
@@ -101,6 +107,66 @@ def test_normalize_shares_atoms_and_leaves():
     assert len(literals) <= len(_atoms(sentence))
     assert len({id(b) for b in basics}) == 10
     assert combo_size(combo) > 50_000
+
+
+def _nested(c, memo):
+    """The normal form as the nested tree that JSON schema 1 emitted."""
+    if id(c) not in memo:
+        if isinstance(c, Leaf):
+            memo[id(c)] = {
+                "type": "basic",
+                "positives": [subspace_to_json(p) for p in c.basic.positives],
+                "negatives": [subspace_to_json(q) for q in c.basic.negatives],
+            }
+        elif isinstance(c, BNot):
+            memo[id(c)] = {"type": "not", "arg": _nested(c.arg, memo)}
+        else:
+            kind = {BAnd: "and", BOr: "or"}[type(c)]
+            memo[id(c)] = {"type": kind, "left": _nested(c.left, memo), "right": _nested(c.right, memo)}
+    return memo[id(c)]
+
+
+def _expanded(nf, k, memo):
+    """Expand the flat tables of combo_to_json back into the nested tree."""
+    if k not in memo:
+        node = nf["nodes"][k]
+        if node[0] == "leaf":
+            leaf = nf["leaves"][node[1]]
+            memo[k] = {
+                "type": "basic",
+                "positives": [nf["subspaces"][i] for i in leaf["positives"]],
+                "negatives": [nf["subspaces"][i] for i in leaf["negatives"]],
+            }
+        elif node[0] == "not":
+            memo[k] = {"type": "not", "arg": _expanded(nf, node[1], memo)}
+        else:
+            memo[k] = {"type": node[0], "left": _expanded(nf, node[1], memo),
+                       "right": _expanded(nf, node[2], memo)}
+    return memo[k]
+
+
+def _assert_tables_expand_to_tree(combo):
+    nf = combo_to_json(combo)
+    for k, node in enumerate(nf["nodes"]):
+        assert all(child < k for child in node[1:] if node[0] != "leaf")
+    assert len({tuple(node) for node in nf["nodes"]}) == len(nf["nodes"])
+    assert _expanded(nf, nf["root"], {}) == _nested(combo, {})
+    return nf
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_normal_form_tables_expand_to_the_nested_tree(seed):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, 3)
+    _assert_tables_expand_to_tree(normalize(random_sentence(rng, problem, 3, 2), problem))
+
+
+def test_normal_form_tables_are_sized_by_distinct_leaves():
+    sentence, problem = deep_disjunction()
+    nf = _assert_tables_expand_to_tree(normalize(sentence, problem))
+    assert len(nf["leaves"]) == 10
+    assert len(json.dumps(nf)) < 1_000_000
 
 
 @given(seeds)
