@@ -41,7 +41,7 @@ from .sampling import (
     random_subspace_within,
     random_unitary,
 )
-from .subspace import DEFAULT_TOL, Subspace, Tolerance, UnitaryOp
+from .subspace import DEFAULT_TOL, Subspace, Tolerance
 
 __all__ = [
     "CheckResult",

@@ -55,6 +55,10 @@ from .subspace import InternalInvariantError, Subspace, subspace_to_json
 __all__ = ["main"]
 
 
+class UsageError(Exception):
+    """A command-line argument names something the input does not hold."""
+
+
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -266,6 +270,8 @@ def _cmd_check_rules(args) -> int:
         if derived is not None:
             payload["derived_axioms"] = derived.to_json()
             payload["ok"] = ok
+            payload["total_violations"] += derived.total_violations
+            payload["total_skipped"] += derived.total_skipped
         _print_json(payload)
     else:
         for r in report.results:
@@ -321,9 +327,8 @@ def _cmd_kappa(args) -> int:
         elements = list(structure.domain)
     try:
         results = {m: kappa_of(structure, m) for m in elements}
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # an unknown --element
+        raise UsageError(str(exc)) from None
     ok = all(not r.no_least for r in results.values())
 
     if args.emit == "json":
@@ -399,8 +404,7 @@ def _oracle_incompat(args) -> int:
     _, subspaces, _ = parse_definitions(text)
     for name in (args.first, args.second):
         if name not in subspaces:
-            print(f"error: {name!r} is not defined in {args.file}", file=sys.stderr)
-            return 2
+            raise UsageError(f"{name!r} is not defined in {args.file}")
     try:
         d = incompat_decompose(subspaces[args.first], subspaces[args.second])
     except CompatibleInputError:
@@ -449,7 +453,8 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except (
-        FrontendError, NormalizationLimitError, OracleDomainError, OSError, UnicodeDecodeError
+        FrontendError, NormalizationLimitError, OracleDomainError, OSError, UnicodeDecodeError,
+        UsageError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -40,7 +40,6 @@ from .subspace import (
     span_of,
     top,
     unitary_deviation,
-    UNITARY_TOL,
 )
 
 __all__ = [
@@ -203,6 +202,10 @@ class Diagnostic:
 
 # ---------------------------------------------------------------------------
 # Lexer
+#
+# A token is a tuple (kind, value, offset): kind is a keyword, IDENT,
+# NUMBER, IMAG, the operator's own text or EOF; offset indexes the text,
+# and becomes line:col only in an error message.
 
 _KEYWORDS = {
     "dim", "let", "span", "matrix", "assert",
@@ -210,79 +213,46 @@ _KEYWORDS = {
     "circuit", "input",
 }
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Whitespace and comments match no group and are skipped; a character no
+# other alternative takes falls through to BAD.
+_TOKEN_RE = re.compile(
+    r"""(?P<OP><->|->|[()\[\]{},:.=~&|+-])
+    | [ \t\r\n]+ | \#[^\n]*
+    | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)(?P<IMAG>i)?
+    | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<BAD>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # keyword, IDENT, NUMBER, IMAG, operator text, EOF
-    value: object
-    line: int
-    col: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+def _lex(text: str) -> list[tuple]:
+    tokens = []
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group == "OP":
+            op = m[0]
+            append((op, op, m.start()))
+        elif group is None:
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            m = _NUMBER_RE.match(text, i)
-            lexeme = m.group(0)
-            value = float(lexeme)
-            end = m.end()
-            if end < n and text[end] == "i":
-                tokens.append(_Token("IMAG", value, line, col))
-                end += 1
-            else:
-                tokens.append(_Token("NUMBER", value, line, col))
-            col += end - i
-            i = end
-            continue
-        if c.isalpha() or c == "_":
-            m = _IDENT_RE.match(text, i)
-            word = m.group(0)
+        elif group == "WORD":
+            word = m[0]
             if word == "i":
-                tokens.append(_Token("IMAG", 1.0, line, col))
+                append(("IMAG", 1.0, m.start()))
             elif word in _KEYWORDS:
-                tokens.append(_Token(word, word, line, col))
+                append((word, word, m.start()))
             else:
-                tokens.append(_Token("IDENT", word, line, col))
-            col += len(word)
-            i = m.end()
-            continue
-        if text.startswith("<->", i):
-            tokens.append(_Token("<->", "<->", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "()[]{},:.=~&|+-":
-            tokens.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise LexError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("EOF", None, line, col))
+                append(("IDENT", word, m.start()))
+        elif group == "BAD":
+            raise LexError(f"unexpected character {m[0]!r}", *_position(text, m.start()))
+        else:  # NUMBER, or IMAG when an ``i`` follows the number
+            append((group, float(m["NUMBER"]), m.start()))
+    append(("EOF", None, len(text)))
     return tokens
 
 
@@ -313,63 +283,75 @@ MAX_DIM = 1024
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.toks = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _lex(text)
         self.pos = 0
         self.open = 0  # constructs entered and not yet closed
 
-    def peek(self) -> _Token:
+    def error(self, message: str, tok: tuple) -> ParseError:
+        return ParseError(message, *_position(self.text, tok[2]))
+
+    def peek(self) -> tuple:
         return self.toks[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def accept(self, kind: str) -> _Token | None:
-        if self.peek().kind == kind:
-            return self.next()
+    def accept(self, kind: str) -> tuple | None:
+        t = self.toks[self.pos]
+        if t[0] == kind:
+            self.pos += 1
+            return t
         return None
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            expected = what or repr(kind)
-            raise ParseError(f"expected {expected}, found {t.kind!r}", t.line, t.col)
-        return self.next()
+    def expect(self, kind: str, what: str | None = None) -> tuple:
+        t = self.toks[self.pos]
+        if t[0] != kind:
+            raise self.error(f"expected {what or repr(kind)}, found {t[0]!r}", t)
+        self.pos += 1
+        return t
 
-    # -- scalars / vectors
-
-    def scalar(self) -> complex:
-        sign = -1.0 if self.accept("-") else 1.0
-        t = self.peek()
-        if t.kind == "NUMBER":
-            self.next()
-            re_part = sign * float(t.value)
-            if self.accept("+"):
-                im = self.expect("IMAG", "imaginary literal (like 2i)")
-                return complex(re_part, float(im.value))
-            if self.accept("-"):
-                im = self.expect("IMAG", "imaginary literal (like 2i)")
-                return complex(re_part, -float(im.value))
-            return complex(re_part, 0.0)
-        if t.kind == "IMAG":
-            self.next()
-            return complex(0.0, sign * float(t.value))
-        raise ParseError(f"expected a number, found {t.kind!r}", t.line, t.col)
+    # -- vectors
+    #
+    # Literals are most of a definition's tokens, so this reads the token
+    # list directly; ``scalar`` in docs/grammar.md is the loop body.
 
     def vector(self) -> list[complex]:
         self.expect("(")
-        entries = [self.scalar()]
-        while self.accept(","):
-            entries.append(self.scalar())
+        toks, pos = self.toks, self.pos
+        entries = []
+        while True:
+            sign = 1.0
+            if toks[pos][0] == "-":
+                sign, pos = -1.0, pos + 1
+            kind, value, _ = toks[pos]
+            if kind == "IMAG":
+                entries.append(complex(0.0, sign * value))
+            elif kind != "NUMBER":
+                raise self.error(f"expected a number, found {kind!r}", toks[pos])
+            elif (op := toks[pos + 1][0]) in ("+", "-"):
+                pos += 2
+                im = toks[pos]
+                if im[0] != "IMAG":
+                    raise self.error(f"expected imaginary literal (like 2i), found {im[0]!r}", im)
+                entries.append(complex(sign * value, im[1] if op == "+" else -im[1]))
+            else:
+                entries.append(complex(sign * value, 0.0))
+            pos += 1
+            if toks[pos][0] != ",":
+                break
+            pos += 1
+        self.pos = pos
         self.expect(")")
         return entries
 
-    def vector_block(self, opener: str) -> list[list[complex]]:
+    def vector_block(self) -> list[list[complex]]:
         self.expect("{")
         vecs: list[list[complex]] = []
-        if self.peek().kind != "}":
+        if self.peek()[0] != "}":
             vecs.append(self.vector())
             while self.accept(","):
                 vecs.append(self.vector())
@@ -381,16 +363,14 @@ class _Parser:
     # Each formula and term method returns the node with its depth
     # (see MAX_FORMULA_DEPTH).
 
-    def level(self, tok: _Token, *depths: int) -> int:
+    def level(self, tok: tuple, *depths: int) -> int:
         """Depth of a node built at ``tok`` over children of ``depths``."""
         depth = 1 + max(depths)
         if depth > MAX_FORMULA_DEPTH:
-            raise ParseError(
-                f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", tok.line, tok.col
-            )
+            raise self.error(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", tok)
         return depth
 
-    def inside(self, tok: _Token, parse):
+    def inside(self, tok: tuple, parse):
         """Run ``parse`` one construct further down, within the bound."""
         self.level(tok, self.open)
         self.open += 1
@@ -435,13 +415,13 @@ class _Parser:
             arg, d = self.inside(op, self.unary)
             return Not(arg), self.level(op, d)
         op = self.peek()
-        if op.kind in ("exists", "forall"):
+        if op[0] in ("exists", "forall"):
             self.next()
             name = self.expect("IDENT", "a variable name")
             self.expect(".")
             body, d = self.inside(op, self.formula)
-            node = Exists if op.kind == "exists" else Forall
-            return node(str(name.value), body), self.level(op, d)
+            node = Exists if op[0] == "exists" else Forall
+            return node(name[1], body), self.level(op, d)
         return self.primary()
 
     def primary(self) -> tuple[Formula, int]:
@@ -456,7 +436,7 @@ class _Parser:
             self.expect(")")
             return f, self.level(op, d)
         t = self.peek()
-        raise ParseError(f"expected '[', '(', '~' or a quantifier, found {t.kind!r}", t.line, t.col)
+        raise self.error(f"expected '[', '(', '~' or a quantifier, found {t[0]!r}", t)
 
     def term(self) -> tuple[Term, int]:
         if op := self.accept("proj"):
@@ -468,87 +448,76 @@ class _Parser:
             self.expect(")")
             return Proj(sym, arg), self.level(op, d)
         t = self.peek()
-        if t.kind == "IDENT":
+        if t[0] == "IDENT":
             self.next()
-            name = str(t.value)
             if self.accept("("):
                 arg, d = self.inside(t, self.term)
                 self.expect(")")
-                return Apply(name, arg), self.level(t, d)
-            return Var(name), 1
-        raise ParseError(f"expected a term, found {t.kind!r}", t.line, t.col)
+                return Apply(t[1], arg), self.level(t, d)
+            return Var(t[1]), 1
+        raise self.error(f"expected a term, found {t[0]!r}", t)
 
     def symref(self) -> str:
         t = self.peek()
-        if t.kind in ("IDENT", "top", "bot"):
+        if t[0] in ("IDENT", "top", "bot"):
             self.next()
-            return str(t.value)
-        raise ParseError(f"expected a subspace symbol, found {t.kind!r}", t.line, t.col)
+            return t[1]
+        raise self.error(f"expected a subspace symbol, found {t[0]!r}", t)
 
     # -- file structure
 
     def raw_file(self) -> _RawFile:
-        t = self.expect("dim", "'dim' as the first statement")
+        self.expect("dim", "'dim' as the first statement")
         num = self.expect("NUMBER", "a dimension")
-        dim_f = float(num.value)
+        dim_f = num[1]
         # the range test comes first: int() of an overflowed literal raises
         if not 1 <= dim_f <= MAX_DIM or dim_f != int(dim_f):
-            raise ParseError(
-                f"dimension must be an integer from 1 to {MAX_DIM}", num.line, num.col
-            )
+            raise self.error(f"dimension must be an integer from 1 to {MAX_DIM}", num)
         lets: list[tuple[str, str, object]] = []
         sentence: Formula | None = None
         circuit: list[tuple[str, str]] | None = None
         input_sym: str | None = None
         while True:
             t = self.peek()
-            if t.kind == "EOF":
+            kind = t[0]
+            if kind == "EOF":
                 break
-            if t.kind == "let":
+            if kind == "let":
                 self.next()
-                name = self.expect("IDENT", "a definition name")
+                name = self.expect("IDENT", "a definition name")[1]
                 self.expect("=")
-                head = self.peek()
-                if head.kind == "span":
-                    self.next()
-                    lets.append((str(name.value), "span", self.vector_block("span")))
-                elif head.kind == "matrix":
-                    self.next()
-                    lets.append((str(name.value), "matrix", self.vector_block("matrix")))
-                else:
-                    raise ParseError(
-                        f"expected 'span' or 'matrix', found {head.kind!r}", head.line, head.col
-                    )
+                head = self.next()
+                if head[0] not in ("span", "matrix"):
+                    raise self.error(f"expected 'span' or 'matrix', found {head[0]!r}", head)
+                lets.append((name, head[0], self.vector_block()))
                 continue
-            if t.kind == "assert":
+            if kind == "assert":
                 if sentence is not None:
-                    raise ParseError("only one 'assert' is allowed", t.line, t.col)
+                    raise self.error("only one 'assert' is allowed", t)
                 self.next()
                 sentence, _ = self.formula()
                 continue
-            if t.kind == "circuit":
+            if kind == "circuit":
                 if circuit is not None:
-                    raise ParseError("only one 'circuit' is allowed", t.line, t.col)
+                    raise self.error("only one 'circuit' is allowed", t)
                 self.next()
                 self.expect("=")
                 self.expect("[")
                 circuit = []
-                if self.peek().kind != "]":
+                if self.peek()[0] != "]":
                     circuit.append(self.circuit_step())
                     while self.accept(","):
                         circuit.append(self.circuit_step())
                 self.expect("]")
                 continue
-            if t.kind == "input":
+            if kind == "input":
                 if input_sym is not None:
-                    raise ParseError("only one 'input' is allowed", t.line, t.col)
+                    raise self.error("only one 'input' is allowed", t)
                 self.next()
                 self.expect("=")
                 input_sym = self.symref()
                 continue
-            raise ParseError(
-                f"expected 'let', 'assert', 'circuit' or 'input', found {t.kind!r}", t.line, t.col
-            )
+            raise self.error(f"expected 'let', 'assert', 'circuit' or 'input', found {kind!r}", t)
         return _RawFile(int(dim_f), lets, sentence, circuit, input_sym)
 
     def circuit_step(self) -> tuple[str, str]:
@@ -557,8 +526,7 @@ class _Parser:
             sym = self.symref()
             self.expect("]")
             return ("proj", sym)
-        t = self.expect("IDENT", "a unitary symbol or proj[...]")
-        return ("apply", str(t.value))
+        return ("apply", self.expect("IDENT", "a unitary symbol or proj[...]")[1])
 
 
 # ---------------------------------------------------------------------------
@@ -588,12 +556,13 @@ def _build_definitions(
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise SemanticError(f"in {name!r}: matrix must be {dim}x{dim}")
             m = np.array(rows, dtype=np.complex128)
-            dev = unitary_deviation(m)
-            if not dev <= UNITARY_TOL:  # NaN from an overflowing product fails too
+            try:
+                unitaries[name] = UnitaryOp(dim, m)  # checks unitarity
+            except ValueError:  # the shape is right, so the matrix is not unitary
                 raise SemanticError(
-                    f"matrix {name!r} is not unitary: max-norm deviation {dev:.3e}"
-                )
-            unitaries[name] = UnitaryOp(dim, m)
+                    f"matrix {name!r} is not unitary: "
+                    f"max-norm deviation {unitary_deviation(m):.3e}"
+                ) from None
     return subspaces, unitaries
 
 
@@ -644,7 +613,7 @@ def _check_sentence(
 def parse_problem(text: str, tol: Tolerance = DEFAULT_TOL) -> Problem:
     """Parse and validate a problem file.  Total: every input either
     yields a Problem or raises a positioned/explained FrontendError."""
-    raw = _Parser(_lex(text)).raw_file()
+    raw = _Parser(text).raw_file()
     if raw.sentence is None:
         raise SemanticError("problem file must contain an 'assert' statement")
     if raw.circuit is not None or raw.input_sym is not None:
@@ -657,7 +626,7 @@ def parse_problem(text: str, tol: Tolerance = DEFAULT_TOL) -> Problem:
 def parse_circuit_file(text: str, tol: Tolerance = DEFAULT_TOL) -> CircuitProblem:
     """Parse a circuit file: definitions plus ``circuit = [...]`` and an
     optional ``input = <symbol>`` (default ``top``)."""
-    raw = _Parser(_lex(text)).raw_file()
+    raw = _Parser(text).raw_file()
     if raw.circuit is None:
         raise SemanticError("circuit file must contain a 'circuit = [...]' statement")
     if raw.sentence is not None:
@@ -681,7 +650,7 @@ def parse_circuit_file(text: str, tol: Tolerance = DEFAULT_TOL) -> CircuitProble
 def parse_definitions(text: str, tol: Tolerance = DEFAULT_TOL) -> tuple[int, dict, dict]:
     """Parse a definitions-only file (dim plus lets); returns
     (dim, subspaces, unitaries)."""
-    raw = _Parser(_lex(text)).raw_file()
+    raw = _Parser(text).raw_file()
     if raw.sentence is not None or raw.circuit is not None or raw.input_sym is not None:
         raise SemanticError("definitions file cannot contain assert/circuit/input statements")
     subspaces, unitaries = _build_definitions(raw, tol)
@@ -690,11 +659,11 @@ def parse_definitions(text: str, tol: Tolerance = DEFAULT_TOL) -> tuple[int, dic
 
 def parse_formula(text: str) -> Formula:
     """Parse a bare formula (syntax only, no symbol table)."""
-    p = _Parser(_lex(text))
+    p = _Parser(text)
     f, _ = p.formula()
     t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"trailing input after formula: {t.kind!r}", t.line, t.col)
+    if t[0] != "EOF":
+        raise p.error(f"trailing input after formula: {t[0]!r}", t)
     return f
 
 
@@ -747,8 +716,8 @@ def pretty_print(f: Formula) -> str:
 def validate(problem: Problem) -> list[Diagnostic]:
     """Diagnostics for a Problem, including hand-built ones.
 
-    Errors cover undefined symbols, free variables, dimension mismatches
-    and non-unitary operators; a warning flags dimensions below 3, where
+    Errors cover undefined symbols, free variables and dimension
+    mismatches (a UnitaryOp is unitary by construction); a warning flags dimensions below 3, where
     the sentence-level theory is only guaranteed sound, not complete.
     """
     out: list[Diagnostic] = []
@@ -764,11 +733,6 @@ def validate(problem: Problem) -> list[Diagnostic]:
         if u.dim != problem.dim:
             out.append(
                 Diagnostic("error", f"unitary {name!r} acts on dimension {u.dim}, not {problem.dim}")
-            )
-        dev = unitary_deviation(u.matrix)
-        if dev > UNITARY_TOL:
-            out.append(
-                Diagnostic("error", f"unitary {name!r} deviates from unitarity by {dev:.3e}")
             )
     for name in ("top", "bot"):
         if name not in problem.subspaces:

@@ -152,7 +152,13 @@ class UnitaryOp:
         object.__setattr__(self, "matrix", m)
 
     def adjoint(self) -> "UnitaryOp":
-        return UnitaryOp(self.dim, self.matrix.conj().T)
+        """U*, which is unitary because U is: built without a second check."""
+        m = self.matrix.conj().T
+        m.setflags(write=False)
+        adj = object.__new__(UnitaryOp)
+        object.__setattr__(adj, "dim", self.dim)
+        object.__setattr__(adj, "matrix", m)
+        return adj
 
     def __repr__(self) -> str:
         return f"UnitaryOp(dim={self.dim})"

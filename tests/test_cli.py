@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from pqm import cli
+from pqm.axioms import CheckReport, CheckResult
 from pqm.cli import main
 from pqm.lang import MAX_DIM, MAX_FORMULA_DEPTH
 from pqm.subspace import InternalInvariantError
@@ -316,6 +317,16 @@ def test_undecodable_file_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("char", ["é", "²", "٣"], ids=["letter", "superscript", "arabic-indic"])
+def test_non_ascii_character_is_a_lexical_error(tmp_path, capsys, char):
+    f = tmp_path / "wide.pqm"
+    f.write_text(f"dim 3 {char}\n", encoding="utf-8")
+    code, out, err = run(capsys, "decide", str(f))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: 1:7: unexpected character {char!r}\n"
+
+
 def test_internal_invariant_exits_three(tmp_path, capsys, monkeypatch):
     f = tmp_path / "gap.json"
     f.write_text(json.dumps(tiny_structure_json()))
@@ -352,6 +363,25 @@ def test_check_rules_with_derived_axioms(capsys):
     assert code == 0
     assert out.splitlines()[-1] == "OK"
     assert any(line.startswith("derived ") for line in out.splitlines())
+
+
+def test_check_rules_totals_count_derived_violations(capsys, monkeypatch):
+    broken = CheckReport(
+        {"dim": 2},
+        {"subspaces": (
+            CheckResult("stub-law", 5, 5, 2, skipped=1),
+            CheckResult("stub-note", 5, 5, 4, informational=True),
+        )},
+    )
+    monkeypatch.setattr(cli, "check_axioms_from_rules", lambda dim, samples, seed: broken)
+    argv = ["check-rules", "--dim", "2", "--samples", "10", "--seed", "1", "--derived-axioms"]
+    code, out, _ = run(capsys, *argv, "--emit", "json")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["ok"] is False
+    assert payload["total_violations"] == 2  # the rule suite itself has none
+    assert payload["total_skipped"] == 1
+    assert payload["derived_axioms"]["total_violations"] == 2
 
 
 def test_json_output_is_byte_identical_across_runs(capsys):
