@@ -13,6 +13,7 @@ from .subspace import (
     Subspace,
     Tolerance,
     UnitaryOp,
+    _check_dim,
     bottom,
     span_of,
 )
@@ -32,13 +33,18 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryOp:
-    """Haar-distributed unitary via QR with phase correction."""
+def _haar(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-distributed unitary matrix via QR with phase correction."""
+    _check_dim(dim)
     z = _complex_gaussian(rng, (dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return UnitaryOp(dim, q)
+    return q * (d / np.abs(d))
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryOp:
+    """Haar-distributed unitary."""
+    return UnitaryOp._trusted(dim, _haar(rng, dim))
 
 
 def random_subspace(
@@ -49,17 +55,18 @@ def random_subspace(
 ) -> Subspace:
     """Random subspace; rank uniform over 0..dim when unspecified, so the
     degenerate bottom and top values occur with positive probability."""
+    _check_dim(dim)
     if rank is None:
         rank = int(rng.integers(0, dim + 1))
     if not 0 <= rank <= dim:
         raise ValueError(f"rank {rank} out of range for dimension {dim}")
     if rank == 0:
         return bottom(dim)
-    u = random_unitary(rng, dim)
-    return Subspace(dim, u.matrix[:, :rank])
+    return Subspace._trusted(dim, _haar(rng, dim)[:, :rank])
 
 
 def random_ray(rng: np.random.Generator, dim: int, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+    _check_dim(dim)
     v = _complex_gaussian(rng, dim)
     return span_of([v], dim, tol)
 
@@ -105,9 +112,7 @@ def random_compatible_pair(
 ) -> tuple[Subspace, Subspace]:
     """A pair spanned by subsets of a common orthonormal basis, hence
     compatible by construction."""
-    u = random_unitary(rng, dim)
+    u = _haar(rng, dim)
     mask_p = rng.random(dim) < rng.random()
     mask_q = rng.random(dim) < rng.random()
-    p = Subspace(dim, u.matrix[:, mask_p])
-    q = Subspace(dim, u.matrix[:, mask_q])
-    return p, q
+    return Subspace._trusted(dim, u[:, mask_p]), Subspace._trusted(dim, u[:, mask_q])

@@ -10,6 +10,11 @@ values of the same type.
 Equality and containment are tolerance-based.  Two thresholds matter:
 ``rank_tol`` cuts singular values when deciding the rank of a span, and
 ``eq_tol`` bounds residual norms when deciding containment.
+
+Validation happens once, at the input boundary: ``Subspace(...)``,
+``UnitaryOp(...)``, :func:`span_of` and the JSON loaders check what they
+are given.  Kernel results (SVD and QR factors, ``np.eye``, ``np.zeros``,
+adjoints) are valid by construction and built unchecked by ``_trusted``.
 """
 
 from __future__ import annotations
@@ -85,6 +90,25 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise ValueError(f"ambient dimension must be positive, got {dim}")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A write-protected complex128 copy of ``a``, in ``a``'s memory order."""
+    b = np.array(a, dtype=np.complex128, copy=True)
+    b.setflags(write=False)
+    return b
+
+
+def _unchecked(cls, dim: int, name: str, a: np.ndarray):
+    obj = object.__new__(cls)  # skips __init__, so no __post_init__ checks
+    object.__setattr__(obj, "dim", dim)
+    object.__setattr__(obj, name, _frozen(a))
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A linear subspace of C^dim held as a (dim, rank) orthonormal basis.
@@ -92,16 +116,16 @@ class Subspace:
     rank 0 is the null space (bottom), rank == dim the full space (top).
     Instances are immutable; the basis array is write-protected.  Equality
     of subspaces is semantic and tolerance-based: use :func:`eq`, never
-    ``==`` (which stays object identity).
+    ``==`` (which stays object identity).  ``Subspace(dim, basis)`` checks
+    ``dim``, the shape and orthonormality; ``Subspace._trusted`` does not.
     """
 
     dim: int
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim <= 0:
-            raise ValueError(f"ambient dimension must be positive, got {self.dim}")
-        b = np.array(self.basis, dtype=np.complex128, copy=True)
+        _check_dim(self.dim)
+        b = _frozen(self.basis)
         if b.ndim != 2 or b.shape[0] != self.dim:
             raise ValueError(f"basis must be a ({self.dim}, rank) matrix, got shape {b.shape}")
         if b.shape[1] > self.dim:
@@ -110,20 +134,16 @@ class Subspace:
             gram = b.conj().T @ b
             if not np.abs(gram - np.eye(b.shape[1])).max() <= 1e-7:  # NaN fails too
                 raise ValueError("basis columns are not orthonormal")
-        b.setflags(write=False)
         object.__setattr__(self, "basis", b)
+
+    @classmethod
+    def _trusted(cls, dim: int, basis: np.ndarray) -> "Subspace":
+        """From a basis that is orthonormal by construction; not checked."""
+        return _unchecked(cls, dim, "basis", basis)
 
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
-
-    @property
-    def is_bot(self) -> bool:
-        return self.rank == 0
-
-    @property
-    def is_top(self) -> bool:
-        return self.rank == self.dim
 
     def projector(self) -> np.ndarray:
         """The (dim, dim) orthogonal projector onto this subspace."""
@@ -135,30 +155,31 @@ class Subspace:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOp:
-    """A unitary operator on C^dim.  Construction rejects matrices whose
-    deviation from unitarity exceeds ``UNITARY_TOL`` in max-norm."""
+    """A unitary operator on C^dim.  ``UnitaryOp(dim, matrix)`` rejects
+    matrices whose deviation from unitarity exceeds ``UNITARY_TOL`` in
+    max-norm; ``UnitaryOp._trusted`` does not check."""
 
     dim: int
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128, copy=True)
+        _check_dim(self.dim)
+        m = _frozen(self.matrix)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix must be ({self.dim}, {self.dim}), got {m.shape}")
         dev = unitary_deviation(m)
         if not dev <= UNITARY_TOL:  # NaN from a non-finite entry fails too
             raise ValueError(f"matrix is not unitary: max-norm deviation {dev:.3e}")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _trusted(cls, dim: int, matrix: np.ndarray) -> "UnitaryOp":
+        """From a matrix that is unitary by construction; not checked."""
+        return _unchecked(cls, dim, "matrix", matrix)
+
     def adjoint(self) -> "UnitaryOp":
-        """U*, which is unitary because U is: built without a second check."""
-        m = self.matrix.conj().T
-        m.setflags(write=False)
-        adj = object.__new__(UnitaryOp)
-        object.__setattr__(adj, "dim", self.dim)
-        object.__setattr__(adj, "matrix", m)
-        return adj
+        """U*, which is unitary because U is."""
+        return UnitaryOp._trusted(self.dim, self.matrix.conj().T)
 
     def __repr__(self) -> str:
         return f"UnitaryOp(dim={self.dim})"
@@ -174,11 +195,13 @@ def unitary_deviation(matrix: np.ndarray) -> float:
 
 
 def top(dim: int) -> Subspace:
-    return Subspace(dim, np.eye(dim, dtype=np.complex128))
+    _check_dim(dim)
+    return Subspace._trusted(dim, np.eye(dim, dtype=np.complex128))
 
 
 def bottom(dim: int) -> Subspace:
-    return Subspace(dim, np.zeros((dim, 0), dtype=np.complex128))
+    _check_dim(dim)
+    return Subspace._trusted(dim, np.zeros((dim, 0), dtype=np.complex128))
 
 
 def _span_from_matrix(a: np.ndarray, dim: int, tol: Tolerance) -> Subspace:
@@ -190,15 +213,17 @@ def _span_from_matrix(a: np.ndarray, dim: int, tol: Tolerance) -> Subspace:
     # resurface as rank through a purely relative threshold.
     cut = tol.rank_tol * max(1.0, float(s[0]))
     r = int(np.count_nonzero(s > cut))
-    return Subspace(dim, u[:, :r])
+    return Subspace._trusted(dim, u[:, :r])
 
 
 def span_of(vectors: Iterable[Sequence[complex]], dim: int, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Orthonormalized span of a finite family of vectors in C^dim.
 
     Accepts dependent, repeated and zero vectors; the empty family gives
-    the bottom subspace.  Raises ValueError on a non-finite entry.
+    the bottom subspace.  Raises ValueError on a non-finite entry or a
+    dimension below 1.
     """
+    _check_dim(dim)
     cols = []
     for v in vectors:
         arr = np.asarray(v, dtype=np.complex128).reshape(-1)
@@ -210,7 +235,7 @@ def span_of(vectors: Iterable[Sequence[complex]], dim: int, tol: Tolerance = DEF
     a = np.column_stack(cols)
     if not np.isfinite(a).all():
         raise ValueError("vector entries must be finite")
-    return _span_from_matrix(a, dim, tol)
+    return Subspace(dim, _span_from_matrix(a, dim, tol).basis)
 
 
 def _same_dim(p: Subspace, q: Subspace) -> None:
@@ -225,7 +250,7 @@ def ortho(p: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     if p.rank == p.dim:
         return bottom(p.dim)
     u, _, _ = np.linalg.svd(p.basis, full_matrices=True)
-    return Subspace(p.dim, u[:, p.rank:])
+    return Subspace._trusted(p.dim, u[:, p.rank:])
 
 
 def join(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqm.sampling import random_ray, random_subspace, random_unitary
+from pqm.sampling import (
+    random_compatible_pair,
+    random_ray,
+    random_ray_or_bot,
+    random_ray_within,
+    random_subspace,
+    random_subspace_within,
+    random_unitary,
+)
 from pqm.subspace import (
     DEFAULT_TOL,
+    UNITARY_TOL,
     DimensionMismatchError,
     Subspace,
     UnitaryOp,
@@ -28,6 +37,7 @@ from pqm.subspace import (
     subspace_from_json,
     subspace_to_json,
     top,
+    unitary_deviation,
     unitary_from_json,
     unitary_to_json,
 )
@@ -62,6 +72,91 @@ def test_non_finite_input_is_rejected(bad):
             UnitaryOp(2, np.array([[bad, 0], [0, 1]]))
         with pytest.raises(ValueError, match="not orthonormal"):
             Subspace(2, np.array([[bad], [0]]))
+
+
+@pytest.mark.parametrize(
+    "dim, basis, message",
+    [
+        (2, [[1, 1], [0, 1]], "not orthonormal"),
+        (2, [[2], [0]], "not orthonormal"),
+        (3, np.eye(2), r"\(3, rank\) matrix"),
+        (2, [1, 0], r"\(2, rank\) matrix"),
+        (2, np.ones((2, 3)) / np.sqrt(2), "rank cannot exceed"),
+        (0, np.zeros((0, 0)), "must be positive, got 0"),
+        (-1, np.zeros((1, 0)), "must be positive, got -1"),
+    ],
+    ids=["skew", "long", "rows", "vector", "rank", "dim0", "dim-1"],
+)
+def test_subspace_rejects_finite_bad_basis(dim, basis, message):
+    with pytest.raises(ValueError, match=message):
+        Subspace(dim, np.array(basis))
+
+
+@pytest.mark.parametrize(
+    "dim, matrix, message",
+    [
+        (2, [[1, 1], [0, 1]], "not unitary"),
+        (2, 2 * np.eye(2), "not unitary"),
+        (2, np.eye(3), r"must be \(2, 2\)"),
+        (2, np.eye(2, 3), r"must be \(2, 2\)"),
+        (0, np.zeros((0, 0)), "must be positive, got 0"),
+    ],
+    ids=["shear", "scaled", "size", "wide", "dim0"],
+)
+def test_unitary_rejects_finite_bad_matrix(dim, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        UnitaryOp(dim, np.array(matrix))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        top,
+        bottom,
+        lambda d: span_of([[]], d),
+        lambda d: random_unitary(np.random.default_rng(0), d),
+        lambda d: random_subspace(np.random.default_rng(0), d),
+        lambda d: random_ray(np.random.default_rng(0), d),
+        lambda d: random_ray_or_bot(np.random.default_rng(0), d),
+        lambda d: random_compatible_pair(np.random.default_rng(0), d),
+    ],
+    ids=["top", "bottom", "span_of", "random_unitary", "random_subspace", "random_ray",
+         "random_ray_or_bot", "random_compatible_pair"],
+)
+@pytest.mark.parametrize("dim", [0, -2])
+def test_dimension_below_one_is_rejected(make, dim):
+    with pytest.raises(ValueError, match=f"ambient dimension must be positive, got {dim}"):
+        make(dim)
+
+
+def _assert_checked_path_agrees(p):
+    # the trusted constructors store what the checked constructor would
+    checked = Subspace(p.dim, p.basis)
+    assert np.array_equal(checked.basis, p.basis)
+    assert checked.basis.strides == p.basis.strides
+    assert not p.basis.flags.writeable
+    assert p.basis.flags.owndata  # a copy: no view keeps a whole factor alive
+
+
+@given(seeds, st.integers(1, 16))
+@settings(max_examples=60, deadline=None)
+def test_trusted_results_pass_the_checked_constructor(seed, dim):
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, dim)
+    for m in (u.matrix, u.adjoint().matrix):
+        assert unitary_deviation(m) <= UNITARY_TOL
+        assert not m.flags.writeable
+    p, q = random_subspace(rng, dim), random_subspace(rng, dim)
+    drawn = [p, q, *random_compatible_pair(rng, dim), random_ray(rng, dim),
+             random_ray_or_bot(rng, dim), random_subspace_within(rng, p),
+             random_ray_within(rng, q), top(dim), bottom(dim)]
+    results = [apply_unitary(u, p), apply_unitary(u.adjoint(), q)]
+    for a in drawn:
+        results.append(ortho(a))
+        for b in (p, q):
+            results += [join(a, b), meet(a, b), sasaki_and(a, b), sasaki_hook(a, b)]
+    for x in drawn + results:
+        _assert_checked_path_agrees(x)
 
 
 def test_top_bottom_extremes():
