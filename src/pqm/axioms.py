@@ -27,7 +27,6 @@ circuit rules.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -41,7 +40,7 @@ from .sampling import (
     random_subspace_within,
     random_unitary,
 )
-from .subspace import DEFAULT_TOL, Subspace, Tolerance
+from .subspace import EQ_TOL, Subspace
 
 __all__ = [
     "CheckResult",
@@ -56,6 +55,11 @@ __all__ = [
 ]
 
 
+def _require_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Element domains
 
@@ -65,11 +69,11 @@ class SubspaceElements:
 
     label = "subspaces"
 
-    def free(self, rng: np.random.Generator, dim: int, tol: Tolerance) -> Subspace:
-        return random_subspace(rng, dim, tol=tol)
+    def free(self, rng: np.random.Generator, dim: int) -> Subspace:
+        return random_subspace(rng, dim)
 
-    def inside(self, rng: np.random.Generator, s: Subspace, tol: Tolerance) -> Subspace:
-        return random_subspace_within(rng, s, tol=tol)
+    def inside(self, rng: np.random.Generator, s: Subspace) -> Subspace:
+        return random_subspace_within(rng, s)
 
 
 class RayElements:
@@ -77,13 +81,13 @@ class RayElements:
 
     label = "rays"
 
-    def free(self, rng: np.random.Generator, dim: int, tol: Tolerance) -> Subspace:
-        return random_ray_or_bot(rng, dim, tol)
+    def free(self, rng: np.random.Generator, dim: int) -> Subspace:
+        return random_ray_or_bot(rng, dim)
 
-    def inside(self, rng: np.random.Generator, s: Subspace, tol: Tolerance) -> Subspace:
+    def inside(self, rng: np.random.Generator, s: Subspace) -> Subspace:
         if s.rank == 0 or rng.random() < 0.125:
             return sub.bottom(s.dim)
-        return random_ray_within(rng, s, tol)
+        return random_ray_within(rng, s)
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +97,8 @@ class RayElements:
 class ExactSemantics:
     """[s : p] is containment."""
 
-    def __init__(self, tol: Tolerance = DEFAULT_TOL):
-        self.tol = tol
-
     def verify(self, s: Subspace, p: Subspace) -> bool:
-        return sub.leq(s, p, self.tol)
+        return sub.leq(s, p)
 
 
 class SampledSemantics:
@@ -110,14 +111,13 @@ class SampledSemantics:
     direction.
     """
 
-    def __init__(self, rng: np.random.Generator, rays_per_check: int = 64,
-                 tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, rng: np.random.Generator, rays_per_check: int = 64):
+        _require_positive("rays_per_check", rays_per_check)
         self.rng = rng
         self.rays = rays_per_check
-        self.tol = tol
 
     def verify(self, s: Subspace, p: Subspace) -> bool:
-        comp = sub.ortho(p, self.tol)
+        comp = sub.ortho(p)
         if comp.rank == 0:
             return True
         if s.rank == 0:
@@ -130,7 +130,7 @@ class SampledSemantics:
         phis = comp.basis @ coeffs
         phis = phis / np.linalg.norm(phis, axis=0, keepdims=True)
         overlaps = np.linalg.norm(s.basis.conj().T @ phis, axis=0)
-        return bool(np.all(overlaps < self.tol.eq_tol))
+        return bool(np.all(overlaps < EQ_TOL))
 
 
 class _OverSubspaces:
@@ -139,15 +139,16 @@ class _OverSubspaces:
     ``pqm.subspace``.  Projecting an element is its Sasaki conjunction,
     and a unitary moves an element as it moves a subspace."""
 
-    def __init__(self, verify, dim: int, tol: Tolerance):
+    def __init__(self, verify, dim: int):
         self.verify = verify
         self.top, self.bottom = sub.top(dim), sub.bottom(dim)
-        self.meet = partial(sub.meet, tol=tol)
-        self.ortho = partial(sub.ortho, tol=tol)
-        self.sasaki_and = self.project = partial(sub.sasaki_and, tol=tol)
-        self.sasaki_hook = partial(sub.sasaki_hook, tol=tol)
-        self.image = self.transform = partial(sub.apply_unitary, tol=tol)
-        self.preimage = lambda u, p: sub.apply_unitary(u.adjoint(), p, tol)
+        # looked up per instance, not in the class body, so that a wrapper
+        # set on a pqm.subspace function after import sees these calls
+        self.meet, self.ortho = sub.meet, sub.ortho
+        self.sasaki_and = self.project = sub.sasaki_and
+        self.sasaki_hook = sub.sasaki_hook
+        self.image = self.transform = sub.apply_unitary
+        self.preimage = lambda u, p: sub.apply_unitary(u.adjoint(), p)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +161,8 @@ class AxiomDef:
 
     ``hypothesis``, ``conclusion`` and ``note`` take an interpretation
     and the instance's arguments: the element x, then the parameters.
-    ``draw(rng, dim, domain, tol)`` samples the arguments over subspaces.
-    ``cases(s, tol)`` yields the parameter tuples of a finite structure
+    ``draw(rng, dim, domain)`` samples the arguments over subspaces.
+    ``cases(s)`` yields the parameter tuples of a finite structure
     ``s`` in checking order, each taken with every domain element as x.
     ``note`` describes a violated instance over a structure, where every
     argument is a name.  An existential axiom asks for some x whose
@@ -179,99 +180,99 @@ class AxiomDef:
     note: Callable[..., str]
 
 
-def _mix(rng, domain, dim, tol, inside_of: Subspace | None):
+def _mix(rng, domain, dim, inside_of: Subspace | None):
     """Half the time sample x inside the biasing subspace, else freely."""
     if inside_of is not None and rng.random() < 0.5:
-        return domain.inside(rng, inside_of, tol)
-    return domain.free(rng, dim, tol)
+        return domain.inside(rng, inside_of)
+    return domain.free(rng, dim)
 
 
-def _draw_free(rng, dim, domain, tol):
-    return (domain.free(rng, dim, tol),)
+def _draw_free(rng, dim, domain):
+    return (domain.free(rng, dim),)
 
 
-def _draw_monotone(rng, dim, domain, tol):
-    p = random_subspace(rng, dim, tol=tol)
-    q = sub.join(p, random_subspace(rng, dim, tol=tol), tol)
-    return _mix(rng, domain, dim, tol, p), p, q
+def _draw_monotone(rng, dim, domain):
+    p = random_subspace(rng, dim)
+    q = sub.join(p, random_subspace(rng, dim))
+    return _mix(rng, domain, dim, p), p, q
 
 
-def _draw_compatible_pair(rng, dim, domain, tol):
-    p, q = random_compatible_pair(rng, dim, tol)
-    return _mix(rng, domain, dim, tol, sub.meet(p, q, tol)), p, q
+def _draw_compatible_pair(rng, dim, domain):
+    p, q = random_compatible_pair(rng, dim)
+    return _mix(rng, domain, dim, sub.meet(p, q)), p, q
 
 
 def _free_pair(bias):
-    """Draw free p and q, then x biased into ``bias(p, q, tol)``."""
+    """Draw free p and q, then x biased into ``bias(p, q)``."""
 
-    def draw(rng, dim, domain, tol):
-        p = random_subspace(rng, dim, tol=tol)
-        q = random_subspace(rng, dim, tol=tol)
-        return _mix(rng, domain, dim, tol, bias(p, q, tol)), p, q
+    def draw(rng, dim, domain):
+        p = random_subspace(rng, dim)
+        q = random_subspace(rng, dim)
+        return _mix(rng, domain, dim, bias(p, q)), p, q
 
     return draw
 
 
-def _draw_project_chain(rng, dim, domain, tol):
-    q = random_subspace(rng, dim, tol=tol)
-    p = random_subspace_within(rng, q, tol=tol)
+def _draw_project_chain(rng, dim, domain):
+    q = random_subspace(rng, dim)
+    p = random_subspace_within(rng, q)
     # Bias: x projecting into q inside the complement of p.  Seed a ray of
     # comp(p) ^ q, shift it by a ray of comp(q); the projection onto q of
     # the shifted ray lands back on the seed, which is p-orthogonal.
-    seed_space = sub.meet(sub.ortho(p, tol), q, tol)
+    seed_space = sub.meet(sub.ortho(p), q)
     if rng.random() < 0.5:
-        x = domain.free(rng, dim, tol)
+        x = domain.free(rng, dim)
     elif seed_space.rank > 0:
-        w = random_ray_within(rng, seed_space, tol)
-        comp_q = sub.ortho(q, tol)
+        w = random_ray_within(rng, seed_space)
+        comp_q = sub.ortho(q)
         vec = w.basis[:, 0].copy()
         if comp_q.rank > 0 and rng.random() < 0.5:
-            z = random_ray_within(rng, comp_q, tol)
+            z = random_ray_within(rng, comp_q)
             vec = vec + z.basis[:, 0]
-        x = sub.span_of([vec], dim, tol)
+        x = sub.span_of([vec], dim)
     else:
-        x = domain.inside(rng, sub.ortho(q, tol), tol)
+        x = domain.inside(rng, sub.ortho(q))
     return x, p, q
 
 
-def _draw_project_bottom(rng, dim, domain, tol):
-    q = random_subspace(rng, dim, tol=tol)
-    return _mix(rng, domain, dim, tol, sub.ortho(q, tol)), q
+def _draw_project_bottom(rng, dim, domain):
+    q = random_subspace(rng, dim)
+    return _mix(rng, domain, dim, sub.ortho(q)), q
 
 
 def _draw_unitary(bias):
-    """Draw a unitary u and a free p, then x biased into ``bias(u, p, tol)``."""
+    """Draw a unitary u and a free p, then x biased into ``bias(u, p)``."""
 
-    def draw(rng, dim, domain, tol):
+    def draw(rng, dim, domain):
         u = random_unitary(rng, dim)
-        p = random_subspace(rng, dim, tol=tol)
-        return _mix(rng, domain, dim, tol, bias(u, p, tol)), u, p
+        p = random_subspace(rng, dim)
+        return _mix(rng, domain, dim, bias(u, p)), u, p
 
     return draw
 
 
-def _no_parameters(s, tol):
+def _no_parameters(s):
     return [()]
 
 
-def _unordered_pairs(s, tol):
+def _unordered_pairs(s):
     syms = list(s.subspaces)
     return [(p, q) for i, p in enumerate(syms) for q in syms[i + 1 :]]
 
 
-def _onto_projectors(s, tol):
+def _onto_projectors(s):
     return ((p, q) for q in s.projectors for p in s.subspaces)
 
 
-def _under_unitaries(s, tol):
+def _under_unitaries(s):
     return ((u, p) for u in s.unitaries for p in s.subspaces)
 
 
 _MEET_COMPATIBLE = AxiomDef(
     "meet-compatible", True, False, False, _draw_compatible_pair,
-    lambda s, tol: (
-        (p, q) for p, q in _unordered_pairs(s, tol)
-        if sub.compatible(s.subspaces[p], s.subspaces[q], tol)
+    lambda s: (
+        (p, q) for p, q in _unordered_pairs(s)
+        if sub.compatible(s.subspaces[p], s.subspaces[q])
     ),
     hypothesis=lambda I, x, p, q: I.verify(x, p) and I.verify(x, q),
     conclusion=lambda I, x, p, q: I.verify(x, I.meet(p, q)),
@@ -293,9 +294,9 @@ AXIOMS: tuple[AxiomDef, ...] = (
     ),
     AxiomDef(
         "monotone", True, True, False, _draw_monotone,
-        lambda s, tol: (
+        lambda s: (
             (p, q) for p, pv in s.subspaces.items() for q, qv in s.subspaces.items()
-            if p != q and sub.leq(pv, qv, tol)
+            if p != q and sub.leq(pv, qv)
         ),
         hypothesis=lambda I, x, p, q: I.verify(x, p),
         conclusion=lambda I, x, p, q: I.verify(x, q),
@@ -305,19 +306,19 @@ AXIOMS: tuple[AxiomDef, ...] = (
     # the same statement over every pair, compatible or not
     replace(
         _MEET_COMPATIBLE, name="meet", in_base=False, in_revised=True,
-        draw=_free_pair(lambda p, q, tol: sub.meet(p, q, tol)), cases=_unordered_pairs,
+        draw=_free_pair(lambda p, q: sub.meet(p, q)), cases=_unordered_pairs,
     ),
     AxiomDef(
-        "project-intro", True, True, False, _free_pair(lambda p, q, tol: p), _onto_projectors,
+        "project-intro", True, True, False, _free_pair(lambda p, q: p), _onto_projectors,
         hypothesis=lambda I, x, p, q: I.verify(x, p),
         conclusion=lambda I, x, p, q: I.verify(I.project(x, q), I.sasaki_and(p, q)),
         note=lambda I, x, p, q: f"projecting {x} onto {q} loses {p}&{q} = {I.sasaki_and(p, q)}",
     ),
     AxiomDef(
         "project-chain", True, False, False, _draw_project_chain,
-        lambda s, tol: (
+        lambda s: (
             (p, q) for p in s.projectors for q in s.projectors
-            if sub.leq(s.subspaces[p], s.subspaces[q], tol)
+            if sub.leq(s.subspaces[p], s.subspaces[q])
         ),
         hypothesis=lambda I, x, p, q: I.verify(I.project(I.project(x, q), p), I.bottom),
         conclusion=lambda I, x, p, q: I.verify(I.project(x, p), I.bottom),
@@ -325,14 +326,14 @@ AXIOMS: tuple[AxiomDef, ...] = (
     ),
     AxiomDef(
         "project-bottom", True, False, False, _draw_project_bottom,
-        lambda s, tol: ((q,) for q in s.projectors),
+        lambda s: ((q,) for q in s.projectors),
         hypothesis=lambda I, x, q: I.verify(I.project(x, q), I.bottom),
         conclusion=lambda I, x, q: I.verify(x, I.ortho(q)),
         note=lambda I, x, q: f"{x} impossible through {q} but does not verify its complement",
     ),
     AxiomDef(
         "project-adjoint", False, True, False,
-        _free_pair(lambda p, q, tol: sub.sasaki_hook(p, q, tol)), _onto_projectors,
+        _free_pair(lambda p, q: sub.sasaki_hook(p, q)), _onto_projectors,
         hypothesis=lambda I, x, p, q: I.verify(I.project(x, q), p),
         conclusion=lambda I, x, p, q: I.verify(x, I.sasaki_hook(p, q)),
         note=lambda I, x, p, q: (
@@ -340,14 +341,14 @@ AXIOMS: tuple[AxiomDef, ...] = (
         ),
     ),
     AxiomDef(
-        "unitary-intro", True, True, False, _draw_unitary(lambda u, p, tol: p), _under_unitaries,
+        "unitary-intro", True, True, False, _draw_unitary(lambda u, p: p), _under_unitaries,
         hypothesis=lambda I, x, u, p: I.verify(x, p),
         conclusion=lambda I, x, u, p: I.verify(I.transform(u, x), I.image(u, p)),
         note=lambda I, x, u, p: f"{u} applied to {x} loses the image of {p}",
     ),
     AxiomDef(
         "unitary-elim", True, True, False,
-        _draw_unitary(lambda u, p, tol: sub.apply_unitary(u.adjoint(), p, tol)), _under_unitaries,
+        _draw_unitary(lambda u, p: sub.apply_unitary(u.adjoint(), p)), _under_unitaries,
         hypothesis=lambda I, x, u, p: I.verify(I.transform(u, x), p),
         conclusion=lambda I, x, u, p: I.verify(x, I.preimage(u, p)),
         note=lambda I, x, u, p: f"{u} image of {x} verifies {p} but {x} misses its preimage",
@@ -439,7 +440,6 @@ def run_axiom_suite(
     domain,
     semantics,
     figure: str = "all",
-    tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[CheckResult, ...]:
     """Evaluate every axiom of the figure on ``samples`` random instances.
 
@@ -451,7 +451,8 @@ def run_axiom_suite(
     axiom is marked informational below dimension 3: it is recorded
     there, never asserted.
     """
-    interp = _OverSubspaces(semantics.verify, dim, tol)
+    _require_positive("samples", samples)
+    interp = _OverSubspaces(semantics.verify, dim)
     results = []
     for index, axiom in enumerate(select_axioms(figure)):
         rng = np.random.default_rng([seed, dim, index])
@@ -459,7 +460,7 @@ def run_axiom_suite(
         violations = 0
         witnessed = False
         for _ in range(samples):
-            args = axiom.draw(rng, dim, domain, tol)
+            args = axiom.draw(rng, dim, domain)
             hyp = axiom.hypothesis(interp, *args)
             concl = axiom.conclusion(interp, *args)
             witnessed = witnessed or concl

@@ -21,7 +21,9 @@ from typing import Union
 import numpy as np
 
 from . import subspace as sub
-from .axioms import CheckReport, CheckResult, SampledSemantics, SubspaceElements, run_axiom_suite
+from .axioms import (
+    CheckReport, CheckResult, SampledSemantics, SubspaceElements, _require_positive, run_axiom_suite,
+)
 from .lang import CircuitProblem
 from .sampling import (
     random_ray,
@@ -30,7 +32,7 @@ from .sampling import (
     random_subspace_within,
     random_unitary,
 )
-from .subspace import DEFAULT_TOL, Subspace, Tolerance, UnitaryOp
+from .subspace import Subspace, UnitaryOp
 
 __all__ = [
     "ProjectOnto",
@@ -79,44 +81,42 @@ class Circuit:
                 )
 
 
-def _apply_step(state: Subspace, step: Step, tol: Tolerance) -> Subspace:
+def _apply_step(state: Subspace, step: Step) -> Subspace:
     if isinstance(step, ProjectOnto):
-        return sub.sasaki_and(state, step.subspace, tol)
-    return sub.apply_unitary(step.op, state, tol)
+        return sub.sasaki_and(state, step.subspace)
+    return sub.apply_unitary(step.op, state)
 
 
-def run_circuit(circuit: Circuit, state: SystemState, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def run_circuit(circuit: Circuit, state: SystemState) -> Subspace:
     """Left fold of the steps over the input state."""
     if state.dim != circuit.dim:
         raise sub.DimensionMismatchError(
             f"state of dimension {state.dim} into a dimension-{circuit.dim} circuit"
         )
     for step in circuit.steps:
-        state = _apply_step(state, step, tol)
+        state = _apply_step(state, step)
     return state
 
 
-def run_circuit_trace(
-    circuit: Circuit, state: SystemState, tol: Tolerance = DEFAULT_TOL
-) -> list[Subspace]:
+def run_circuit_trace(circuit: Circuit, state: SystemState) -> list[Subspace]:
     """Intermediate states after each step (input state excluded)."""
     out = []
     for step in circuit.steps:
-        state = _apply_step(state, step, tol)
+        state = _apply_step(state, step)
         out.append(state)
     return out
 
 
-def is_impossible(circuit: Circuit, state: SystemState, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return run_circuit(circuit, state, tol).rank == 0
+def is_impossible(circuit: Circuit, state: SystemState) -> bool:
+    return run_circuit(circuit, state).rank == 0
 
 
-def verifies(state: SystemState, prop: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def verifies(state: SystemState, prop: Subspace) -> bool:
     """Does the state verify the property subspace?  Decides containment."""
-    return sub.leq(state, prop, tol)
+    return sub.leq(state, prop)
 
 
-def build_circuit(cp: CircuitProblem, tol: Tolerance = DEFAULT_TOL) -> tuple[Circuit, Subspace]:
+def build_circuit(cp: CircuitProblem) -> tuple[Circuit, Subspace]:
     """Materialize a parsed circuit file into a circuit and its input."""
     steps: list[Step] = []
     for kind, symbol in cp.steps:
@@ -135,83 +135,83 @@ def _proj(p: Subspace) -> Step:
     return ProjectOnto(p)
 
 
-def _rule_orthogonal_wipe(rng, dim, tol):
+def _rule_orthogonal_wipe(rng, dim):
     """Projecting onto p then onto anything inside p-orthogonal kills the state."""
-    p = random_subspace(rng, dim, tol=tol)
-    q = random_subspace_within(rng, sub.ortho(p, tol), tol=tol)
+    p = random_subspace(rng, dim)
+    q = random_subspace_within(rng, sub.ortho(p))
     c = Circuit(dim, (_proj(p), _proj(q)))
 
     def check(s):
-        return True, is_impossible(c, s, tol)
+        return True, is_impossible(c, s)
 
     return check
 
 
-def _rule_coarse_then_fine(rng, dim, tol):
+def _rule_coarse_then_fine(rng, dim):
     """With q inside p, projecting onto p first changes nothing."""
-    p = random_subspace(rng, dim, tol=tol)
-    q = random_subspace_within(rng, p, tol=tol)
+    p = random_subspace(rng, dim)
+    q = random_subspace_within(rng, p)
     both = Circuit(dim, (_proj(p), _proj(q)))
     fine = Circuit(dim, (_proj(q),))
 
     def check(s):
-        return True, is_impossible(both, s, tol) == is_impossible(fine, s, tol)
+        return True, is_impossible(both, s) == is_impossible(fine, s)
 
     return check
 
 
-def _rule_coarse_then_fine_then_any(rng, dim, tol):
-    p = random_subspace(rng, dim, tol=tol)
-    q = random_subspace_within(rng, p, tol=tol)
-    r = random_subspace(rng, dim, tol=tol)
+def _rule_coarse_then_fine_then_any(rng, dim):
+    p = random_subspace(rng, dim)
+    q = random_subspace_within(rng, p)
+    r = random_subspace(rng, dim)
     long = Circuit(dim, (_proj(p), _proj(q), _proj(r)))
     short = Circuit(dim, (_proj(q), _proj(r)))
 
     def check(s):
-        return True, is_impossible(long, s, tol) == is_impossible(short, s, tol)
+        return True, is_impossible(long, s) == is_impossible(short, s)
 
     return check
 
 
-def _rule_unitary_conjugation(rng, dim, tol):
+def _rule_unitary_conjugation(rng, dim):
     """Projection commutes with a unitary change of frame."""
-    p = random_subspace(rng, dim, tol=tol)
+    p = random_subspace(rng, dim)
     u = random_unitary(rng, dim)
-    q = sub.apply_unitary(u, p, tol)
+    q = sub.apply_unitary(u, p)
     direct = Circuit(dim, (_proj(p),))
     conjugated = Circuit(dim, (ApplyUnitary(u), _proj(q)))
 
     def check(s):
-        return True, is_impossible(direct, s, tol) == is_impossible(conjugated, s, tol)
+        return True, is_impossible(direct, s) == is_impossible(conjugated, s)
 
     return check
 
 
-def _rule_unitary_preserves_impossibility(rng, dim, tol):
+def _rule_unitary_preserves_impossibility(rng, dim):
     u = random_unitary(rng, dim)
     through = Circuit(dim, (ApplyUnitary(u),))
     empty = Circuit(dim, ())
 
     def check(s):
-        return True, is_impossible(empty, s, tol) == is_impossible(through, s, tol)
+        return True, is_impossible(empty, s) == is_impossible(through, s)
 
     return check
 
 
-def _rule_orthogonal_pair_join(rng, dim, tol):
+def _rule_orthogonal_pair_join(rng, dim):
     """If two orthogonal rays each wipe the state, so does their join."""
-    psi1 = random_ray(rng, dim, tol)
-    psi2 = random_ray_within(rng, sub.ortho(psi1, tol), tol)
-    joined = sub.join(psi1, psi2, tol)
+    psi1 = random_ray(rng, dim)
+    psi2 = random_ray_within(rng, sub.ortho(psi1))
+    joined = sub.join(psi1, psi2)
 
     def check(s):
-        hyp = is_impossible(Circuit(dim, (_proj(psi1),)), s, tol) and is_impossible(
-            Circuit(dim, (_proj(psi2),)), s, tol
+        hyp = is_impossible(Circuit(dim, (_proj(psi1),)), s) and is_impossible(
+            Circuit(dim, (_proj(psi2),)), s
         )
-        concl = is_impossible(Circuit(dim, (_proj(joined),)), s, tol)
+        concl = is_impossible(Circuit(dim, (_proj(joined),)), s)
         return hyp, concl
 
-    return check, sub.ortho(joined, tol)
+    return check, sub.ortho(joined)
 
 
 _RULES = (
@@ -224,12 +224,7 @@ _RULES = (
 )
 
 
-def check_rule_suite(
-    dim: int,
-    samples: int = 500,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> CheckReport:
+def check_rule_suite(dim: int, samples: int = 500, seed: int = 0) -> CheckReport:
     """Randomized check of the projection rules.
 
     Each instance is evaluated on a random state, on the unconstrained
@@ -237,6 +232,7 @@ def check_rule_suite(
     additionally biases the state into the joint complement so its
     antecedent actually fires.
     """
+    _require_positive("samples", samples)
     results = []
     for index, (name, make) in enumerate(_RULES):
         rng = np.random.default_rng([seed, dim, index, 101])
@@ -244,16 +240,16 @@ def check_rule_suite(
         violations = 0
         instances = 0
         for _ in range(samples):
-            made = make(rng, dim, tol)
+            made = make(rng, dim)
             if isinstance(made, tuple):
                 check, bias_space = made
             else:
                 check, bias_space = made, None
-            states = [random_subspace(rng, dim, tol=tol), sub.top(dim)]
+            states = [random_subspace(rng, dim), sub.top(dim)]
             if rng.random() < 0.25:
                 states.append(sub.bottom(dim))
             if bias_space is not None:
-                states.append(random_subspace_within(rng, bias_space, tol=tol))
+                states.append(random_subspace_within(rng, bias_space))
             for s in states:
                 hyp, concl = check(s)
                 instances += 1
@@ -274,7 +270,6 @@ def check_axioms_from_rules(
     samples: int = 200,
     seed: int = 0,
     rays_per_check: int = 64,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> CheckReport:
     """Check the base axioms using only the projective semantics.
 
@@ -282,8 +277,8 @@ def check_axioms_from_rules(
     and firing single projection steps, never by containment, mirroring
     how the axioms are derived from the circuit rules.
     """
-    sem = SampledSemantics(np.random.default_rng([seed, dim, 7]), rays_per_check, tol)
+    sem = SampledSemantics(np.random.default_rng([seed, dim, 7]), rays_per_check)
     domain = SubspaceElements()
-    results = run_axiom_suite(dim, samples, seed, domain, sem, "base", tol)
+    results = run_axiom_suite(dim, samples, seed, domain, sem, "base")
     params = {"dim": dim, "samples": samples, "seed": seed, "rays_per_check": rays_per_check}
     return CheckReport(params, {domain.label: results})

@@ -199,7 +199,7 @@ def _cmd_decide(args) -> int:
         if verdict.witness is not None:
             print(f"witness: {_vector_text(verdict.witness)}")
         if args.emit_normal_form:
-            formula, _ = combo_to_formula(combo, problem.dim)
+            formula, _ = combo_to_formula(combo)
             print(f"normal form: {pretty_print(formula)}")
         if args.trace:
             for k, leaf in enumerate(verdict.leaves):
@@ -374,7 +374,7 @@ def _oracle_ellipse(args) -> int:
     w = ellipse_witness(args.a, args.x, args.y, tol=args.tol)
     if w.orthogonal != w.on_ellipse:
         print(
-            "note: the probe sits in the tolerance band where the two tests differ",
+            "warning: the probe sits in the tolerance band where the two tests differ",
             file=sys.stderr,
         )
     if args.emit == "json":

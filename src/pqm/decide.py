@@ -27,10 +27,9 @@ from .axioms import (
 )
 from .normalize import BAnd, BNot, BOr, BasicSentence, BoolCombo, Leaf
 from .subspace import (
-    DEFAULT_TOL,
+    EQ_TOL,
     InternalInvariantError,
     Subspace,
-    Tolerance,
     bottom,
     leq,
     meet,
@@ -79,8 +78,8 @@ class _LeafDecider:
     result is bit-for-bit the one the uncached fold computes.
     """
 
-    def __init__(self, dim: int, tol: Tolerance, seed: int):
-        self.dim, self.tol, self.seed = dim, tol, seed
+    def __init__(self, dim: int, seed: int):
+        self.dim, self.seed = dim, seed
         self.top = top(dim)
         self.verdicts: dict[int, LeafVerdict] = {}
         self.meets: dict[tuple[int, int], Subspace] = {}
@@ -91,12 +90,11 @@ class _LeafDecider:
         return _once(self.verdicts, id(basic), self._decide, basic)
 
     def _decide(self, basic: BasicSentence) -> LeafVerdict:
-        tol = self.tol
         p_inf = self.top
         for p in basic.positives:
-            p_inf = _once(self.meets, (id(p_inf), id(p)), meet, p_inf, p, tol)
+            p_inf = _once(self.meets, (id(p_inf), id(p)), meet, p_inf, p)
         contained = tuple(
-            _once(self.contains, (id(p_inf), id(q)), leq, p_inf, q, tol)
+            _once(self.contains, (id(p_inf), id(q)), leq, p_inf, q)
             for q in basic.negatives
         )
         truth = not any(contained)
@@ -109,7 +107,7 @@ class _LeafDecider:
             else:
                 key = (id(p_inf), tuple(map(id, basic.negatives)))
                 witness = _once(
-                    self.witnesses, key, ray_in_avoiding, p_inf, list(basic.negatives), tol, self.seed
+                    self.witnesses, key, ray_in_avoiding, p_inf, list(basic.negatives), self.seed
                 )
                 if witness is None:
                     raise InternalInvariantError("witness search failed after containment check")
@@ -123,16 +121,12 @@ def _once(table: dict, key, fn, *args):
     return table[key]
 
 
-def decide_basic(
-    basic: BasicSentence, dim: int, tol: Tolerance = DEFAULT_TOL, seed: int = 0
-) -> Verdict:
-    leaf = _LeafDecider(dim, tol, seed)(basic)
+def decide_basic(basic: BasicSentence, dim: int, seed: int = 0) -> Verdict:
+    leaf = _LeafDecider(dim, seed)(basic)
     return Verdict(leaf.truth, leaf.witness, (leaf,))
 
 
-def evaluate(
-    combo: BoolCombo, dim: int, tol: Tolerance = DEFAULT_TOL, seed: int = 0
-) -> Verdict:
+def evaluate(combo: BoolCombo, dim: int, seed: int = 0) -> Verdict:
     """Decide a Boolean combination of basic sentences.
 
     Each distinct leaf is decided once per call, and repeated
@@ -142,7 +136,7 @@ def evaluate(
     the combination rests on a single true leaf: from the leaf itself or
     from the first true branch of a disjunction.
     """
-    decide_leaf = _LeafDecider(dim, tol, seed)
+    decide_leaf = _LeafDecider(dim, seed)
     leaves: list[LeafVerdict] = []
 
     def go(c: BoolCombo) -> tuple[bool, Subspace | None]:
@@ -210,7 +204,7 @@ class VdCrossCheck:
         return found_implies_true and witness_fine
 
 
-def _satisfies_mask(vectors: np.ndarray, basic: BasicSentence, eq_tol: float) -> np.ndarray:
+def _satisfies_mask(vectors: np.ndarray, basic: BasicSentence) -> np.ndarray:
     """Pointwise satisfaction of the literal conjunction by unit columns."""
     ok = np.ones(vectors.shape[1], dtype=bool)
     for p in basic.positives:
@@ -218,30 +212,24 @@ def _satisfies_mask(vectors: np.ndarray, basic: BasicSentence, eq_tol: float) ->
             resid = vectors
         else:
             resid = vectors - p.basis @ (p.basis.conj().T @ vectors)
-        ok &= np.linalg.norm(resid, axis=0) < eq_tol
+        ok &= np.linalg.norm(resid, axis=0) < EQ_TOL
     for q in basic.negatives:
         if q.rank == 0:
             resid = vectors
         else:
             resid = vectors - q.basis @ (q.basis.conj().T @ vectors)
-        ok &= ~(np.linalg.norm(resid, axis=0) < eq_tol)
+        ok &= ~(np.linalg.norm(resid, axis=0) < EQ_TOL)
     return ok
 
 
-def cross_check_vd(
-    basic: BasicSentence,
-    dim: int,
-    samples: int = 10_000,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> VdCrossCheck:
+def cross_check_vd(basic: BasicSentence, dim: int, samples: int = 10_000, seed: int = 0) -> VdCrossCheck:
     """One-sided Monte-Carlo oracle over random rays (and the zero space).
 
     A sampled satisfier forces the decider to say true, and a decider
     witness must itself satisfy the literal conjunction.  The converse
     direction (no satisfier sampled) proves nothing and is not asserted.
     """
-    verdict = decide_basic(basic, dim, tol, seed)
+    verdict = decide_basic(basic, dim, seed)
     rng = np.random.default_rng(seed)
 
     def draw(basis: np.ndarray | None, count: int) -> np.ndarray:
@@ -263,7 +251,7 @@ def cross_check_vd(
         [draw(b, share) for b in streams] + [draw(None, max(0, samples - share * len(streams)))],
         axis=1,
     )[:, :samples]
-    found = bool(_satisfies_mask(vecs, basic, tol.eq_tol).any())
+    found = bool(_satisfies_mask(vecs, basic).any())
     # the zero space satisfies exactly when there are no negatives
     if not basic.negatives:
         found = True
@@ -273,7 +261,7 @@ def cross_check_vd(
         if w.rank == 0:
             witness_ok = not basic.negatives
         else:
-            witness_ok = bool(_satisfies_mask(w.basis, basic, tol.eq_tol).all())
+            witness_ok = bool(_satisfies_mask(w.basis, basic).all())
     return VdCrossCheck(verdict.truth, found, witness_ok, samples)
 
 
@@ -281,18 +269,12 @@ def cross_check_vd(
 # Axiom suite over both element domains
 
 
-def check_axiom_suite(
-    dim: int,
-    samples: int = 500,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-    figure: str = "all",
-) -> CheckReport:
+def check_axiom_suite(dim: int, samples: int = 500, seed: int = 0, figure: str = "all") -> CheckReport:
     """Randomized check of every axiom against the subspace model and the
     ray model, under exact containment semantics."""
-    sem = ExactSemantics(tol)
+    sem = ExactSemantics()
     by_domain = {
-        domain.label: run_axiom_suite(dim, samples, seed, domain, sem, figure, tol)
+        domain.label: run_axiom_suite(dim, samples, seed, domain, sem, figure)
         for domain in (SubspaceElements(), RayElements())
     }
     return CheckReport({"dim": dim, "samples": samples, "seed": seed, "figure": figure}, by_domain)

@@ -32,9 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .subspace import (
-    DEFAULT_TOL,
     Subspace,
-    Tolerance,
     UnitaryOp,
     bottom,
     span_of,
@@ -532,9 +530,7 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # Semantic assembly
 
-def _build_definitions(
-    raw: _RawFile, tol: Tolerance
-) -> tuple[dict[str, Subspace], dict[str, UnitaryOp]]:
+def _build_definitions(raw: _RawFile) -> tuple[dict[str, Subspace], dict[str, UnitaryOp]]:
     dim = raw.dim
     subspaces: dict[str, Subspace] = {"top": top(dim), "bot": bottom(dim)}
     unitaries: dict[str, UnitaryOp] = {}
@@ -550,7 +546,7 @@ def _build_definitions(
                     raise SemanticError(
                         f"in {name!r}: vector of length {len(v)} in dimension {dim}"
                     )
-            subspaces[name] = span_of(vectors, dim, tol)
+            subspaces[name] = span_of(vectors, dim)
         else:
             rows = vectors
             if len(rows) != dim or any(len(r) != dim for r in rows):
@@ -610,7 +606,7 @@ def _check_sentence(
     walk(f, frozenset())
 
 
-def parse_problem(text: str, tol: Tolerance = DEFAULT_TOL) -> Problem:
+def parse_problem(text: str) -> Problem:
     """Parse and validate a problem file.  Total: every input either
     yields a Problem or raises a positioned/explained FrontendError."""
     raw = _Parser(text).raw_file()
@@ -618,12 +614,12 @@ def parse_problem(text: str, tol: Tolerance = DEFAULT_TOL) -> Problem:
         raise SemanticError("problem file must contain an 'assert' statement")
     if raw.circuit is not None or raw.input_sym is not None:
         raise SemanticError("problem file cannot contain 'circuit' or 'input' statements")
-    subspaces, unitaries = _build_definitions(raw, tol)
+    subspaces, unitaries = _build_definitions(raw)
     _check_sentence(raw.sentence, subspaces, unitaries)
     return Problem(raw.dim, subspaces, unitaries, raw.sentence)
 
 
-def parse_circuit_file(text: str, tol: Tolerance = DEFAULT_TOL) -> CircuitProblem:
+def parse_circuit_file(text: str) -> CircuitProblem:
     """Parse a circuit file: definitions plus ``circuit = [...]`` and an
     optional ``input = <symbol>`` (default ``top``)."""
     raw = _Parser(text).raw_file()
@@ -631,7 +627,7 @@ def parse_circuit_file(text: str, tol: Tolerance = DEFAULT_TOL) -> CircuitProble
         raise SemanticError("circuit file must contain a 'circuit = [...]' statement")
     if raw.sentence is not None:
         raise SemanticError("circuit file cannot contain an 'assert' statement")
-    subspaces, unitaries = _build_definitions(raw, tol)
+    subspaces, unitaries = _build_definitions(raw)
     for kind, sym in raw.circuit:
         if kind == "proj":
             if sym not in subspaces:
@@ -647,13 +643,13 @@ def parse_circuit_file(text: str, tol: Tolerance = DEFAULT_TOL) -> CircuitProble
     return CircuitProblem(raw.dim, subspaces, unitaries, tuple(raw.circuit), input_sym)
 
 
-def parse_definitions(text: str, tol: Tolerance = DEFAULT_TOL) -> tuple[int, dict, dict]:
+def parse_definitions(text: str) -> tuple[int, dict, dict]:
     """Parse a definitions-only file (dim plus lets); returns
     (dim, subspaces, unitaries)."""
     raw = _Parser(text).raw_file()
     if raw.sentence is not None or raw.circuit is not None or raw.input_sym is not None:
         raise SemanticError("definitions file cannot contain assert/circuit/input statements")
-    subspaces, unitaries = _build_definitions(raw, tol)
+    subspaces, unitaries = _build_definitions(raw)
     return raw.dim, subspaces, unitaries
 
 

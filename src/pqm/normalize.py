@@ -25,15 +25,7 @@ from . import lang
 from .lang import (
     And, Apply, Atom, Exists, Forall, Formula, Iff, Implies, Not, Or, Problem, Proj, Var,
 )
-from .subspace import (
-    DEFAULT_TOL,
-    InternalInvariantError,
-    Subspace,
-    Tolerance,
-    apply_unitary,
-    sasaki_hook,
-    subspace_to_json,
-)
+from .subspace import InternalInvariantError, Subspace, apply_unitary, sasaki_hook, subspace_to_json
 
 __all__ = [
     "NormalizationLimitError",
@@ -93,7 +85,7 @@ class BOr(BoolCombo):
     right: BoolCombo
 
 
-def reduce_atom(atom: Atom, problem: Problem, tol: Tolerance = DEFAULT_TOL) -> tuple[str, Subspace]:
+def reduce_atom(atom: Atom, problem: Problem) -> tuple[str, Subspace]:
     """Rewrite an atom onto its bare variable.
 
     [proj[q](t) : p] becomes [t : hook] with hook = sasaki_hook(p, q),
@@ -104,9 +96,9 @@ def reduce_atom(atom: Atom, problem: Problem, tol: Tolerance = DEFAULT_TOL) -> t
     t = atom.term
     while not isinstance(t, Var):
         if isinstance(t, Proj):
-            space = sasaki_hook(space, problem.subspaces[t.sym], tol)
+            space = sasaki_hook(space, problem.subspaces[t.sym])
         elif isinstance(t, Apply):
-            space = apply_unitary(problem.unitaries[t.sym].adjoint(), space, tol)
+            space = apply_unitary(problem.unitaries[t.sym].adjoint(), space)
         else:
             raise ValueError(f"unknown term node {t!r}")
         t = t.arg
@@ -187,9 +179,8 @@ class _Run:
     literals, which the stored leaf keeps alive.
     """
 
-    def __init__(self, problem: Problem, tol: Tolerance, limit: int):
+    def __init__(self, problem: Problem, limit: int):
         self.problem = problem
-        self.tol = tol
         self.limit = limit
         self.count = 0
         self.atoms: dict[Atom, tuple[str, Subspace]] = {}
@@ -204,7 +195,7 @@ class _Run:
 
     def atom(self, atom: Atom) -> tuple[str, Subspace]:
         if atom not in self.atoms:
-            self.atoms[atom] = reduce_atom(atom, self.problem, self.tol)
+            self.atoms[atom] = reduce_atom(atom, self.problem)
         return self.atoms[atom]
 
     def leaf(self, positives: tuple[Subspace, ...], negatives: tuple[Subspace, ...]) -> Leaf:
@@ -307,12 +298,12 @@ def _fold_balanced(items: list[BoolCombo], ctor) -> BoolCombo:
     return ctor(_fold_balanced(items[:mid], ctor), _fold_balanced(items[mid:], ctor))
 
 
-def normalize(sentence: Formula, problem: Problem, tol: Tolerance = DEFAULT_TOL) -> BoolCombo:
+def normalize(sentence: Formula, problem: Problem) -> BoolCombo:
     """Quantifier-free normal form of a closed sentence over the
     problem's definitions.  A leaf that recurs with the same literals is
     one shared Leaf object.  Raises NormalizationLimitError past the DNF
     node budget."""
-    return _to_combo(_elim(sentence, False, _Run(problem, tol, DNF_NODE_LIMIT)))
+    return _to_combo(_elim(sentence, False, _Run(problem, DNF_NODE_LIMIT)))
 
 
 def combo_size(c: BoolCombo) -> int:
@@ -383,7 +374,7 @@ def combo_to_json(c: BoolCombo) -> dict:
 
 
 def combo_to_formula(
-    c: BoolCombo, dim: int, var: str = "x", prefix: str = "s"
+    c: BoolCombo, var: str = "x", prefix: str = "s"
 ) -> tuple[Formula, dict[str, Subspace]]:
     """Render a normal form back into a sentence plus the subspace
     definitions it mentions.  Used for round-trip testing; the rendered

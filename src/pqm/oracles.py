@@ -25,11 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import subspace as sub
-from .subspace import DEFAULT_TOL, InternalInvariantError, Subspace, Tolerance
+from .subspace import InternalInvariantError, Subspace
 
 __all__ = [
     "OracleDomainError",
     "CompatibleInputError",
+    "MIN_CHAIN_START",
     "f_step",
     "f_chain",
     "steps_to_one",
@@ -44,6 +45,12 @@ __all__ = [
 # Values this close to 1 are treated as having reached it; the step map
 # is undefined from 1 on.
 _ONE_FLOOR = 1.0 - 1e-15
+
+# The least start of a step chain or a ray-pair collapse.  Both take
+# ceil(1/a^2) - 1 steps, so the bound caps a chain at 9,999 steps and a
+# collapse, which certifies each step with lattice operations, at a few
+# seconds.
+MIN_CHAIN_START = 0.01
 
 
 class OracleDomainError(ValueError):
@@ -65,10 +72,11 @@ def f_chain(a: float) -> list[float]:
     """Iterates of the step map from ``a`` until the first value >= 1.
 
     The invariant 1/f(x)^2 = 1/x^2 - 1 makes the chain length exactly
-    ceil(1/a^2) - 1 applications, so the loop always terminates.
+    ceil(1/a^2) - 1 applications, so the loop always terminates.  The
+    start must lie in [MIN_CHAIN_START, 1].
     """
-    if not 0.0 < a <= 1.0:
-        raise OracleDomainError(f"chain start needs 0 < a <= 1, got {a!r}")
+    if not MIN_CHAIN_START <= a <= 1.0:
+        raise OracleDomainError(f"chain start needs {MIN_CHAIN_START} <= a <= 1, got {a!r}")
     limit = int(math.ceil(1.0 / (a * a))) + 2
     chain = [a]
     while chain[-1] < _ONE_FLOOR:
@@ -125,11 +133,21 @@ def ellipse_witness(
     ``on_ellipse`` tests the raw ellipse residual against the same
     ``tol``; the two agree whenever the residual is not in the narrow
     band where the positive scaling factor straddles the tolerance.
+    ``x`` and ``y`` must be finite with (1 + a^2)(x^2 + y^2 + 1) below
+    the float range, and ``tol`` positive and finite.
     """
     if not 0.0 < a < 1.0:
         raise OracleDomainError(f"ellipse parameter needs 0 < a < 1, got {a!r}")
     if dim < 3:
         raise OracleDomainError("the construction needs at least three dimensions")
+    if not 0.0 < tol < math.inf:
+        raise OracleDomainError(f"tolerance needs to be positive and finite, got {tol!r}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise OracleDomainError(f"probe coordinates need to be finite, got x={x!r}, y={y!r}")
+    # the factor relating the residual to the inner product
+    scale = (1.0 + a * a) * (x * x + y * y + 1.0)
+    if scale == math.inf:
+        raise OracleDomainError(f"probe coordinates x={x!r}, y={y!r} overflow the float range")
     norm = math.sqrt(1.0 + a * a)
     u_plus = np.zeros(dim, dtype=complex)
     u_minus = np.zeros(dim, dtype=complex)
@@ -143,7 +161,8 @@ def ellipse_witness(
     v_minus = u_minus - (np.vdot(w, u_minus) / ww) * w
 
     for v in (v_plus, v_minus):
-        if abs(np.vdot(w, v)) > 1e-12:
+        # roundoff in <w, v> grows with |w|, and |v| <= 1
+        if abs(np.vdot(w, v)) > 1e-12 * math.sqrt(ww):
             raise InternalInvariantError("probe residual not orthogonal to the probe")
     inner = np.vdot(v_plus, v_minus)
     if abs(inner.imag) > 1e-12:
@@ -151,8 +170,9 @@ def ellipse_witness(
     inner = float(inner.real)
 
     residual = x * x + (1.0 - a * a) * y * y - a * a
-    # inner == residual / ((1 + a^2) (x^2 + y^2 + 1)), up to roundoff
-    scaled = residual / ((1.0 + a * a) * (x * x + y * y + 1.0))
+    # inner == residual / ((1 + a^2) (x^2 + y^2 + 1)), up to roundoff; both
+    # sides lie in (-1, 1), so an absolute bound is a relative one
+    scaled = residual / scale
     if abs(inner - scaled) > 1e-12:
         raise InternalInvariantError("ellipse identity drifted from the vector route")
 
@@ -202,9 +222,7 @@ class IncompatDecomposition:
         return sub.span_of([self.v], self.p.dim)
 
 
-def incompat_decompose(
-    p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> IncompatDecomposition:
+def incompat_decompose(p: Subspace, q: Subspace) -> IncompatDecomposition:
     """Split an incompatible pair through an interior eigenvalue.
 
     The compression of the projector onto ``q`` to ``p`` is Hermitian
@@ -217,7 +235,7 @@ def incompat_decompose(
     """
     if p.dim != q.dim:
         raise sub.DimensionMismatchError("inputs live in different dimensions")
-    if sub.compatible(p, q, tol):
+    if sub.compatible(p, q):
         raise CompatibleInputError("inputs are compatible; no interior eigenvalue exists")
 
     overlap = p.basis.conj().T @ q.basis
@@ -241,18 +259,18 @@ def incompat_decompose(
         raise InternalInvariantError("projected eigenvector norm disagrees with eigenvalue")
     v = qu / qu_norm
 
-    c = sub.span_of([u, v], p.dim, tol)
+    c = sub.span_of([u, v], p.dim)
     if c.rank != 2:
         raise InternalInvariantError("mediator subspace is not two-dimensional")
-    u_span = sub.span_of([u], p.dim, tol)
-    v_span = sub.span_of([v], p.dim, tol)
-    if not sub.compatible(c, p, tol):
+    u_span = sub.span_of([u], p.dim)
+    v_span = sub.span_of([v], p.dim)
+    if not sub.compatible(c, p):
         raise InternalInvariantError("mediator not compatible with the first input")
-    if not sub.compatible(c, q, tol):
+    if not sub.compatible(c, q):
         raise InternalInvariantError("mediator not compatible with the second input")
-    if not sub.eq(sub.meet(p, c, tol), u_span, tol):
+    if not sub.eq(sub.meet(p, c), u_span):
         raise InternalInvariantError("meet with the first input is not span(u)")
-    if not sub.eq(sub.meet(q, c, tol), v_span, tol):
+    if not sub.eq(sub.meet(q, c), v_span):
         raise InternalInvariantError("meet with the second input is not span(v)")
     return IncompatDecomposition(p=p, q=q, eigenvalue=lam, u=u, v=v, c=c)
 
@@ -280,32 +298,44 @@ class TwoRayCollapse:
     final_meet_rank: int
 
 
-def _pair_at(frame: np.ndarray, b: float, dim: int, tol: Tolerance) -> tuple[Subspace, Subspace]:
+def _frame(phi: float, dim: int) -> np.ndarray:
+    """The standard basis of C^dim with its first two vectors turned by ``phi``.
+
+    Built from the angle each round, so the frame stays orthonormal to
+    roundoff however many rounds turn it; a product of thousands of
+    per-round turns drifts far enough to flip the lattice checks."""
+    frame = np.eye(dim, dtype=complex)
+    c, s = math.cos(phi), math.sin(phi)
+    frame[0, 0], frame[1, 0], frame[0, 1], frame[1, 1] = c, s, -s, c
+    return frame
+
+
+def _pair_at(frame: np.ndarray, b: float, dim: int) -> tuple[Subspace, Subspace]:
     plus = b * frame[:, 0] + frame[:, 2]
     minus = -b * frame[:, 0] + frame[:, 2]
-    return sub.span_of([plus], dim, tol), sub.span_of([minus], dim, tol)
+    return sub.span_of([plus], dim), sub.span_of([minus], dim)
 
 
-def two_ray_collapse(
-    a: float, dim: int = 3, tol: Tolerance = DEFAULT_TOL
-) -> TwoRayCollapse:
+def two_ray_collapse(a: float, dim: int = 3) -> TwoRayCollapse:
     """Drive two rays at parameter ``a`` to an orthogonal pair.
 
     The number of rounds equals the step-chain length for ``a``: the
     radius grows along the step map, clamped at 1, and each hop is
     certified in-place by the compatibility-and-meet argument.  A probe
     off the ellipse is also tried each round (where it is cleanly off)
-    to confirm the criterion refuses it.
+    to confirm the criterion refuses it.  The start must lie in
+    [MIN_CHAIN_START, 1].
     """
-    if not 0.0 < a <= 1.0:
-        raise OracleDomainError(f"collapse start needs 0 < a <= 1, got {a!r}")
+    if not MIN_CHAIN_START <= a <= 1.0:
+        raise OracleDomainError(f"collapse start needs {MIN_CHAIN_START} <= a <= 1, got {a!r}")
     if dim < 3:
         raise OracleDomainError("the construction needs at least three dimensions")
 
-    frame = np.eye(dim, dtype=complex)
+    phi = 0.0
+    frame = _frame(phi, dim)
     parameters = [a]
     b = a
-    ray_plus, ray_minus = _pair_at(frame, b, dim, tol)
+    ray_plus, ray_minus = _pair_at(frame, b, dim)
     rounds = 0
 
     while b < _ONE_FLOOR:
@@ -319,12 +349,12 @@ def two_ray_collapse(
         x, y = math.sqrt(max(x2, 0.0)), math.sqrt(max(y2, 0.0))
 
         probe_vec = x * frame[:, 0] + y * frame[:, 1] + frame[:, 2]
-        probe = sub.span_of([probe_vec], dim, tol)
-        plane_plus = sub.join(ray_plus, probe, tol)
-        plane_minus = sub.join(ray_minus, probe, tol)
-        if not sub.compatible(plane_plus, plane_minus, tol):
+        probe = sub.span_of([probe_vec], dim)
+        plane_plus = sub.join(ray_plus, probe)
+        plane_minus = sub.join(ray_minus, probe)
+        if not sub.compatible(plane_plus, plane_minus):
             raise InternalInvariantError("on-ellipse planes came out incompatible")
-        if not sub.eq(sub.meet(plane_plus, plane_minus, tol), probe, tol):
+        if not sub.eq(sub.meet(plane_plus, plane_minus), probe):
             raise InternalInvariantError("plane meet missed the probe ray")
 
         # Negative control: a probe at the same radius but off the
@@ -334,24 +364,22 @@ def two_ray_collapse(
         off_residual = ox * ox + (1.0 - b * b) * oy * oy - b * b
         if abs(off_residual) > 1e-6:
             off_vec = ox * frame[:, 0] + oy * frame[:, 1] + frame[:, 2]
-            off = sub.span_of([off_vec], dim, tol)
-            if sub.compatible(sub.join(ray_plus, off, tol), sub.join(ray_minus, off, tol), tol):
+            off = sub.span_of([off_vec], dim)
+            if sub.compatible(sub.join(ray_plus, off), sub.join(ray_minus, off)):
                 raise InternalInvariantError("off-ellipse planes came out compatible")
 
         # Rotate the plane frame so the new pair reads (+-r, 0, 1).
-        f1 = (x * frame[:, 0] + y * frame[:, 1]) / r
-        f2 = (-y * frame[:, 0] + x * frame[:, 1]) / r
-        frame = frame.copy()
-        frame[:, 0], frame[:, 1] = f1, f2
+        phi += math.atan2(y, x)
+        frame = _frame(phi, dim)
         b = r
         parameters.append(b)
-        ray_plus, ray_minus = _pair_at(frame, b, dim, tol)
+        ray_plus, ray_minus = _pair_at(frame, b, dim)
         rounds += 1
 
-    final_meet = sub.meet(ray_plus, ray_minus, tol)
+    final_meet = sub.meet(ray_plus, ray_minus)
     if final_meet.rank != 0:
         raise InternalInvariantError("final ray pair still overlaps")
-    if not sub.compatible(ray_plus, ray_minus, tol):
+    if not sub.compatible(ray_plus, ray_minus):
         raise InternalInvariantError("final ray pair not compatible")
     return TwoRayCollapse(
         a=a,

@@ -8,15 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .subspace import (
-    DEFAULT_TOL,
-    Subspace,
-    Tolerance,
-    UnitaryOp,
-    _check_dim,
-    bottom,
-    span_of,
-)
+from .subspace import Subspace, UnitaryOp, _check_dim, bottom, span_of
 
 __all__ = [
     "random_unitary",
@@ -47,12 +39,7 @@ def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryOp:
     return UnitaryOp._trusted(dim, _haar(rng, dim))
 
 
-def random_subspace(
-    rng: np.random.Generator,
-    dim: int,
-    rank: int | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Subspace:
+def random_subspace(rng: np.random.Generator, dim: int, rank: int | None = None) -> Subspace:
     """Random subspace; rank uniform over 0..dim when unspecified, so the
     degenerate bottom and top values occur with positive probability."""
     _check_dim(dim)
@@ -65,51 +52,37 @@ def random_subspace(
     return Subspace._trusted(dim, _haar(rng, dim)[:, :rank])
 
 
-def random_ray(rng: np.random.Generator, dim: int, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def random_ray(rng: np.random.Generator, dim: int) -> Subspace:
     _check_dim(dim)
     v = _complex_gaussian(rng, dim)
-    return span_of([v], dim, tol)
+    return span_of([v], dim)
 
 
-def random_ray_or_bot(
-    rng: np.random.Generator,
-    dim: int,
-    tol: Tolerance = DEFAULT_TOL,
-    bot_probability: float = 0.125,
-) -> Subspace:
+def random_ray_or_bot(rng: np.random.Generator, dim: int, bot_probability: float = 0.125) -> Subspace:
     if rng.random() < bot_probability:
         return bottom(dim)
-    return random_ray(rng, dim, tol)
+    return random_ray(rng, dim)
 
 
-def random_subspace_within(
-    rng: np.random.Generator,
-    p: Subspace,
-    rank: int | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Subspace:
+def random_subspace_within(rng: np.random.Generator, p: Subspace, rank: int | None = None) -> Subspace:
     """Random subspace of p (rank uniform over 0..p.rank when unspecified)."""
     if rank is None:
         rank = int(rng.integers(0, p.rank + 1))
-    if rank > p.rank:
-        raise ValueError(f"requested rank {rank} inside a rank-{p.rank} subspace")
+    if not 0 <= rank <= p.rank:
+        raise ValueError(f"rank {rank} out of range inside a rank-{p.rank} subspace")
     if rank == 0 or p.rank == 0:
         return bottom(p.dim)
     coeffs = _complex_gaussian(rng, (p.rank, rank))
-    return span_of(list((p.basis @ coeffs).T), p.dim, tol)
+    return span_of(list((p.basis @ coeffs).T), p.dim)
 
 
-def random_ray_within(rng: np.random.Generator, p: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def random_ray_within(rng: np.random.Generator, p: Subspace) -> Subspace:
     if p.rank == 0:
         return bottom(p.dim)
-    return random_subspace_within(rng, p, rank=1, tol=tol)
+    return random_subspace_within(rng, p, rank=1)
 
 
-def random_compatible_pair(
-    rng: np.random.Generator,
-    dim: int,
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[Subspace, Subspace]:
+def random_compatible_pair(rng: np.random.Generator, dim: int) -> tuple[Subspace, Subspace]:
     """A pair spanned by subsets of a common orthonormal basis, hence
     compatible by construction."""
     u = _haar(rng, dim)

@@ -51,7 +51,7 @@ import numpy as np
 from . import subspace as sub
 from .axioms import CheckReport, CheckResult, _OverSubspaces, select_axioms
 from .lang import MAX_DIM
-from .subspace import DEFAULT_TOL, Subspace, Tolerance, UnitaryOp
+from .subspace import Subspace, UnitaryOp
 
 __all__ = [
     "StructureValidationError",
@@ -108,21 +108,21 @@ class FiniteStructure:
     def related(self, elem: str, symbol: str) -> bool:
         return (elem, symbol) in self.relation
 
-    def symbol_of(self, value: Subspace, tol: Tolerance = DEFAULT_TOL) -> str | None:
+    def symbol_of(self, value: Subspace) -> str | None:
         """First fragment symbol denoting ``value``, or None."""
         for name, v in self.subspaces.items():
-            if sub.eq(v, value, tol):
+            if sub.eq(v, value):
                 return name
         return None
 
-    def top_symbol(self, tol: Tolerance = DEFAULT_TOL) -> str:
-        name = self.symbol_of(sub.top(self.dim), tol)
+    def top_symbol(self) -> str:
+        name = self.symbol_of(sub.top(self.dim))
         if name is None:
             raise sub.InternalInvariantError("fragment lost its full-space symbol")
         return name
 
-    def bot_symbol(self, tol: Tolerance = DEFAULT_TOL) -> str:
-        name = self.symbol_of(sub.bottom(self.dim), tol)
+    def bot_symbol(self) -> str:
+        name = self.symbol_of(sub.bottom(self.dim))
         if name is None:
             raise sub.InternalInvariantError("fragment lost its zero-space symbol")
         return name
@@ -176,7 +176,7 @@ def _check_table(table, domain: tuple[str, ...], where: str, issues: list[str]) 
     return out
 
 
-def parse_structure_json(data, tol: Tolerance = DEFAULT_TOL) -> FiniteStructure:
+def parse_structure_json(data) -> FiniteStructure:
     """Validate a decoded JSON object; raises with every issue at once."""
     issues: list[str] = []
     if not isinstance(data, dict):
@@ -218,7 +218,7 @@ def parse_structure_json(data, tol: Tolerance = DEFAULT_TOL) -> FiniteStructure:
             continue
         rows = [_vector(v, dim, f"{where}[{k}]", issues) for k, v in enumerate(vecs)]
         try:
-            subspaces[name] = sub.span_of(rows, dim, tol)
+            subspaces[name] = sub.span_of(rows, dim)
         except ValueError as exc:
             issues.append(f"{where}: {exc}")
     if subspaces and not any(s.rank == dim for s in subspaces.values()):
@@ -291,7 +291,7 @@ def parse_structure_json(data, tol: Tolerance = DEFAULT_TOL) -> FiniteStructure:
     return FiniteStructure(dim, dom, subspaces, projectors, unitaries, frozenset(relation))
 
 
-def load_structure(path, tol: Tolerance = DEFAULT_TOL) -> FiniteStructure:
+def load_structure(path) -> FiniteStructure:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -303,7 +303,7 @@ def load_structure(path, tol: Tolerance = DEFAULT_TOL) -> FiniteStructure:
     except (ValueError, RecursionError) as exc:
         # an integer past the interpreter's digit limit, or too deep nesting
         raise StructureValidationError([f"unreadable JSON: {exc}"]) from exc
-    return parse_structure_json(data, tol)
+    return parse_structure_json(data)
 
 
 def _vectors_json(s: Subspace) -> list:
@@ -347,10 +347,10 @@ class _OverStructure:
     once per check call; verifying against None skips the instance.  The
     full-space and zero-space symbols resolve on construction."""
 
-    def __init__(self, s: FiniteStructure, tol: Tolerance):
-        self.s, self.tol = s, tol
-        self.top, self.bottom = s.top_symbol(tol), s.bot_symbol(tol)
-        self._values = _OverSubspaces(None, s.dim, tol)
+    def __init__(self, s: FiniteStructure):
+        self.s = s
+        self.top, self.bottom = s.top_symbol(), s.bot_symbol()
+        self._values = _OverSubspaces(None, s.dim)
         self._symbols: dict[tuple, str | None] = {}
         self.meet = partial(self._symbol, "meet")
         self.ortho = partial(self._symbol, "ortho")
@@ -378,7 +378,7 @@ class _OverStructure:
                 values = (self.s.unitaries[names[0]].op, v[names[1]])
             else:
                 values = tuple(v[n] for n in names)
-            self._symbols[key] = self.s.symbol_of(getattr(self._values, term)(*values), self.tol)
+            self._symbols[key] = self.s.symbol_of(getattr(self._values, term)(*values))
         return self._symbols[key]
 
 
@@ -389,7 +389,7 @@ def _check_axiom(axiom, s: FiniteStructure, interp: _OverStructure) -> CheckResu
     hypothesis, conclusion = axiom.hypothesis, axiom.conclusion
     instances = hits = skipped = 0
     failed = []  # the note arguments of each violated instance
-    for params in axiom.cases(s, interp.tol):
+    for params in axiom.cases(s):
         if axiom.existential:
             instances += 1
             hits += 1
@@ -415,11 +415,7 @@ def _check_axiom(axiom, s: FiniteStructure, interp: _OverStructure) -> CheckResu
     return CheckResult(axiom.name, instances, hits, len(failed), skipped, examples)
 
 
-def check_structure_axioms(
-    s: FiniteStructure,
-    figure: str = "base",
-    tol: Tolerance = DEFAULT_TOL,
-) -> CheckReport:
+def check_structure_axioms(s: FiniteStructure, figure: str = "base") -> CheckReport:
     """Exhaustively check the axioms over the domain and fragment.
 
     Conditional axioms quantify over all elements and all fragment
@@ -432,7 +428,7 @@ def check_structure_axioms(
     are described.
     """
     axioms = select_axioms(figure)
-    interp = _OverStructure(s, tol)
+    interp = _OverStructure(s)
     results = tuple(_check_axiom(a, s, interp) for a in axioms)
     return CheckReport({"figure": figure}, {"elements": results})
 
@@ -450,11 +446,11 @@ class Filter:
     issues: tuple[str, ...]
 
 
-def filter_of(s: FiniteStructure, elem: str, tol: Tolerance = DEFAULT_TOL) -> Filter:
+def filter_of(s: FiniteStructure, elem: str) -> Filter:
     if elem not in s.domain:
         raise ValueError(f"unknown element {elem!r}")
     val = s.subspaces
-    top_sym = s.top_symbol(tol)
+    top_sym = s.top_symbol()
     members = tuple(p for p in val if s.related(elem, p))
     issues = []
     if top_sym not in members:
@@ -462,11 +458,11 @@ def filter_of(s: FiniteStructure, elem: str, tol: Tolerance = DEFAULT_TOL) -> Fi
     member_set = set(members)
     for p in members:
         for q in val:
-            if q not in member_set and sub.leq(val[p], val[q], tol):
+            if q not in member_set and sub.leq(val[p], val[q]):
                 issues.append(f"not upward closed: {p} in filter, {p} <= {q}, {q} missing")
     for p in members:
         for q in members:
-            target = s.symbol_of(sub.sasaki_and(val[p], val[q], tol), tol)
+            target = s.symbol_of(sub.sasaki_and(val[p], val[q]))
             if target is not None and target not in member_set:
                 issues.append(f"not projection closed: {p}&{q} = {target} missing")
     return Filter(elem, members, tuple(issues))
@@ -500,32 +496,32 @@ class KappaResult:
         }
 
 
-def _strictly_below(p: Subspace, q: Subspace, tol: Tolerance) -> bool:
-    return sub.leq(p, q, tol) and not sub.leq(q, p, tol)
+def _strictly_below(p: Subspace, q: Subspace) -> bool:
+    return sub.leq(p, q) and not sub.leq(q, p)
 
 
-def kappa_of(s: FiniteStructure, elem: str, tol: Tolerance = DEFAULT_TOL) -> KappaResult:
+def kappa_of(s: FiniteStructure, elem: str) -> KappaResult:
     if elem not in s.domain:
         raise ValueError(f"unknown element {elem!r}")
     val = s.subspaces
     members = [p for p in val if s.related(elem, p)]
     value = sub.top(s.dim)
     for p in members:
-        value = sub.meet(value, val[p], tol)
+        value = sub.meet(value, val[p])
     member_symbol = None
     for p in members:
-        if sub.eq(val[p], value, tol):
+        if sub.eq(val[p], value):
             member_symbol = p
             break
     conflict = None
     if member_symbol is None:
         minimal = [
             p for p in members
-            if not any(q != p and _strictly_below(val[q], val[p], tol) for q in members)
+            if not any(q != p and _strictly_below(val[q], val[p]) for q in members)
         ]
         for i, p in enumerate(minimal):
             for q in minimal[i + 1 :]:
-                if not sub.eq(val[p], val[q], tol):
+                if not sub.eq(val[p], val[q]):
                     conflict = (p, q)
                     break
             if conflict:
@@ -577,7 +573,7 @@ class MorphismReport:
         }
 
 
-def check_strong_morphism(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> MorphismReport:
+def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
     """Check the least-member map against the three morphism conditions.
 
     (1) relatedness coincides with containment of the mapped value;
@@ -587,7 +583,7 @@ def check_strong_morphism(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> M
     touching them are counted in ``not_evaluated``.  The map must also
     send some element to a nonzero subspace.
     """
-    kappa = {m: kappa_of(s, m, tol) for m in s.domain}
+    kappa = {m: kappa_of(s, m) for m in s.domain}
     no_least = tuple(m for m in s.domain if kappa[m].no_least)
     usable = {m for m in s.domain if not kappa[m].no_least}
 
@@ -602,7 +598,7 @@ def check_strong_morphism(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> M
             continue
         km = kappa[m].value
         for p, pv in s.subspaces.items():
-            holds = sub.leq(km, pv, tol)
+            holds = sub.leq(km, pv)
             if s.related(m, p) != holds:
                 direction = "related without containment" if s.related(m, p) else "containment without relation"
                 rel_bad.append(f"({m}, {p}): {direction}")
@@ -613,8 +609,8 @@ def check_strong_morphism(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> M
             if m not in usable or target not in usable:
                 not_evaluated += 1
                 continue
-            expected = sub.sasaki_and(kappa[m].value, s.subspaces[q], tol)
-            if not sub.eq(kappa[target].value, expected, tol):
+            expected = sub.sasaki_and(kappa[m].value, s.subspaces[q])
+            if not sub.eq(kappa[target].value, expected):
                 proj_bad.append(f"projector {q} at {m}: table target {target} has the wrong value")
 
     for uname, tu in s.unitaries.items():
@@ -623,8 +619,8 @@ def check_strong_morphism(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> M
             if m not in usable or target not in usable:
                 not_evaluated += 1
                 continue
-            expected = sub.apply_unitary(tu.op, kappa[m].value, tol)
-            if not sub.eq(kappa[target].value, expected, tol):
+            expected = sub.apply_unitary(tu.op, kappa[m].value)
+            if not sub.eq(kappa[target].value, expected):
                 uni_bad.append(f"unitary {uname} at {m}: table target {target} has the wrong value")
 
     nontrivial = any(kappa[m].value.rank > 0 for m in usable)
@@ -674,7 +670,7 @@ class CharacterizationReport:
         }
 
 
-def check_characterization(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> CharacterizationReport:
+def check_characterization(s: FiniteStructure) -> CharacterizationReport:
     """Run the axiom check and the morphism pipeline; they must agree.
 
     At fragment scale, being a model and admitting the least-member map
@@ -683,38 +679,38 @@ def check_characterization(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> 
     fragment was too poor to decide.
     """
     return CharacterizationReport(
-        axioms=check_structure_axioms(s, "base", tol),
-        morphism=check_strong_morphism(s, tol),
+        axioms=check_structure_axioms(s, "base"),
+        morphism=check_strong_morphism(s),
     )
 
 
-def check_ray_coverage(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> dict[str, bool]:
+def check_ray_coverage(s: FiniteStructure) -> dict[str, bool]:
     """For each fragment symbol naming a ray: is it hit by the element map?"""
-    kappa = {m: kappa_of(s, m, tol) for m in s.domain}
+    kappa = {m: kappa_of(s, m) for m in s.domain}
     out = {}
     for p, pv in s.subspaces.items():
         if pv.rank != 1:
             continue
         out[p] = any(
-            not kappa[m].no_least and sub.eq(kappa[m].value, pv, tol)
+            not kappa[m].no_least and sub.eq(kappa[m].value, pv)
             for m in s.domain
         )
     return out
 
 
-def check_two_ray_floor(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> tuple[int, list[str]]:
+def check_two_ray_floor(s: FiniteStructure) -> tuple[int, list[str]]:
     """Elements whose filter holds two distinct rays must also hold the zero space.
 
     Returns (instances checked, violating elements).
     """
     val = s.subspaces
-    bot_sym = s.bot_symbol(tol)
+    bot_sym = s.bot_symbol()
     checked = 0
     bad = []
     for m in s.domain:
         rays = [p for p in val if s.related(m, p) and val[p].rank == 1]
         distinct = any(
-            not sub.eq(val[p], val[q], tol)
+            not sub.eq(val[p], val[q])
             for i, p in enumerate(rays)
             for q in rays[i + 1 :]
         )
@@ -725,7 +721,7 @@ def check_two_ray_floor(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> tup
     return checked, bad
 
 
-def check_incompatible_pairs(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -> tuple[int, list[str]]:
+def check_incompatible_pairs(s: FiniteStructure) -> tuple[int, list[str]]:
     """Incompatible filter members must both be non-minimal in the filter.
 
     Meaningful from dimension 3 up.  Returns (instances checked,
@@ -738,12 +734,12 @@ def check_incompatible_pairs(s: FiniteStructure, tol: Tolerance = DEFAULT_TOL) -
         members = [p for p in val if s.related(m, p)]
         for i, p in enumerate(members):
             for q in members[i + 1 :]:
-                if sub.compatible(val[p], val[q], tol):
+                if sub.compatible(val[p], val[q]):
                     continue
                 checked += 1
                 for r in (p, q):
                     minimal = not any(
-                        x != r and _strictly_below(val[x], val[r], tol) for x in members
+                        x != r and _strictly_below(val[x], val[r]) for x in members
                     )
                     if minimal:
                         bad.append(f"{m}: {r} is minimal despite incompatible partner")
@@ -768,7 +764,6 @@ def saturate(
     unitaries: Sequence[UnitaryOp] = (),
     include_hook: bool = False,
     max_size: int = 64,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> SaturationResult:
     """Close a seed set under the operations the axiom checker consults.
 
@@ -780,7 +775,7 @@ def saturate(
     pool: list[Subspace] = []
 
     def add(v: Subspace) -> bool:
-        if any(sub.eq(v, w, tol) for w in pool):
+        if any(sub.eq(v, w) for w in pool):
             return False
         pool.append(v)
         return True
@@ -802,16 +797,16 @@ def saturate(
         new: list[Subspace] = []
         for i, p in enumerate(snapshot):
             for q in snapshot[i + 1 :]:
-                new.append(sub.meet(p, q, tol))
+                new.append(sub.meet(p, q))
         for q in partners:
-            new.append(sub.ortho(q, tol))
+            new.append(sub.ortho(q))
             for p in snapshot:
-                new.append(sub.sasaki_and(p, q, tol))
+                new.append(sub.sasaki_and(p, q))
                 if include_hook:
-                    new.append(sub.sasaki_hook(p, q, tol))
+                    new.append(sub.sasaki_hook(p, q))
         for u in unitaries:
             for p in snapshot:
-                new.append(sub.apply_unitary(u, p, tol))
+                new.append(sub.apply_unitary(u, p))
         for v in new:
             if len(pool) >= max_size:
                 capped = True
@@ -827,7 +822,6 @@ def image_structure(
     projector_syms: Sequence[str],
     unitaries: Mapping[str, UnitaryOp],
     copies: int = 1,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[FiniteStructure, dict[str, Subspace]]:
     """Export the fragment itself as a structure, relation = containment.
 
@@ -847,7 +841,7 @@ def image_structure(
 
     def rep_of(value: Subspace, context: str) -> str:
         for name in syms:
-            if sub.eq(vals[name], value, tol):
+            if sub.eq(vals[name], value):
                 return f"{name}_0"
         raise sub.InternalInvariantError(f"fragment not closed under {context}")
 
@@ -855,17 +849,17 @@ def image_structure(
     elem_val = {f"{name}_{k}": vals[name] for name in syms for k in range(copies)}
 
     projectors = {
-        q: {m: rep_of(sub.sasaki_and(elem_val[m], vals[q], tol), f"projection onto {q}") for m in domain}
+        q: {m: rep_of(sub.sasaki_and(elem_val[m], vals[q]), f"projection onto {q}") for m in domain}
         for q in projector_syms
     }
     unitary_tables = {
         uname: TableUnitary(
-            op, {m: rep_of(sub.apply_unitary(op, elem_val[m], tol), f"image under {uname}") for m in domain}
+            op, {m: rep_of(sub.apply_unitary(op, elem_val[m]), f"image under {uname}") for m in domain}
         )
         for uname, op in unitaries.items()
     }
     relation = frozenset(
-        (m, p) for m in domain for p in syms if sub.leq(elem_val[m], vals[p], tol)
+        (m, p) for m in domain for p in syms if sub.leq(elem_val[m], vals[p])
     )
     structure = FiniteStructure(
         dim=dim,
@@ -887,7 +881,7 @@ def _mask_name(bits: tuple[int, ...], dim: int) -> str:
 
 
 def _frame_power_set(
-    rng: np.random.Generator, dim: int, tol: Tolerance
+    rng: np.random.Generator, dim: int
 ) -> tuple[np.ndarray, list[tuple[str, Subspace]]]:
     """A random orthonormal frame and the spans of every subset of its
     columns, smallest first."""
@@ -900,12 +894,12 @@ def _frame_power_set(
     for size in range(dim + 1):
         for bits in _subsets(dim, size):
             cols = frame[:, list(bits)] if bits else np.zeros((dim, 0))
-            fragment.append((_mask_name(bits, dim), sub.span_of(cols.T, dim, tol)))
+            fragment.append((_mask_name(bits, dim), sub.span_of(cols.T, dim)))
     return frame, fragment
 
 
 def boolean_fragment(
-    rng: np.random.Generator, dim: int = 3, tol: Tolerance = DEFAULT_TOL
+    rng: np.random.Generator, dim: int = 3
 ) -> tuple[list[tuple[str, Subspace]], list[str], dict[str, UnitaryOp]]:
     """Power set of a random orthonormal basis, with two basis permutations.
 
@@ -914,7 +908,7 @@ def boolean_fragment(
     image structure is fully checkable with zero skips.  ``dim`` must be
     at least 2, as it must for ``mixed_fragment``.
     """
-    frame, fragment = _frame_power_set(rng, dim, tol)
+    frame, fragment = _frame_power_set(rng, dim)
     cycle = np.zeros((dim, dim))
     for i in range(dim):
         cycle[(i + 1) % dim, i] = 1.0
@@ -934,7 +928,7 @@ def _subsets(n: int, size: int):
 
 
 def mixed_fragment(
-    rng: np.random.Generator, dim: int = 3, tol: Tolerance = DEFAULT_TOL
+    rng: np.random.Generator, dim: int = 3
 ) -> tuple[list[tuple[str, Subspace]], list[str], dict[str, UnitaryOp]]:
     """Boolean fragment plus a probe ray and its coordinate projections.
 
@@ -948,7 +942,7 @@ def mixed_fragment(
     pairwise incompatible with off-axis Boolean values, which makes the
     incompatibility diagnostics non-vacuous.
     """
-    frame, fragment = _frame_power_set(rng, dim, tol)
+    frame, fragment = _frame_power_set(rng, dim)
     boolean_syms = [name for name, _ in fragment]
 
     while True:
@@ -956,17 +950,17 @@ def mixed_fragment(
         coeffs /= np.linalg.norm(coeffs)
         if np.min(np.abs(coeffs)) > 0.25:
             break
-    probe = sub.span_of([frame @ coeffs], dim, tol)
+    probe = sub.span_of([frame @ coeffs], dim)
     fragment.append(("probe", probe))
     vals = dict(fragment)
     for size in range(dim - 1, 1, -1):
         for bits in _subsets(dim, size):
-            w = sub.sasaki_and(probe, vals[_mask_name(bits, dim)], tol)
+            w = sub.sasaki_and(probe, vals[_mask_name(bits, dim)])
             fragment.append(("probe" + "".join(str(i + 1) for i in bits), w))
 
     values = [v for _, v in fragment]
     for i, a in enumerate(values):
         for b in values[i + 1 :]:
-            if sub.eq(a, b, tol):
+            if sub.eq(a, b):
                 raise sub.InternalInvariantError("probe ray degenerated into the frame")
     return fragment, boolean_syms, {"ident": UnitaryOp(dim, np.eye(dim))}

@@ -7,9 +7,11 @@ every rank decision goes through singular values, so degenerate spans,
 the null space (rank 0) and the full space (rank d) are all ordinary
 values of the same type.
 
-Equality and containment are tolerance-based.  Two thresholds matter:
-``rank_tol`` cuts singular values when deciding the rank of a span, and
-``eq_tol`` bounds residual norms when deciding containment.
+Equality and containment are tolerance-based, at three fixed thresholds
+defined here and nowhere else: ``RANK_TOL`` cuts singular values when
+deciding the rank of a span, ``EQ_TOL`` bounds residual norms when
+deciding containment, and ``UNITARY_TOL`` bounds the deviation from
+unitarity of a matrix given to ``UnitaryOp``.
 
 Validation happens once, at the input boundary: ``Subspace(...)``,
 ``UnitaryOp(...)``, :func:`span_of` and the JSON loaders check what they
@@ -27,8 +29,8 @@ import numpy as np
 __all__ = [
     "DimensionMismatchError",
     "InternalInvariantError",
-    "Tolerance",
-    "DEFAULT_TOL",
+    "RANK_TOL",
+    "EQ_TOL",
     "UNITARY_TOL",
     "Subspace",
     "UnitaryOp",
@@ -55,8 +57,11 @@ __all__ = [
     "unitary_deviation",
 ]
 
-# max-norm deviation of U*U from the identity tolerated at construction
-UNITARY_TOL = 1e-8
+# The thresholds of every numerical decision.  A quantity within a factor
+# of ten of its threshold is decided unreliably: roundoff could flip it.
+RANK_TOL = 1e-10  # singular values <= RANK_TOL * max(1, largest) are cut from a span
+EQ_TOL = 1e-8  # p <= q when each basis vector of p leaves a residual below EQ_TOL off q
+UNITARY_TOL = 1e-8  # max-norm deviation of U*U from the identity tolerated at construction
 
 
 class DimensionMismatchError(ValueError):
@@ -65,29 +70,6 @@ class DimensionMismatchError(ValueError):
 
 class InternalInvariantError(RuntimeError):
     """A self-check failed.  Indicates a bug in the engine, not bad input."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical thresholds for rank and containment decisions.
-
-    ``rank_tol`` governs singular-value cuts, ``eq_tol`` governs residual
-    norms in containment tests.  Results within a factor of ten of either
-    threshold should be treated as unreliable by callers.
-    """
-
-    rank_tol: float = 1e-10
-    eq_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rank_tol <= self.eq_tol < 1.0):
-            raise ValueError(
-                f"need 0 < rank_tol <= eq_tol < 1, got rank_tol={self.rank_tol!r} "
-                f"eq_tol={self.eq_tol!r}"
-            )
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def _check_dim(dim: int) -> None:
@@ -204,19 +186,19 @@ def bottom(dim: int) -> Subspace:
     return Subspace._trusted(dim, np.zeros((dim, 0), dtype=np.complex128))
 
 
-def _span_from_matrix(a: np.ndarray, dim: int, tol: Tolerance) -> Subspace:
+def _span_from_matrix(a: np.ndarray, dim: int) -> Subspace:
     if a.shape[1] == 0:
         return bottom(dim)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    # The cut has an absolute floor of rank_tol: columns that are
+    # The cut has an absolute floor of RANK_TOL: columns that are
     # numerically zero (e.g. projections of orthogonal vectors) must not
     # resurface as rank through a purely relative threshold.
-    cut = tol.rank_tol * max(1.0, float(s[0]))
+    cut = RANK_TOL * max(1.0, float(s[0]))
     r = int(np.count_nonzero(s > cut))
     return Subspace._trusted(dim, u[:, :r])
 
 
-def span_of(vectors: Iterable[Sequence[complex]], dim: int, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def span_of(vectors: Iterable[Sequence[complex]], dim: int) -> Subspace:
     """Orthonormalized span of a finite family of vectors in C^dim.
 
     Accepts dependent, repeated and zero vectors; the empty family gives
@@ -235,7 +217,7 @@ def span_of(vectors: Iterable[Sequence[complex]], dim: int, tol: Tolerance = DEF
     a = np.column_stack(cols)
     if not np.isfinite(a).all():
         raise ValueError("vector entries must be finite")
-    return Subspace(dim, _span_from_matrix(a, dim, tol).basis)
+    return Subspace(dim, _span_from_matrix(a, dim).basis)
 
 
 def _same_dim(p: Subspace, q: Subspace) -> None:
@@ -243,7 +225,7 @@ def _same_dim(p: Subspace, q: Subspace) -> None:
         raise DimensionMismatchError(f"subspaces of dimension {p.dim} and {q.dim}")
 
 
-def ortho(p: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def ortho(p: Subspace) -> Subspace:
     """Orthogonal complement."""
     if p.rank == 0:
         return top(p.dim)
@@ -253,19 +235,19 @@ def ortho(p: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     return Subspace._trusted(p.dim, u[:, p.rank:])
 
 
-def join(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def join(p: Subspace, q: Subspace) -> Subspace:
     """Lattice join: closed span of the union."""
     _same_dim(p, q)
-    return _span_from_matrix(np.hstack([p.basis, q.basis]), p.dim, tol)
+    return _span_from_matrix(np.hstack([p.basis, q.basis]), p.dim)
 
 
-def meet(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def meet(p: Subspace, q: Subspace) -> Subspace:
     """Lattice meet (intersection), computed by De Morgan from join."""
     _same_dim(p, q)
-    return ortho(join(ortho(p, tol), ortho(q, tol), tol), tol)
+    return ortho(join(ortho(p), ortho(q)))
 
 
-def leq(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def leq(p: Subspace, q: Subspace) -> bool:
     """Containment p <= q, decided by projection residuals of p's basis."""
     _same_dim(p, q)
     if p.rank == 0:
@@ -273,65 +255,65 @@ def leq(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     if q.rank == 0:
         return False
     resid = p.basis - q.basis @ (q.basis.conj().T @ p.basis)
-    return float(np.linalg.norm(resid, axis=0).max()) < tol.eq_tol
+    return float(np.linalg.norm(resid, axis=0).max()) < EQ_TOL
 
 
-def eq(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def eq(p: Subspace, q: Subspace) -> bool:
     """Semantic equality: mutual containment."""
-    return leq(p, q, tol) and leq(q, p, tol)
+    return leq(p, q) and leq(q, p)
 
 
-def sasaki_and(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def sasaki_and(p: Subspace, q: Subspace) -> Subspace:
     """Sasaki conjunction p & q, computed as the image of p under the
     projector onto q.  Agrees with :func:`sasaki_and_lattice`."""
     _same_dim(p, q)
     if p.rank == 0 or q.rank == 0:
         return bottom(p.dim)
-    return _span_from_matrix(q.projector() @ p.basis, p.dim, tol)
+    return _span_from_matrix(q.projector() @ p.basis, p.dim)
 
 
-def sasaki_and_lattice(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def sasaki_and_lattice(p: Subspace, q: Subspace) -> Subspace:
     """Sasaki conjunction by its lattice formula q ^ (q' v p).
 
     Independent route kept alongside :func:`sasaki_and`; the two are
     cross-checked in the test suite and must agree at tolerance.
     """
     _same_dim(p, q)
-    return meet(q, join(ortho(q, tol), p, tol), tol)
+    return meet(q, join(ortho(q), p))
 
 
-def sasaki_hook(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def sasaki_hook(p: Subspace, q: Subspace) -> Subspace:
     """Sasaki hook (residuation) q' v (p ^ q): the largest x with
     sasaki_and(x, q) <= p."""
     _same_dim(p, q)
-    return join(ortho(q, tol), meet(p, q, tol), tol)
+    return join(ortho(q), meet(p, q))
 
 
-def compatible(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def compatible(p: Subspace, q: Subspace) -> bool:
     """Lattice compatibility: p = (q ^ p) v (q' ^ p).
 
     Coincides with commutation of the projectors, tested separately via
     :func:`projectors_commute`.
     """
     _same_dim(p, q)
-    decomposed = join(meet(q, p, tol), meet(ortho(q, tol), p, tol), tol)
-    return eq(p, decomposed, tol)
+    decomposed = join(meet(q, p), meet(ortho(q), p))
+    return eq(p, decomposed)
 
 
-def projectors_commute(p: Subspace, q: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def projectors_commute(p: Subspace, q: Subspace) -> bool:
     """Commutator test for compatibility; independent of the lattice route."""
     _same_dim(p, q)
     pp, pq = p.projector(), q.projector()
-    return float(np.abs(pp @ pq - pq @ pp).max()) < tol.eq_tol
+    return float(np.abs(pp @ pq - pq @ pp).max()) < EQ_TOL
 
 
-def apply_unitary(u: UnitaryOp, p: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def apply_unitary(u: UnitaryOp, p: Subspace) -> Subspace:
     """Image of a subspace under a unitary; rank is preserved."""
     if u.dim != p.dim:
         raise DimensionMismatchError(f"unitary on C^{u.dim} applied to subspace of C^{p.dim}")
     if p.rank == 0:
         return p
-    out = _span_from_matrix(u.matrix @ p.basis, p.dim, tol)
+    out = _span_from_matrix(u.matrix @ p.basis, p.dim)
     if out.rank != p.rank:
         raise InternalInvariantError("unitary image changed rank")
     return out
@@ -359,20 +341,15 @@ def principal_angles(p: Subspace, q: Subspace) -> np.ndarray:
     return np.where(cos**2 >= 0.5, np.arcsin(sin), np.arccos(cos))
 
 
-def _ray_admissible(u: Subspace, p: Subspace, avoid: Sequence[Subspace], tol: Tolerance) -> bool:
+def _ray_admissible(u: Subspace, p: Subspace, avoid: Sequence[Subspace]) -> bool:
     return (
         u.rank == 1
-        and leq(u, p, tol)
-        and all(not leq(u, q, tol) for q in avoid)
+        and leq(u, p)
+        and all(not leq(u, q) for q in avoid)
     )
 
 
-def ray_in_avoiding(
-    p: Subspace,
-    avoid: Sequence[Subspace],
-    tol: Tolerance = DEFAULT_TOL,
-    seed: int = 0,
-) -> Subspace | None:
+def ray_in_avoiding(p: Subspace, avoid: Sequence[Subspace], seed: int = 0) -> Subspace | None:
     """A rank-1 subspace of p avoiding every member of ``avoid``.
 
     The caller must supply a nonzero p not contained in any avoided
@@ -388,15 +365,15 @@ def ray_in_avoiding(
     if p.rank == 0:
         return None
     for q in avoid:
-        if leq(p, q, tol):
+        if leq(p, q):
             return None
 
     rng = np.random.default_rng(seed)
     r = p.rank
     for _ in range(64):
         coeffs = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        u = _span_from_matrix((p.basis @ coeffs).reshape(-1, 1), p.dim, tol)
-        if _ray_admissible(u, p, avoid, tol):
+        u = _span_from_matrix((p.basis @ coeffs).reshape(-1, 1), p.dim)
+        if _ray_admissible(u, p, avoid):
             return u
 
     # Deterministic fallback: u(t) = sum_k t^(k-1) b_k.  For each avoided
@@ -406,8 +383,8 @@ def ray_in_avoiding(
     for i in range(len(avoid) * (r - 1) + 1):
         t = float(i + 1)
         coeffs = t ** np.arange(r)
-        u = _span_from_matrix((p.basis @ coeffs).reshape(-1, 1), p.dim, tol)
-        if _ray_admissible(u, p, avoid, tol):
+        u = _span_from_matrix((p.basis @ coeffs).reshape(-1, 1), p.dim)
+        if _ray_admissible(u, p, avoid):
             return u
     raise InternalInvariantError("avoidance sweep exhausted; tolerance regime is inconsistent")
 
@@ -421,10 +398,10 @@ def subspace_to_json(p: Subspace) -> dict:
     }
 
 
-def subspace_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def subspace_from_json(obj: dict) -> Subspace:
     dim = int(obj["dim"])
     vectors = [[complex(re, im) for re, im in vec] for vec in obj["basis"]]
-    p = span_of(vectors, dim, tol)
+    p = span_of(vectors, dim)
     if "rank" in obj and p.rank != int(obj["rank"]):
         raise ValueError(f"stored rank {obj['rank']} but basis spans rank {p.rank}")
     return p

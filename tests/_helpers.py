@@ -29,7 +29,6 @@ from pqm.lang import (
 from pqm.normalize import BAnd, BNot, BOr, BasicSentence, BoolCombo, Leaf
 from pqm.sampling import random_ray, random_ray_within, random_subspace, random_unitary
 from pqm.subspace import (
-    DEFAULT_TOL,
     Subspace,
     apply_unitary,
     bottom,
@@ -197,8 +196,6 @@ def sampled_eval(f: Formula, problem: Problem, rng: np.random.Generator,
     return go(f, {})
 
 
-def basic_holds_pointwise(b: BasicSentence, x: Subspace, tol=DEFAULT_TOL) -> bool:
+def basic_holds_pointwise(b: BasicSentence, x: Subspace) -> bool:
     """Literal conjunction check for a single element of the ray domain."""
-    return all(leq(x, p, tol) for p in b.positives) and not any(
-        leq(x, q, tol) for q in b.negatives
-    )
+    return all(leq(x, p) for p in b.positives) and not any(leq(x, q) for q in b.negatives)

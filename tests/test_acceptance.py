@@ -34,7 +34,6 @@ from pqm.oracles import (
 )
 from pqm.structures import check_strong_morphism, check_structure_axioms
 from pqm.subspace import (
-    DEFAULT_TOL,
     compatible,
     eq,
     join,
@@ -92,32 +91,29 @@ def test_c1_bell_circuit_worked_example(samples_dir):
 def test_c2_ortholattice_and_sasaki_laws():
     problems = []
     started = time.perf_counter()
-    tol = DEFAULT_TOL
     rng = np.random.default_rng(20)
 
     for dim in (2, 3, 4, 5):
         counts = {"orthomodular": 0, "de-morgan": 0, "sasaki-image": 0,
                   "adjunction": 0, "compatibility": 0}
         for _ in range(1000):
-            p = random_subspace(rng, dim, tol=tol)
-            q = random_subspace(rng, dim, tol=tol)
-            r = random_subspace(rng, dim, tol=tol)
+            p = random_subspace(rng, dim)
+            q = random_subspace(rng, dim)
+            r = random_subspace(rng, dim)
 
-            a = meet(p, q, tol)  # a <= q by construction
-            if not eq(q, join(a, meet(q, ortho(a, tol), tol), tol), tol):
+            a = meet(p, q)  # a <= q by construction
+            if not eq(q, join(a, meet(q, ortho(a)))):
                 counts["orthomodular"] += 1
-            if not eq(ortho(join(p, q, tol), tol),
-                      meet(ortho(p, tol), ortho(q, tol), tol), tol):
+            if not eq(ortho(join(p, q)), meet(ortho(p), ortho(q))):
                 counts["de-morgan"] += 1
-            if not eq(sasaki_and(p, q, tol), sasaki_and_lattice(p, q, tol), tol):
+            if not eq(sasaki_and(p, q), sasaki_and_lattice(p, q)):
                 counts["sasaki-image"] += 1
-            left = leq(sasaki_and(r, q, tol), p, tol)
-            right = leq(r, sasaki_hook(p, q, tol), tol)
+            left = leq(sasaki_and(r, q), p)
+            right = leq(r, sasaki_hook(p, q))
             if left != right:
                 counts["adjunction"] += 1
-            lattice_side = eq(p, join(meet(q, p, tol),
-                                      meet(ortho(q, tol), p, tol), tol), tol)
-            if not (compatible(p, q, tol) == projectors_commute(p, q, tol) == lattice_side):
+            lattice_side = eq(p, join(meet(q, p), meet(ortho(q), p)))
+            if not (compatible(p, q) == projectors_commute(p, q) == lattice_side):
                 counts["compatibility"] += 1
         for law, bad in counts.items():
             if bad:
@@ -150,20 +146,19 @@ def test_c3_axiom_suites_in_both_models():
 
     # The unconditioned meet must also survive pairs that are forced to be
     # incompatible, not just whatever the generic sampler happens to draw.
-    tol = DEFAULT_TOL
     rng = np.random.default_rng(21)
-    sem = ExactSemantics(tol)
+    sem = ExactSemantics()
     for dim in (3, 4):
         for domain in (SubspaceElements(), RayElements()):
             hits = 0
             for _ in range(200):
                 while True:
-                    p = random_subspace(rng, dim, rank=dim - 1, tol=tol)
-                    q = random_subspace(rng, dim, rank=dim - 1, tol=tol)
-                    if not compatible(p, q, tol) and meet(p, q, tol).rank > 0:
+                    p = random_subspace(rng, dim, rank=dim - 1)
+                    q = random_subspace(rng, dim, rank=dim - 1)
+                    if not compatible(p, q) and meet(p, q).rank > 0:
                         break
-                common = meet(p, q, tol)
-                x = domain.inside(rng, common, tol) if rng.random() < 0.5 else domain.free(rng, dim, tol)
+                common = meet(p, q)
+                x = domain.inside(rng, common) if rng.random() < 0.5 else domain.free(rng, dim)
                 if sem.verify(x, p) and sem.verify(x, q):
                     hits += 1
                     if not sem.verify(x, common):
@@ -197,14 +192,13 @@ def test_c4_rule_suite_and_sampled_cross_check():
 
 def test_c5_decider_against_monte_carlo():
     problems = []
-    tol = DEFAULT_TOL
     rng = np.random.default_rng(22)
     witnesses = 0
 
     for k in range(200):
         basic = random_basic(rng, 3)
-        verdict = decide_basic(basic, 3, tol=tol)
-        check = cross_check_vd(basic, 3, samples=10_000, seed=1000 + k, tol=tol)
+        verdict = decide_basic(basic, 3)
+        check = cross_check_vd(basic, 3, samples=10_000, seed=1000 + k)
         if check.sampler_found and not verdict.truth:
             problems.append(f"sentence {k}: sampler found a witness the decider denies")
         if verdict.truth:
@@ -263,7 +257,6 @@ def test_c6_characterization_corpus_and_mutants():
 def test_c7_closed_form_oracles():
     problems = []
     started = time.perf_counter()
-    tol = DEFAULT_TOL
 
     if steps_to_one(0.5) != 3:
         problems.append(f"steps_to_one(0.5) = {steps_to_one(0.5)}")
@@ -288,20 +281,20 @@ def test_c7_closed_form_oracles():
     for dim in (3, 4):
         done = 0
         while done < 50:
-            p = random_subspace(rng, dim, tol=tol)
-            q = random_subspace(rng, dim, tol=tol)
+            p = random_subspace(rng, dim)
+            q = random_subspace(rng, dim)
             try:
-                d = incompat_decompose(p, q, tol=tol)
+                d = incompat_decompose(p, q)
             except CompatibleInputError:
                 continue
             done += 1
             if d.c.rank != 2:
                 problems.append(f"mediator rank {d.c.rank} at d={dim}")
-            if not (compatible(d.c, p, tol) and compatible(d.c, q, tol)):
+            if not (compatible(d.c, p) and compatible(d.c, q)):
                 problems.append(f"mediator incompatible with an input at d={dim}")
-            if not eq(meet(d.c, p, tol), d.u_span, tol):
+            if not eq(meet(d.c, p), d.u_span):
                 problems.append(f"mediator ^ p misses the u ray at d={dim}")
-            if not eq(meet(d.c, q, tol), d.v_span, tol):
+            if not eq(meet(d.c, q), d.v_span):
                 problems.append(f"mediator ^ q misses the v ray at d={dim}")
             if not 0.0 < d.eigenvalue < 1.0:
                 problems.append(f"compression eigenvalue {d.eigenvalue} at d={dim}")

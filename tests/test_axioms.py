@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from pqm.axioms import AXIOMS, SampledSemantics, SubspaceElements, run_axiom_suite, select_axioms
-from pqm.circuit import check_axioms_from_rules
+from pqm.circuit import check_axioms_from_rules, check_rule_suite
 from pqm.decide import check_axiom_suite
 from pqm.structures import check_structure_axioms, parse_structure_json
 
@@ -172,3 +172,22 @@ def test_unknown_figure_is_rejected_by_both_runners(figure):
         check_axiom_suite(3, samples=1, figure=figure)
     with pytest.raises(ValueError, match="unknown figure"):
         check_structure_axioms(parse_structure_json(tiny_structure_json()), figure)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: check_axiom_suite(3, samples=0), "samples"),
+        (lambda: check_axiom_suite(3, samples=-1), "samples"),
+        (lambda: check_rule_suite(3, samples=0), "samples"),
+        (lambda: check_rule_suite(3, samples=-1), "samples"),
+        (lambda: check_axioms_from_rules(3, samples=0), "samples"),
+        (lambda: check_axioms_from_rules(3, samples=1, rays_per_check=0), "rays_per_check"),
+        (lambda: SampledSemantics(np.random.default_rng(0), rays_per_check=0), "rays_per_check"),
+    ],
+    ids=["axioms-0", "axioms-neg", "rules-0", "rules-neg", "derived-0", "derived-rays", "sampled"],
+)
+def test_counts_below_one_are_rejected(call, name):
+    # zero instances would pass every law vacuously
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        call()

@@ -8,6 +8,10 @@ Two mutators, each bounded in examples so the file runs in seconds:
   through ``model-check`` and ``kappa``;
 * each ``samples/*.pqm`` with one token replaced by a hostile piece,
   run through ``decide`` and ``circuit``.
+
+The ``oracle`` subcommands take numbers, so each of their arguments is
+drawn from a fixed hostile set or a valid value; every run must also
+finish promptly.
 """
 
 import contextlib
@@ -18,7 +22,8 @@ import re
 import tempfile
 import warnings
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pqm.cli import main
 
@@ -38,6 +43,13 @@ HOSTILE_PIECES = [
 # Numbers with their imaginary suffix, words, two-character operators,
 # then any other single character; comments are dropped first.
 _TOKEN = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?i?|[A-Za-z_]\w*|<->|->|\S")
+
+# passed after "--" and as "--tol=...", so that a leading minus reaches
+# the oracle rather than the option parser
+HOSTILE_NUMBERS = [
+    "nan", "inf", "-inf", "0", "-0.0", "-1", "-0.5", "1e-200", "1e-5", "1e-4", "1e10", "1e308",
+    "-1e308", "5e-324",
+]
 
 MODEL3 = json.loads((SAMPLES / "model3.json").read_text())
 SENTENCE_FILES = sorted(SAMPLES.glob("*.pqm"))
@@ -100,3 +112,24 @@ def test_sentence_file_with_a_hostile_token(source, data):
         f.write_text(text[: token.start()] + piece + text[token.end():])
         for command in ("decide", "circuit"):
             assert _exit_code([command, str(f)]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("emit", ["text", "json"])
+@pytest.mark.parametrize("oracle", ["f-steps", "collapse"])
+@pytest.mark.parametrize("a", HOSTILE_NUMBERS)
+def test_chain_oracle_with_a_hostile_start(oracle, a, emit):
+    assert _exit_code(["oracle", oracle, "--emit", emit, "--", a]) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(HOSTILE_NUMBERS + ["0.5"]),
+    st.sampled_from(HOSTILE_NUMBERS + ["0.3"]),
+    st.sampled_from(HOSTILE_NUMBERS + ["0.2"]),
+    st.sampled_from(HOSTILE_NUMBERS + ["1e-9"]),
+    st.sampled_from(["text", "json"]),
+)
+@example("0.6", "0.6", "5e-5", "1e-9", "text")  # the tolerance band: orthogonal, off the ellipse
+def test_ellipse_oracle_with_hostile_numbers(a, x, y, tol, emit):
+    argv = ["oracle", "ellipse", "--emit", emit, f"--tol={tol}", "--", a, x, y]
+    assert _exit_code(argv) in (0, 1, 2)

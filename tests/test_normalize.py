@@ -180,7 +180,7 @@ def test_combo_export_round_trips_truth(seed):
     problem = random_problem(rng, 3)
     sentence = random_sentence(rng, problem, max_depth=3, max_quants=2)
     combo = normalize(sentence, problem)
-    formula, table = combo_to_formula(combo, 3)
+    formula, table = combo_to_formula(combo)
     reproblem = Problem(3, table, {}, formula)
     recombo = normalize(formula, reproblem)
     assert evaluate(recombo, 3).truth == evaluate(combo, 3).truth

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqm.oracles import (
+    MIN_CHAIN_START,
     CompatibleInputError,
     OracleDomainError,
     ellipse_witness,
@@ -142,6 +143,15 @@ def test_collapse_round_count_matches_chain(a):
     assert t.final_meet_rank == 0
     assert t.parameters[0] == a
     assert t.parameters[-1] >= 1.0 - 1e-15  # last step may round just below 1
+
+
+def test_chain_and_collapse_at_the_least_start():
+    assert steps_to_one(MIN_CHAIN_START) == 9999
+    assert two_ray_collapse(MIN_CHAIN_START).rounds == 9999
+    below = math.nextafter(MIN_CHAIN_START, 0.0)
+    for fn in (f_chain, two_ray_collapse):
+        with pytest.raises(OracleDomainError, match="needs 0.01 <= a <= 1"):
+            fn(below)
 
 
 def test_collapse_produces_orthogonal_rays():

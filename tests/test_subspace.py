@@ -14,7 +14,8 @@ from pqm.sampling import (
     random_unitary,
 )
 from pqm.subspace import (
-    DEFAULT_TOL,
+    EQ_TOL,
+    RANK_TOL,
     UNITARY_TOL,
     DimensionMismatchError,
     Subspace,
@@ -127,6 +128,46 @@ def test_unitary_rejects_finite_bad_matrix(dim, matrix, message):
 def test_dimension_below_one_is_rejected(make, dim):
     with pytest.raises(ValueError, match=f"ambient dimension must be positive, got {dim}"):
         make(dim)
+
+
+@pytest.mark.parametrize("rank", [-1, 3])
+def test_rank_out_of_range_inside_is_rejected(rank):
+    p = random_subspace(np.random.default_rng(0), 4, rank=2)
+    with pytest.raises(ValueError, match=f"rank {rank} out of range inside a rank-2 subspace"):
+        random_subspace_within(np.random.default_rng(0), p, rank=rank)
+
+
+def test_containment_threshold_sits_at_eq_tol():
+    p = Subspace(3, np.array([[1.0], [0.0], [0.0]]))
+
+    def ray_at_residual(r):
+        # e0 leaves a residual of exactly r off this ray
+        return Subspace(3, np.array([[np.sqrt(1.0 - r * r)], [r], [0.0]]))
+
+    assert leq(p, ray_at_residual(0.5 * EQ_TOL))
+    assert not leq(p, ray_at_residual(2.0 * EQ_TOL))
+
+
+@pytest.mark.parametrize("largest", [0.5, 3.0])
+def test_rank_cut_sits_at_rank_tol(largest):
+    cut = RANK_TOL * max(1.0, largest)
+
+    def rank_with(second):
+        return span_of([[largest, 0, 0], [0, second, 0]], 3).rank
+
+    assert rank_with(2.0 * cut) == 2
+    assert rank_with(0.5 * cut) == 1
+
+
+def test_unitarity_threshold_sits_at_unitary_tol():
+    def deviating_by(d):
+        # U*U - I = diag(d, 0)
+        return np.diag([np.sqrt(1.0 + d), 1.0])
+
+    assert unitary_deviation(deviating_by(0.5 * UNITARY_TOL)) == pytest.approx(0.5 * UNITARY_TOL)
+    UnitaryOp(2, deviating_by(0.5 * UNITARY_TOL))
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryOp(2, deviating_by(2.0 * UNITARY_TOL))
 
 
 def _assert_checked_path_agrees(p):
