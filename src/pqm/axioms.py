@@ -270,10 +270,7 @@ def _under_unitaries(s):
 
 _MEET_COMPATIBLE = AxiomDef(
     "meet-compatible", True, False, False, _draw_compatible_pair,
-    lambda s: (
-        (p, q) for p, q in _unordered_pairs(s)
-        if sub.compatible(s.subspaces[p], s.subspaces[q])
-    ),
+    lambda s: ((p, q) for p, q in _unordered_pairs(s) if s.compatible(p, q)),
     hypothesis=lambda I, x, p, q: I.verify(x, p) and I.verify(x, q),
     conclusion=lambda I, x, p, q: I.verify(x, I.meet(p, q)),
     note=lambda I, x, p, q: f"{x} verifies {p} and {q} but not their meet {I.meet(p, q)}",
@@ -294,10 +291,7 @@ AXIOMS: tuple[AxiomDef, ...] = (
     ),
     AxiomDef(
         "monotone", True, True, False, _draw_monotone,
-        lambda s: (
-            (p, q) for p, pv in s.subspaces.items() for q, qv in s.subspaces.items()
-            if p != q and sub.leq(pv, qv)
-        ),
+        lambda s: ((p, q) for p in s.subspaces for q in s.subspaces if p != q and s.leq(p, q)),
         hypothesis=lambda I, x, p, q: I.verify(x, p),
         conclusion=lambda I, x, p, q: I.verify(x, q),
         note=lambda I, x, p, q: f"{x} verifies {p} <= {q} but not {q}",
@@ -316,10 +310,7 @@ AXIOMS: tuple[AxiomDef, ...] = (
     ),
     AxiomDef(
         "project-chain", True, False, False, _draw_project_chain,
-        lambda s: (
-            (p, q) for p in s.projectors for q in s.projectors
-            if sub.leq(s.subspaces[p], s.subspaces[q])
-        ),
+        lambda s: ((p, q) for p in s.projectors for q in s.projectors if s.leq(p, q)),
         hypothesis=lambda I, x, p, q: I.verify(I.project(I.project(x, q), p), I.bottom),
         conclusion=lambda I, x, p, q: I.verify(I.project(x, p), I.bottom),
         note=lambda I, x, p, q: f"{x}: impossible through {q} then {p}, possible through {p}",

@@ -56,7 +56,16 @@ __all__ = ["main"]
 
 
 class UsageError(Exception):
-    """A command-line argument names something the input does not hold."""
+    """A command line that cannot run: an argument the parser rejects, or
+    one that names something the input does not hold."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error where argparse would print usage and exit, so
+    that ``main()`` reports it as one diagnostic; ``-h`` still exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _positive(text: str) -> int:
@@ -74,7 +83,7 @@ def _dimension(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pqm",
         description="Decide verification sentences, run possibilistic circuits, "
         "and check finite structures against the subspace model.",
@@ -449,8 +458,8 @@ def _oracle_collapse(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.run(args)
     except (
         FrontendError, NormalizationLimitError, OracleDomainError, OSError, UnicodeDecodeError,

@@ -41,9 +41,10 @@ onto and must be total on the domain, as must unitary tables.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partialmethod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,7 +62,6 @@ __all__ = [
     "KappaResult",
     "MorphismReport",
     "CharacterizationReport",
-    "SaturationResult",
     "load_structure",
     "parse_structure_json",
     "structure_to_json",
@@ -70,10 +70,6 @@ __all__ = [
     "kappa_of",
     "check_strong_morphism",
     "check_characterization",
-    "check_ray_coverage",
-    "check_two_ray_floor",
-    "check_incompatible_pairs",
-    "saturate",
     "image_structure",
     "boolean_fragment",
     "mixed_fragment",
@@ -96,8 +92,104 @@ class TableUnitary:
     table: Mapping[str, str]
 
 
+# The fragment index's probe: up to four unit columns of modulus-1/sqrt(d)
+# entries at irrational phases, so no coordinate of a probe vanishes and
+# distinct subspaces of one rank move it apart.  A fixed formula, not a
+# random draw: `pqm model-check` does not otherwise import numpy.random,
+# which takes megabytes of memory and milliseconds of start-up.
+_PROBE_PHASES = np.sqrt([2.0, 3.0, 5.0, 7.0])
+
+
+class _FragmentIndex:
+    """What a structure check asks about fragment symbols, each piece of
+    work done once.
+
+    A symbol lookup scans only the candidates that a vectorized prefilter
+    cannot rule out, then confirms them with ``sub.eq`` in declared order.
+    The prefilter is exact in the safe direction: ``sub.eq(v, w)`` forces
+    equal ranks (a basis vector of the larger space leaves a residual of
+    at least 1/sqrt(rank) off the smaller one) and, for rank k,
+    ``|P_v - P_w|_2 <= sqrt(k) * EQ_TOL``.  So a candidate is dropped only
+    when its rank differs or its projector moves some unit probe column
+    by more than ten times that bound in some entry; the margin covers
+    roundoff and bases that ``Subspace(...)`` accepts as orthonormal to
+    1e-7.  Each symbol keeps its rank and its image of a ``(dim, <= 4)``
+    probe, never a ``dim x dim`` projector.
+
+    Complements and double complements are computed on first use by the
+    same ``sub.ortho`` calls the kernel makes, and kept: the meets,
+    complements and Sasaki hooks over symbols, the compatibility of
+    symbol pairs and the meets of a filter reuse them.  Containment of
+    one symbol in another is decided by ``sub.leq`` once per pair.
+    """
+
+    def __init__(self, subspaces: Mapping[str, Subspace], dim: int):
+        self._values = subspaces
+        phases = np.outer(np.arange(1, dim + 1), _PROBE_PHASES[:dim])
+        self._probe = np.exp(1j * phases) / math.sqrt(dim)
+        by_rank: dict[int, list[str]] = {}
+        for name, v in subspaces.items():
+            by_rank.setdefault(v.rank, []).append(name)
+        self._buckets = {
+            rank: (names, np.stack([self._image(subspaces[n]) for n in names]))
+            for rank, names in by_rank.items()
+        }  # rank -> (names in declared order, their flattened probe images)
+        self._complements: dict[str, Subspace] = {}
+        self._double_complements: dict[str, Subspace] = {}
+        self._below: dict[tuple[str, str], bool] = {}
+
+    def _image(self, v: Subspace) -> np.ndarray:
+        return (v.basis @ (v.basis.conj().T @ self._probe)).ravel()
+
+    def candidates(self, value: Subspace) -> list[str]:
+        """The symbols, in declared order, that may denote ``value``."""
+        bucket = self._buckets.get(value.rank)
+        if bucket is None:
+            return []
+        names, images = bucket
+        moved = np.abs(images - self._image(value)).max(axis=1)
+        keep = np.flatnonzero(moved <= 10 * math.sqrt(value.rank) * sub.EQ_TOL)
+        return [names[k] for k in keep]
+
+    def symbol_of(self, value: Subspace) -> str | None:
+        for name in self.candidates(value):
+            if sub.eq(self._values[name], value):
+                return name
+        return None
+
+    def complement(self, name: str) -> Subspace:
+        if name not in self._complements:
+            self._complements[name] = sub.ortho(self._values[name])
+        return self._complements[name]
+
+    def double_complement(self, name: str) -> Subspace:
+        if name not in self._double_complements:
+            self._double_complements[name] = sub.ortho(self.complement(name))
+        return self._double_complements[name]
+
+    def leq(self, p: str, q: str) -> bool:
+        if (p, q) not in self._below:
+            self._below[p, q] = sub.leq(self._values[p], self._values[q])
+        return self._below[p, q]
+
+    def compatible(self, p: str, q: str) -> bool:
+        return sub.compatible_by_complements(
+            self._values[p], self.complement(p), self.complement(q), self.double_complement(q)
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteStructure:
+    """A finite structure: a domain, a fragment of named subspaces, the
+    projector and unitary tables, and the verification relation.
+
+    Questions about symbols go through a fragment index, built once, on
+    first use, from ``subspaces`` (which must not change afterwards).
+    A lookup still answers with the first symbol in declared order that
+    ``sub.eq`` confirms; the index only skips symbols that cannot be
+    equal, and keeps each symbol's complement once computed.
+    """
+
     dim: int
     domain: tuple[str, ...]
     subspaces: Mapping[str, Subspace]
@@ -105,15 +197,24 @@ class FiniteStructure:
     unitaries: Mapping[str, TableUnitary]
     relation: frozenset[tuple[str, str]]
 
+    @cached_property
+    def _index(self) -> _FragmentIndex:
+        return _FragmentIndex(self.subspaces, self.dim)
+
     def related(self, elem: str, symbol: str) -> bool:
         return (elem, symbol) in self.relation
 
     def symbol_of(self, value: Subspace) -> str | None:
         """First fragment symbol denoting ``value``, or None."""
-        for name, v in self.subspaces.items():
-            if sub.eq(v, value):
-                return name
-        return None
+        return self._index.symbol_of(value)
+
+    def leq(self, p: str, q: str) -> bool:
+        """Whether the symbol p denotes a subspace of what q denotes."""
+        return self._index.leq(p, q)
+
+    def compatible(self, p: str, q: str) -> bool:
+        """Whether the symbols p and q denote compatible subspaces."""
+        return self._index.compatible(p, q)
 
     def top_symbol(self) -> str:
         name = self.symbol_of(sub.top(self.dim))
@@ -221,10 +322,11 @@ def parse_structure_json(data) -> FiniteStructure:
             subspaces[name] = sub.span_of(rows, dim)
         except ValueError as exc:
             issues.append(f"{where}: {exc}")
-    if subspaces and not any(s.rank == dim for s in subspaces.values()):
-        issues.append("subspaces: no symbol denotes the full space")
-    if subspaces and not any(s.rank == 0 for s in subspaces.values()):
-        issues.append("subspaces: no symbol denotes the zero space")
+    if isinstance(data.get("subspaces"), dict):  # a missing or non-object one is reported
+        if not any(s.rank == dim for s in subspaces.values()):
+            issues.append("subspaces: no symbol denotes the full space")
+        if not any(s.rank == 0 for s in subspaces.values()):
+            issues.append("subspaces: no symbol denotes the zero space")
 
     projectors: dict[str, dict[str, str]] = {}
     raw_proj = data.get("projectors", {})
@@ -345,19 +447,15 @@ class _OverStructure:
     projectors and unitaries are names.  A lattice term over symbols
     resolves to the first fragment symbol denoting its value, or to None,
     once per check call; verifying against None skips the instance.  The
-    full-space and zero-space symbols resolve on construction."""
+    full-space and zero-space symbols resolve on construction.  Meets,
+    complements and Sasaki hooks take the symbols' complements from the
+    fragment index."""
 
     def __init__(self, s: FiniteStructure):
         self.s = s
         self.top, self.bottom = s.top_symbol(), s.bot_symbol()
         self._values = _OverSubspaces(None, s.dim)
         self._symbols: dict[tuple, str | None] = {}
-        self.meet = partial(self._symbol, "meet")
-        self.ortho = partial(self._symbol, "ortho")
-        self.sasaki_and = partial(self._symbol, "sasaki_and")
-        self.sasaki_hook = partial(self._symbol, "sasaki_hook")
-        self.image = partial(self._symbol, "image")
-        self.preimage = partial(self._symbol, "preimage")
 
     def verify(self, x: str, p: str | None) -> bool:
         if p is None:
@@ -373,13 +471,31 @@ class _OverStructure:
     def _symbol(self, term: str, *names: str) -> str | None:
         key = (term, *names)
         if key not in self._symbols:
-            v = self.s.subspaces
-            if term in ("image", "preimage"):
-                values = (self.s.unitaries[names[0]].op, v[names[1]])
-            else:
-                values = tuple(v[n] for n in names)
-            self._symbols[key] = self.s.symbol_of(getattr(self._values, term)(*values))
+            self._symbols[key] = self.s.symbol_of(self._value(term, *names))
         return self._symbols[key]
+
+    def _value(self, term: str, *names: str) -> Subspace:
+        complement = self.s._index.complement
+        if term == "ortho":
+            return complement(names[0])
+        if term == "meet":
+            return sub.meet_by_complements(*map(complement, names))
+        if term == "sasaki_hook":
+            return sub.sasaki_hook_by_complements(*map(complement, names))
+        v = self.s.subspaces
+        if term in ("image", "preimage"):
+            return getattr(self._values, term)(self.s.unitaries[names[0]].op, v[names[1]])
+        return getattr(self._values, term)(*(v[n] for n in names))
+
+    # partial methods, not partials of a bound method set on the instance:
+    # those made each interpretation a reference cycle, which kept the
+    # structure and its fragment index alive until the cycle collector ran
+    meet = partialmethod(_symbol, "meet")
+    ortho = partialmethod(_symbol, "ortho")
+    sasaki_and = partialmethod(_symbol, "sasaki_and")
+    sasaki_hook = partialmethod(_symbol, "sasaki_hook")
+    image = partialmethod(_symbol, "image")
+    preimage = partialmethod(_symbol, "preimage")
 
 
 def _check_axiom(axiom, s: FiniteStructure, interp: _OverStructure) -> CheckResult:
@@ -458,7 +574,7 @@ def filter_of(s: FiniteStructure, elem: str) -> Filter:
     member_set = set(members)
     for p in members:
         for q in val:
-            if q not in member_set and sub.leq(val[p], val[q]):
+            if q not in member_set and s.leq(p, q):
                 issues.append(f"not upward closed: {p} in filter, {p} <= {q}, {q} missing")
     for p in members:
         for q in members:
@@ -496,10 +612,6 @@ class KappaResult:
         }
 
 
-def _strictly_below(p: Subspace, q: Subspace) -> bool:
-    return sub.leq(p, q) and not sub.leq(q, p)
-
-
 def kappa_of(s: FiniteStructure, elem: str) -> KappaResult:
     if elem not in s.domain:
         raise ValueError(f"unknown element {elem!r}")
@@ -507,21 +619,22 @@ def kappa_of(s: FiniteStructure, elem: str) -> KappaResult:
     members = [p for p in val if s.related(elem, p)]
     value = sub.top(s.dim)
     for p in members:
-        value = sub.meet(value, val[p])
+        value = sub.meet_by_complements(sub.ortho(value), s._index.complement(p))
+    member_set = set(members)
     member_symbol = None
-    for p in members:
-        if sub.eq(val[p], value):
+    for p in s._index.candidates(value):
+        if p in member_set and sub.eq(val[p], value):
             member_symbol = p
             break
     conflict = None
     if member_symbol is None:
         minimal = [
             p for p in members
-            if not any(q != p and _strictly_below(val[q], val[p]) for q in members)
+            if not any(q != p and s.leq(q, p) and not s.leq(p, q) for q in members)
         ]
         for i, p in enumerate(minimal):
             for q in minimal[i + 1 :]:
-                if not sub.eq(val[p], val[q]):
+                if not (s.leq(p, q) and s.leq(q, p)):
                     conflict = (p, q)
                     break
             if conflict:
@@ -684,136 +797,8 @@ def check_characterization(s: FiniteStructure) -> CharacterizationReport:
     )
 
 
-def check_ray_coverage(s: FiniteStructure) -> dict[str, bool]:
-    """For each fragment symbol naming a ray: is it hit by the element map?"""
-    kappa = {m: kappa_of(s, m) for m in s.domain}
-    out = {}
-    for p, pv in s.subspaces.items():
-        if pv.rank != 1:
-            continue
-        out[p] = any(
-            not kappa[m].no_least and sub.eq(kappa[m].value, pv)
-            for m in s.domain
-        )
-    return out
-
-
-def check_two_ray_floor(s: FiniteStructure) -> tuple[int, list[str]]:
-    """Elements whose filter holds two distinct rays must also hold the zero space.
-
-    Returns (instances checked, violating elements).
-    """
-    val = s.subspaces
-    bot_sym = s.bot_symbol()
-    checked = 0
-    bad = []
-    for m in s.domain:
-        rays = [p for p in val if s.related(m, p) and val[p].rank == 1]
-        distinct = any(
-            not sub.eq(val[p], val[q])
-            for i, p in enumerate(rays)
-            for q in rays[i + 1 :]
-        )
-        if distinct:
-            checked += 1
-            if not s.related(m, bot_sym):
-                bad.append(m)
-    return checked, bad
-
-
-def check_incompatible_pairs(s: FiniteStructure) -> tuple[int, list[str]]:
-    """Incompatible filter members must both be non-minimal in the filter.
-
-    Meaningful from dimension 3 up.  Returns (instances checked,
-    violation notes).
-    """
-    val = s.subspaces
-    checked = 0
-    bad = []
-    for m in s.domain:
-        members = [p for p in val if s.related(m, p)]
-        for i, p in enumerate(members):
-            for q in members[i + 1 :]:
-                if sub.compatible(val[p], val[q]):
-                    continue
-                checked += 1
-                for r in (p, q):
-                    minimal = not any(
-                        x != r and _strictly_below(val[x], val[r]) for x in members
-                    )
-                    if minimal:
-                        bad.append(f"{m}: {r} is minimal despite incompatible partner")
-    return checked, bad
-
-
 # ---------------------------------------------------------------------------
 # Fragment construction helpers
-
-
-@dataclass(frozen=True)
-class SaturationResult:
-    values: tuple[Subspace, ...]
-    added: int
-    capped: bool
-
-
-def saturate(
-    values: Sequence[Subspace],
-    dim: int,
-    projector_values: Sequence[Subspace] | None = None,
-    unitaries: Sequence[UnitaryOp] = (),
-    include_hook: bool = False,
-    max_size: int = 64,
-) -> SaturationResult:
-    """Close a seed set under the operations the axiom checker consults.
-
-    Meets of all pairs; projections of everything onto the projector
-    values and their complements; unitary images; optionally the
-    adjoint-hook targets.  ``projector_values`` defaults to the whole
-    current set.  Stops at ``max_size`` and reports the truncation.
-    """
-    pool: list[Subspace] = []
-
-    def add(v: Subspace) -> bool:
-        if any(sub.eq(v, w) for w in pool):
-            return False
-        pool.append(v)
-        return True
-
-    add(sub.top(dim))
-    add(sub.bottom(dim))
-    for v in values:
-        if v.dim != dim:
-            raise ValueError("saturate: mixed dimensions")
-        add(v)
-    seeds = len(pool)
-
-    capped = False
-    grew = True
-    while grew and not capped:
-        grew = False
-        snapshot = list(pool)
-        partners = snapshot if projector_values is None else list(projector_values)
-        new: list[Subspace] = []
-        for i, p in enumerate(snapshot):
-            for q in snapshot[i + 1 :]:
-                new.append(sub.meet(p, q))
-        for q in partners:
-            new.append(sub.ortho(q))
-            for p in snapshot:
-                new.append(sub.sasaki_and(p, q))
-                if include_hook:
-                    new.append(sub.sasaki_hook(p, q))
-        for u in unitaries:
-            for p in snapshot:
-                new.append(sub.apply_unitary(u, p))
-        for v in new:
-            if len(pool) >= max_size:
-                capped = True
-                break
-            if add(v):
-                grew = True
-    return SaturationResult(tuple(pool), len(pool) - seeds, capped)
 
 
 def image_structure(
@@ -838,12 +823,13 @@ def image_structure(
     if len(set(syms)) != len(syms):
         raise ValueError("duplicate fragment symbol")
     vals = dict(fragment)
+    index = _FragmentIndex(vals, dim)
 
     def rep_of(value: Subspace, context: str) -> str:
-        for name in syms:
-            if sub.eq(vals[name], value):
-                return f"{name}_0"
-        raise sub.InternalInvariantError(f"fragment not closed under {context}")
+        name = index.symbol_of(value)
+        if name is None:
+            raise sub.InternalInvariantError(f"fragment not closed under {context}")
+        return f"{name}_0"
 
     domain = [f"{name}_{k}" for name in syms for k in range(copies)]
     elem_val = {f"{name}_{k}": vals[name] for name in syms for k in range(copies)}
@@ -958,9 +944,7 @@ def mixed_fragment(
             w = sub.sasaki_and(probe, vals[_mask_name(bits, dim)])
             fragment.append(("probe" + "".join(str(i + 1) for i in bits), w))
 
-    values = [v for _, v in fragment]
-    for i, a in enumerate(values):
-        for b in values[i + 1 :]:
-            if sub.eq(a, b):
-                raise sub.InternalInvariantError("probe ray degenerated into the frame")
+    index = _FragmentIndex(dict(fragment), dim)
+    if any(index.symbol_of(v) != name for name, v in fragment):
+        raise sub.InternalInvariantError("probe ray degenerated into the frame")
     return fragment, boolean_syms, {"ident": UnitaryOp(dim, np.eye(dim))}

@@ -39,13 +39,16 @@ __all__ = [
     "span_of",
     "ortho",
     "meet",
+    "meet_by_complements",
     "join",
     "leq",
     "eq",
     "sasaki_and",
     "sasaki_and_lattice",
     "sasaki_hook",
+    "sasaki_hook_by_complements",
     "compatible",
+    "compatible_by_complements",
     "projectors_commute",
     "apply_unitary",
     "principal_angles",
@@ -244,7 +247,17 @@ def join(p: Subspace, q: Subspace) -> Subspace:
 def meet(p: Subspace, q: Subspace) -> Subspace:
     """Lattice meet (intersection), computed by De Morgan from join."""
     _same_dim(p, q)
-    return ortho(join(ortho(p), ortho(q)))
+    return meet_by_complements(ortho(p), ortho(q))
+
+
+def meet_by_complements(p_c: Subspace, q_c: Subspace) -> Subspace:
+    """The meet of p and q from their complements p' and q': (p' v q')'.
+
+    The one De Morgan meet: :func:`meet`, :func:`sasaki_hook` and
+    :func:`compatible` meet through it, and so does a caller that holds
+    the complements already.
+    """
+    return ortho(join(p_c, q_c))
 
 
 def leq(p: Subspace, q: Subspace) -> bool:
@@ -286,7 +299,12 @@ def sasaki_hook(p: Subspace, q: Subspace) -> Subspace:
     """Sasaki hook (residuation) q' v (p ^ q): the largest x with
     sasaki_and(x, q) <= p."""
     _same_dim(p, q)
-    return join(ortho(q), meet(p, q))
+    return sasaki_hook_by_complements(ortho(p), ortho(q))
+
+
+def sasaki_hook_by_complements(p_c: Subspace, q_c: Subspace) -> Subspace:
+    """:func:`sasaki_hook` of p and q from their complements p' and q'."""
+    return join(q_c, meet_by_complements(p_c, q_c))
 
 
 def compatible(p: Subspace, q: Subspace) -> bool:
@@ -296,7 +314,14 @@ def compatible(p: Subspace, q: Subspace) -> bool:
     :func:`projectors_commute`.
     """
     _same_dim(p, q)
-    decomposed = join(meet(q, p), meet(ortho(q), p))
+    q_c = ortho(q)
+    return compatible_by_complements(p, ortho(p), q_c, ortho(q_c))
+
+
+def compatible_by_complements(p: Subspace, p_c: Subspace, q_c: Subspace, q_cc: Subspace) -> bool:
+    """:func:`compatible` of p and q from p's complement p', q's
+    complement q' and the complement q'' of q'."""
+    decomposed = join(meet_by_complements(q_c, p_c), meet_by_complements(q_cc, p_c))
     return eq(p, decomposed)
 
 

@@ -23,7 +23,6 @@ from pqm.subspace import (
     UnitaryOp,
     bottom,
     eq,
-    leq,
     ortho,
     principal_angles,
     span_of,

@@ -187,10 +187,10 @@ def test_out_of_range_dim_is_a_usage_error(tmp_path, capsys, dim):
 @pytest.mark.parametrize("command", ["check-axioms", "check-rules"])
 @pytest.mark.parametrize("dim", ["0", str(MAX_DIM + 1)])
 def test_out_of_range_dim_option_is_rejected(capsys, command, dim):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--dim", dim])
-    assert exc.value.code == 2
-    assert "argument --dim" in capsys.readouterr().err
+    code, _, err = run(capsys, command, "--dim", dim)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "argument --dim" in err
 
 
 def test_corrupt_structure_json_is_a_usage_error(tmp_path, capsys):
@@ -441,9 +441,36 @@ def test_oracle_collapse(capsys):
 
 
 def test_unknown_flag_is_rejected(capsys):
+    code, _, err = run(capsys, "decide", "--no-such-flag", "x.pqm")
+    assert code == 2
+    assert err == "error: pqm: unrecognized arguments: --no-such-flag\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["decide"],
+        ["nosuch"],
+        ["oracle"],
+        ["oracle", "ellipse", "0.5", "-inf", "0"],
+        ["oracle", "f-steps", "half"],
+        ["kappa", "x.json", "--emit", "xml"],
+    ],
+)
+def test_usage_error_is_one_diagnostic(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: pqm") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["decide", "-h"], ["oracle", "ellipse", "--help"]])
+def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["decide", "--no-such-flag", "x.pqm"])
-    assert exc.value.code == 2
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pqm")
 
 
 def test_installed_entry_point(samples_dir):

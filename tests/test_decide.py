@@ -13,7 +13,7 @@ from pqm.decide import (
 )
 from pqm.normalize import BAnd, BNot, BOr, BasicSentence, Leaf, combo_to_json, normalize
 from pqm.sampling import random_subspace
-from pqm.subspace import DimensionMismatchError, bottom, eq, leq, span_of, subspace_to_json, top
+from pqm.subspace import DimensionMismatchError, bottom, eq, span_of, subspace_to_json, top
 
 from _helpers import (
     basic_holds_pointwise,

@@ -9,9 +9,15 @@ Two mutators, each bounded in examples so the file runs in seconds:
 * each ``samples/*.pqm`` with one token replaced by a hostile piece,
   run through ``decide`` and ``circuit``.
 
+Structure JSON is also generated from scratch: small random domains,
+symbol sets (none, duplicate spaces, no full or zero space), tables with
+missing or extra rows and relations that name unknown symbols or
+elements.
+
 The ``oracle`` subcommands take numbers, so each of their arguments is
 drawn from a fixed hostile set or a valid value; every run must also
-finish promptly.
+finish promptly.  Passed without ``--``, a leading minus reaches the
+option parser, whose usage errors are one diagnostic too.
 """
 
 import contextlib
@@ -100,6 +106,77 @@ def test_structure_json_with_a_hostile_node(path, value):
             assert _exit_code([command, str(f)]) in (0, 1, 2)
 
 
+ELEMENTS = ["m0", "m1", "m2"]
+SYMBOLS = ["p", "q", "r"]
+
+
+@st.composite
+def _rarely(draw, value, fault):
+    """``value``, or one time in twelve ``fault``."""
+    return fault if draw(st.integers(0, 11)) == 0 else value
+
+
+@st.composite
+def _tables(draw, domain):
+    """A total table over ``domain``, sometimes with a row missing or extra."""
+    table = {m: draw(st.sampled_from(domain)) for m in domain}
+    if domain and draw(_rarely(False, True)):
+        del table[draw(st.sampled_from(domain))]
+    if draw(_rarely(False, True)):
+        table[draw(st.sampled_from(ELEMENTS + ["ghost"]))] = "ghost"
+    return table
+
+
+@st.composite
+def structure_json(draw):
+    dim = draw(st.integers(1, 3))
+    domain = draw(st.lists(st.sampled_from(ELEMENTS), max_size=3, unique=True))
+    if domain and draw(_rarely(False, True)):
+        domain.append(domain[0])
+    entry = st.lists(st.integers(-1, 1), min_size=2, max_size=2)
+    vector = st.lists(entry, min_size=dim, max_size=dim)
+    spaces = {}
+    if draw(_rarely(True, False)):
+        spaces["top"] = [[[float(i == j), 0.0] for i in range(dim)] for j in range(dim)]
+    if draw(_rarely(True, False)):
+        spaces["bot"] = []
+    for name in draw(st.lists(st.sampled_from(SYMBOLS), max_size=3, unique=True)):
+        spaces[name] = draw(st.lists(vector, max_size=dim + 1))
+    if spaces and draw(st.booleans()):  # the same space under a second name
+        spaces["dup"] = spaces[draw(st.sampled_from(sorted(spaces)))]
+    names = sorted(spaces) or ["top"]
+    element = st.sampled_from(domain or ["ghost"])
+    projectors = {
+        draw(_rarely(q, "nosuch")): draw(_tables(domain))
+        for q in draw(st.lists(st.sampled_from(names), max_size=3, unique=True))
+    }
+    unitaries = {}
+    for k in range(draw(st.integers(0, 2))):
+        perm = draw(st.permutations(range(dim)))
+        matrix = [[[float(perm[i] == j), 0.0] for j in range(dim)] for i in range(dim)]
+        matrix[0][0] = draw(_rarely(matrix[0][0], [2.0, 0.0]))  # not unitary
+        unitaries[f"u{k}"] = {"matrix": matrix, "table": draw(_tables(domain))}
+    pairs = draw(st.integers(0, 12)) if domain else 0
+    relation = [[draw(element), draw(st.sampled_from(names))] for _ in range(pairs)]
+    if draw(_rarely(False, True)):
+        relation.append(draw(st.sampled_from([["ghost", names[0]], [draw(element), "nosuch"]])))
+    return {
+        "dim": dim, "domain": domain, "subspaces": spaces, "projectors": projectors,
+        "unitaries": unitaries, "relation": relation,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure_json())
+@example({"dim": 1, "domain": [], "subspaces": {}, "projectors": {}, "unitaries": {}, "relation": []})
+def test_structure_json_from_scratch(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = pathlib.Path(tmp) / "structure.json"
+        f.write_text(json.dumps(data))
+        for command in ("model-check", "kappa"):
+            assert _exit_code([command, str(f)]) in (0, 1, 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(SENTENCE_FILES), st.data())
 def test_sentence_file_with_a_hostile_token(source, data):
@@ -133,3 +210,10 @@ def test_chain_oracle_with_a_hostile_start(oracle, a, emit):
 def test_ellipse_oracle_with_hostile_numbers(a, x, y, tol, emit):
     argv = ["oracle", "ellipse", "--emit", emit, f"--tol={tol}", "--", a, x, y]
     assert _exit_code(argv) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["f-steps", "ellipse", "collapse"]),
+       st.lists(st.sampled_from(HOSTILE_NUMBERS + HOSTILE_PIECES), max_size=4))
+def test_oracle_arguments_without_a_separator(oracle, args):
+    assert _exit_code(["oracle", oracle, *args]) in (0, 1, 2)

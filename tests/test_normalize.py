@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
-from pqm.lang import Atom, Exists, Forall, Formula, Iff, Not, Problem, Var, parse_problem
+from pqm.lang import Atom, Exists, Formula, Iff, Not, Problem, Var, parse_problem
 from pqm.normalize import (
     BAnd,
     BNot,

@@ -1,33 +1,44 @@
 """Finite structures: validation, filters, least members, modelhood."""
 
-import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import pqm.subspace
 from pqm.lang import MAX_DIM
 from pqm.structures import (
     FiniteStructure,
     StructureValidationError,
     boolean_fragment,
     check_characterization,
-    check_incompatible_pairs,
-    check_ray_coverage,
     check_strong_morphism,
     check_structure_axioms,
-    check_two_ray_floor,
     filter_of,
     image_structure,
     kappa_of,
     load_structure,
     mixed_fragment,
     parse_structure_json,
-    saturate,
     structure_to_json,
 )
-from pqm.subspace import InternalInvariantError, eq, leq, meet, sasaki_and, span_of, top
+from pqm.sampling import random_subspace
+from pqm.subspace import (
+    EQ_TOL,
+    InternalInvariantError,
+    bottom,
+    compatible,
+    eq,
+    leq,
+    meet,
+    ortho,
+    sasaki_and,
+    span_of,
+    top,
+)
 
 from _corpus import build_corpus, build_mutants
+from _routes import check_incompatible_pairs, check_ray_coverage, check_two_ray_floor, saturate
 
 E1 = np.array([1, 0, 0], dtype=complex)
 E2 = np.array([0, 1, 0], dtype=complex)
@@ -273,3 +284,97 @@ def test_checks_reading_a_lost_builtin_symbol_raise(missing):
 def test_fragment_builders_reject_dimension_below_two(maker):
     with pytest.raises(ValueError):
         maker(np.random.default_rng(0), dim=1)
+
+
+# ---------------------------------------------------------------------------
+# The fragment index against the routes it replaces
+
+
+def _scan_symbol_of(s, value):
+    """The lookup the fragment index replaces: an ``eq`` scan in declared order."""
+    for name, v in s.subspaces.items():
+        if eq(v, value):
+            return name
+    return None
+
+
+def _tilted(v, residual, rng):
+    """v with its first basis vector tilted off v by ``residual`` (for a
+    ray, exactly the containment residual either way, to first order)."""
+    if v.rank in (0, v.dim):
+        return v
+    direction = ortho(v).basis @ rng.standard_normal(v.dim - v.rank)
+    basis = v.basis.copy()
+    basis[:, 0] += residual * direction / np.linalg.norm(direction)
+    return span_of(basis.T, v.dim)
+
+
+def _lookup_structure(rng, dim):
+    """Random symbols with repeats, in shuffled declared order: one object
+    under two names, a re-spanned copy, and copies of a ray tilted by half
+    and by twice ``EQ_TOL``."""
+    ray = random_subspace(rng, dim, rank=1)
+    values = {"top": top(dim), "bot": bottom(dim), "ray": ray, "same": ray,
+              "respanned": span_of(ray.basis.T, dim),
+              "near": _tilted(ray, 0.5 * EQ_TOL, rng), "far": _tilted(ray, 2 * EQ_TOL, rng)}
+    for k in range(4):
+        values[f"s{k}"] = random_subspace(rng, dim)
+    names = list(values)
+    rng.shuffle(names)
+    return FiniteStructure(dim, (), {n: values[n] for n in names}, {}, {}, frozenset())
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_index_lookup_matches_the_scan(dim):
+    rng = np.random.default_rng([41, dim])
+    for _ in range(5):
+        s = _lookup_structure(rng, dim)
+        values = list(s.subspaces.values())
+        queries = values + [random_subspace(rng, dim) for _ in range(4)]
+        queries += [_tilted(v, scale * EQ_TOL, rng) for v in values for scale in (0.5, 2)]
+        queries += [meet(p, q) for p in values[:4] for q in values[:4]]
+        queries += [sasaki_and(p, q) for p in values[:4] for q in values[:4]]
+        for value in queries:
+            assert s.symbol_of(value) == _scan_symbol_of(s, value)
+        if dim > 1:  # first in declared order wins; the tilted copies straddle the threshold
+            ray = s.subspaces["ray"]
+            assert s.symbol_of(ray) == next(n for n in s.subspaces if n in ("ray", "same", "respanned", "near"))
+            assert eq(ray, s.subspaces["near"]) and not eq(ray, s.subspaces["far"])
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_index_compatible_matches_the_kernel(dim):
+    rng = np.random.default_rng([43, dim])
+    s = _lookup_structure(rng, dim)
+    for p, pv in s.subspaces.items():
+        for q, qv in s.subspaces.items():
+            assert s.compatible(p, q) == compatible(pv, qv)
+            assert s.leq(p, q) == leq(pv, qv)
+
+
+def test_index_keeps_a_probe_image_not_a_projector():
+    s = parse_structure_json(tiny_structure_json())
+    s.symbol_of(top(3))
+    ((_, images),) = [b for rank, b in s._index._buckets.items() if rank == 2]
+    assert images.shape == (2, 3 * 3)  # two planes, (dim, min(dim, 4)) probe images
+
+
+def test_characterization_work_is_pinned(monkeypatch):
+    """SVDs and containment tests of one characterization at dim 4; the
+    linear lookup scan, which rebuilt complements per use, made 2,227 SVDs
+    and 5,192 ``leq`` calls."""
+    fragment, proj_syms, unitaries = boolean_fragment(np.random.default_rng(4), dim=4)
+    s, _ = image_structure(fragment, 4, proj_syms, unitaries)
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pqm.subspace.np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(pqm.subspace, "leq", counted("leq", pqm.subspace.leq))
+    assert check_characterization(s).verdict == "model"
+    assert counts["svd"] <= 1442
+    assert counts["leq"] <= 2276
