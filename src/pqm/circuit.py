@@ -5,12 +5,12 @@ system state, which is just a subspace: the span of the input states
 still considered possible.  Running a circuit folds the steps left to
 right; a run is *impossible* when the final state is the zero space.
 
-``verifies`` decides a verification statement in the subspace model:
-s verifies p exactly when s is contained in p.  The projective reading,
-that every ray orthogonal to p annihilates s under projection, is
-sampled by ``SampledSemantics.verify`` in ``pqm.axioms``; the tests
-check that the two agree, and the rule suite exercises the circuits the
-projective reading mentions.
+In the subspace model s verifies p exactly when s is contained in p,
+which ``pqm.subspace.leq`` decides.  The projective reading, that every
+ray orthogonal to p annihilates s under projection, is sampled by
+``SampledSemantics.verify`` in ``pqm.axioms``; the tests check that the
+two agree, and the rule suite exercises the circuits the projective
+reading mentions.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "run_circuit",
     "run_circuit_trace",
     "is_impossible",
-    "verifies",
     "build_circuit",
     "check_rule_suite",
     "check_axioms_from_rules",
@@ -109,11 +108,6 @@ def run_circuit_trace(circuit: Circuit, state: SystemState) -> list[Subspace]:
 
 def is_impossible(circuit: Circuit, state: SystemState) -> bool:
     return run_circuit(circuit, state).rank == 0
-
-
-def verifies(state: SystemState, prop: Subspace) -> bool:
-    """Does the state verify the property subspace?  Decides containment."""
-    return sub.leq(state, prop)
 
 
 def build_circuit(cp: CircuitProblem) -> tuple[Circuit, Subspace]:

@@ -50,7 +50,7 @@ from .structures import (
     kappa_of,
     load_structure,
 )
-from .subspace import InternalInvariantError, Subspace, subspace_to_json
+from .subspace import InternalInvariantError, Subspace, _pairs_json, subspace_to_json
 
 __all__ = ["main"]
 
@@ -425,8 +425,8 @@ def _oracle_incompat(args) -> int:
                 "command": "oracle",
                 "oracle": "incompat",
                 "eigenvalue": d.eigenvalue,
-                "u": [[float(z.real), float(z.imag)] for z in d.u],
-                "v": [[float(z.real), float(z.imag)] for z in d.v],
+                "u": _pairs_json(d.u),
+                "v": _pairs_json(d.v),
                 "mediator": subspace_to_json(d.c),
             }
         )

@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .axioms import (
     CheckReport,
     ExactSemantics,
@@ -27,7 +25,6 @@ from .axioms import (
 )
 from .normalize import BAnd, BNot, BOr, BasicSentence, BoolCombo, Leaf
 from .subspace import (
-    EQ_TOL,
     InternalInvariantError,
     Subspace,
     bottom,
@@ -43,8 +40,6 @@ __all__ = [
     "Verdict",
     "decide_basic",
     "evaluate",
-    "VdCrossCheck",
-    "cross_check_vd",
     "check_axiom_suite",
     "verdict_to_json",
 ]
@@ -184,85 +179,6 @@ def verdict_to_json(v: Verdict) -> dict:
             for key, leaf in distinct.items()
         ],
     }
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo cross-check over rays
-
-
-@dataclass(frozen=True)
-class VdCrossCheck:
-    decider_truth: bool
-    sampler_found: bool
-    witness_ok: bool | None
-    samples: int
-
-    @property
-    def agreement(self) -> bool:
-        found_implies_true = (not self.sampler_found) or self.decider_truth
-        witness_fine = self.witness_ok is not False
-        return found_implies_true and witness_fine
-
-
-def _satisfies_mask(vectors: np.ndarray, basic: BasicSentence) -> np.ndarray:
-    """Pointwise satisfaction of the literal conjunction by unit columns."""
-    ok = np.ones(vectors.shape[1], dtype=bool)
-    for p in basic.positives:
-        if p.rank == 0:
-            resid = vectors
-        else:
-            resid = vectors - p.basis @ (p.basis.conj().T @ vectors)
-        ok &= np.linalg.norm(resid, axis=0) < EQ_TOL
-    for q in basic.negatives:
-        if q.rank == 0:
-            resid = vectors
-        else:
-            resid = vectors - q.basis @ (q.basis.conj().T @ vectors)
-        ok &= ~(np.linalg.norm(resid, axis=0) < EQ_TOL)
-    return ok
-
-
-def cross_check_vd(basic: BasicSentence, dim: int, samples: int = 10_000, seed: int = 0) -> VdCrossCheck:
-    """One-sided Monte-Carlo oracle over random rays (and the zero space).
-
-    A sampled satisfier forces the decider to say true, and a decider
-    witness must itself satisfy the literal conjunction.  The converse
-    direction (no satisfier sampled) proves nothing and is not asserted.
-    """
-    verdict = decide_basic(basic, dim, seed)
-    rng = np.random.default_rng(seed)
-
-    def draw(basis: np.ndarray | None, count: int) -> np.ndarray:
-        k = dim if basis is None else basis.shape[1]
-        coeffs = rng.standard_normal((k, count)) + 1j * rng.standard_normal((k, count))
-        raw = coeffs if basis is None else basis @ coeffs
-        return raw / np.linalg.norm(raw, axis=0, keepdims=True)
-
-    # uniform rays alone would almost never land inside a positive, so
-    # part of the budget proposes from the positives and their meet;
-    # every candidate still has to pass the pointwise literal check
-    streams = [None]
-    streams.extend(p.basis for p in basic.positives if p.rank > 0)
-    p_inf = verdict.leaves[0].meet_all
-    if p_inf.rank > 0 and p_inf.rank < dim:
-        streams.append(p_inf.basis)
-    share = max(1, samples // len(streams))
-    vecs = np.concatenate(
-        [draw(b, share) for b in streams] + [draw(None, max(0, samples - share * len(streams)))],
-        axis=1,
-    )[:, :samples]
-    found = bool(_satisfies_mask(vecs, basic).any())
-    # the zero space satisfies exactly when there are no negatives
-    if not basic.negatives:
-        found = True
-    witness_ok: bool | None = None
-    if verdict.truth and verdict.witness is not None:
-        w = verdict.witness
-        if w.rank == 0:
-            witness_ok = not basic.negatives
-        else:
-            witness_ok = bool(_satisfies_mask(w.basis, basic).all())
-    return VdCrossCheck(verdict.truth, found, witness_ok, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -199,15 +199,13 @@ def ellipse_witness(
 
 @dataclass(frozen=True)
 class IncompatDecomposition:
-    """Interior eigenpair data for an incompatible pair of subspaces.
+    """Interior eigenpair data for an incompatible pair p, q of subspaces.
 
     ``c`` is spanned by the eigenvector ``u`` (inside ``p``) and the
     normalized projection ``v`` of ``u`` onto ``q``; it is compatible
     with both inputs and meets them exactly in span(u) and span(v).
     """
 
-    p: Subspace
-    q: Subspace
     eigenvalue: float
     u: np.ndarray
     v: np.ndarray
@@ -215,11 +213,11 @@ class IncompatDecomposition:
 
     @property
     def u_span(self) -> Subspace:
-        return sub.span_of([self.u], self.p.dim)
+        return sub.span_of([self.u], self.c.dim)
 
     @property
     def v_span(self) -> Subspace:
-        return sub.span_of([self.v], self.p.dim)
+        return sub.span_of([self.v], self.c.dim)
 
 
 def incompat_decompose(p: Subspace, q: Subspace) -> IncompatDecomposition:
@@ -272,7 +270,7 @@ def incompat_decompose(p: Subspace, q: Subspace) -> IncompatDecomposition:
         raise InternalInvariantError("meet with the first input is not span(u)")
     if not sub.eq(sub.meet(q, c), v_span):
         raise InternalInvariantError("meet with the second input is not span(v)")
-    return IncompatDecomposition(p=p, q=q, eigenvalue=lam, u=u, v=v, c=c)
+    return IncompatDecomposition(eigenvalue=lam, u=u, v=v, c=c)
 
 
 # ---------------------------------------------------------------------------

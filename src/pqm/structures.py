@@ -58,7 +58,6 @@ __all__ = [
     "StructureValidationError",
     "FiniteStructure",
     "TableUnitary",
-    "Filter",
     "KappaResult",
     "MorphismReport",
     "CharacterizationReport",
@@ -66,7 +65,6 @@ __all__ = [
     "parse_structure_json",
     "structure_to_json",
     "check_structure_axioms",
-    "filter_of",
     "kappa_of",
     "check_strong_morphism",
     "check_characterization",
@@ -408,21 +406,17 @@ def load_structure(path) -> FiniteStructure:
     return parse_structure_json(data)
 
 
-def _vectors_json(s: Subspace) -> list:
-    return [[[float(z.real), float(z.imag)] for z in s.basis[:, k]] for k in range(s.rank)]
-
-
 def structure_to_json(s: FiniteStructure) -> dict:
     return {
         "dim": s.dim,
         "domain": list(s.domain),
-        "subspaces": {name: _vectors_json(v) for name, v in s.subspaces.items()},
+        "subspaces": {
+            name: sub.subspace_to_json(v)["basis"] for name, v in s.subspaces.items()
+        },
         "projectors": {name: dict(t) for name, t in s.projectors.items()},
         "unitaries": {
             name: {
-                "matrix": [
-                    [[float(z.real), float(z.imag)] for z in row] for row in tu.op.matrix
-                ],
+                "matrix": [sub._pairs_json(row) for row in tu.op.matrix],
                 "table": dict(tu.table),
             }
             for name, tu in s.unitaries.items()
@@ -551,37 +545,6 @@ def check_structure_axioms(s: FiniteStructure, figure: str = "base") -> CheckRep
 
 # ---------------------------------------------------------------------------
 # Filters and the least-member map
-
-
-@dataclass(frozen=True)
-class Filter:
-    """The fragment symbols an element is related to, with closure issues."""
-
-    element: str
-    members: tuple[str, ...]
-    issues: tuple[str, ...]
-
-
-def filter_of(s: FiniteStructure, elem: str) -> Filter:
-    if elem not in s.domain:
-        raise ValueError(f"unknown element {elem!r}")
-    val = s.subspaces
-    top_sym = s.top_symbol()
-    members = tuple(p for p in val if s.related(elem, p))
-    issues = []
-    if top_sym not in members:
-        issues.append(f"{top_sym} missing from the filter")
-    member_set = set(members)
-    for p in members:
-        for q in val:
-            if q not in member_set and s.leq(p, q):
-                issues.append(f"not upward closed: {p} in filter, {p} <= {q}, {q} missing")
-    for p in members:
-        for q in members:
-            target = s.symbol_of(sub.sasaki_and(val[p], val[q]))
-            if target is not None and target not in member_set:
-                issues.append(f"not projection closed: {p}&{q} = {target} missing")
-    return Filter(elem, members, tuple(issues))
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ deciding containment, and ``UNITARY_TOL`` bounds the deviation from
 unitarity of a matrix given to ``UnitaryOp``.
 
 Validation happens once, at the input boundary: ``Subspace(...)``,
-``UnitaryOp(...)``, :func:`span_of` and the JSON loaders check what they
-are given.  Kernel results (SVD and QR factors, ``np.eye``, ``np.zeros``,
-adjoints) are valid by construction and built unchecked by ``_trusted``.
+``UnitaryOp(...)`` and :func:`span_of` check what they are given.
+Kernel results (SVD and QR factors, ``np.eye``, ``np.zeros``, adjoints)
+are valid by construction and built unchecked by ``_trusted``.
 """
 
 from __future__ import annotations
@@ -44,19 +44,14 @@ __all__ = [
     "leq",
     "eq",
     "sasaki_and",
-    "sasaki_and_lattice",
     "sasaki_hook",
     "sasaki_hook_by_complements",
     "compatible",
     "compatible_by_complements",
-    "projectors_commute",
     "apply_unitary",
     "principal_angles",
     "ray_in_avoiding",
     "subspace_to_json",
-    "subspace_from_json",
-    "unitary_to_json",
-    "unitary_from_json",
     "unitary_deviation",
 ]
 
@@ -278,21 +273,12 @@ def eq(p: Subspace, q: Subspace) -> bool:
 
 def sasaki_and(p: Subspace, q: Subspace) -> Subspace:
     """Sasaki conjunction p & q, computed as the image of p under the
-    projector onto q.  Agrees with :func:`sasaki_and_lattice`."""
+    projector onto q.  It equals the lattice formula q ^ (q' v p), the
+    route the tests check it against."""
     _same_dim(p, q)
     if p.rank == 0 or q.rank == 0:
         return bottom(p.dim)
     return _span_from_matrix(q.projector() @ p.basis, p.dim)
-
-
-def sasaki_and_lattice(p: Subspace, q: Subspace) -> Subspace:
-    """Sasaki conjunction by its lattice formula q ^ (q' v p).
-
-    Independent route kept alongside :func:`sasaki_and`; the two are
-    cross-checked in the test suite and must agree at tolerance.
-    """
-    _same_dim(p, q)
-    return meet(q, join(ortho(q), p))
 
 
 def sasaki_hook(p: Subspace, q: Subspace) -> Subspace:
@@ -310,8 +296,8 @@ def sasaki_hook_by_complements(p_c: Subspace, q_c: Subspace) -> Subspace:
 def compatible(p: Subspace, q: Subspace) -> bool:
     """Lattice compatibility: p = (q ^ p) v (q' ^ p).
 
-    Coincides with commutation of the projectors, tested separately via
-    :func:`projectors_commute`.
+    Coincides with commutation of the projectors, the route the tests
+    check it against.
     """
     _same_dim(p, q)
     q_c = ortho(q)
@@ -323,13 +309,6 @@ def compatible_by_complements(p: Subspace, p_c: Subspace, q_c: Subspace, q_cc: S
     complement q' and the complement q'' of q'."""
     decomposed = join(meet_by_complements(q_c, p_c), meet_by_complements(q_cc, p_c))
     return eq(p, decomposed)
-
-
-def projectors_commute(p: Subspace, q: Subspace) -> bool:
-    """Commutator test for compatibility; independent of the lattice route."""
-    _same_dim(p, q)
-    pp, pq = p.projector(), q.projector()
-    return float(np.abs(pp @ pq - pq @ pp).max()) < EQ_TOL
 
 
 def apply_unitary(u: UnitaryOp, p: Subspace) -> Subspace:
@@ -414,32 +393,15 @@ def ray_in_avoiding(p: Subspace, avoid: Sequence[Subspace], seed: int = 0) -> Su
     raise InternalInvariantError("avoidance sweep exhausted; tolerance regime is inconsistent")
 
 
+def _pairs_json(v: Iterable[complex]) -> list:
+    """A complex vector in JSON form, one [re, im] pair per entry."""
+    return [[float(z.real), float(z.imag)] for z in v]
+
+
 def subspace_to_json(p: Subspace) -> dict:
     """JSON form: ambient dimension, rank, and basis vectors as [re, im] pairs."""
     return {
         "dim": p.dim,
         "rank": p.rank,
-        "basis": [[[float(z.real), float(z.imag)] for z in col] for col in p.basis.T],
+        "basis": [_pairs_json(col) for col in p.basis.T],
     }
-
-
-def subspace_from_json(obj: dict) -> Subspace:
-    dim = int(obj["dim"])
-    vectors = [[complex(re, im) for re, im in vec] for vec in obj["basis"]]
-    p = span_of(vectors, dim)
-    if "rank" in obj and p.rank != int(obj["rank"]):
-        raise ValueError(f"stored rank {obj['rank']} but basis spans rank {p.rank}")
-    return p
-
-
-def unitary_to_json(u: UnitaryOp) -> dict:
-    return {
-        "dim": u.dim,
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in u.matrix],
-    }
-
-
-def unitary_from_json(obj: dict) -> UnitaryOp:
-    dim = int(obj["dim"])
-    rows = [[complex(re, im) for re, im in row] for row in obj["matrix"]]
-    return UnitaryOp(dim, np.array(rows, dtype=np.complex128))

@@ -1,9 +1,17 @@
-"""Finite-structure routes that only the tests use.
+"""Independent routes that only the tests use.
 
-Ray coverage, the two-ray floor and the incompatible-pair diagnostics
-read a structure's filters and least members; ``saturate`` closes a seed
-set of subspaces under the operations the axiom checker consults.  The
-package's model check does not need them.
+The package keeps one route per operation.  These are the second routes
+the tests check it against:
+
+- the lattice formula of the Sasaki conjunction, against the projector
+  image that ``sasaki_and`` computes;
+- the projector commutator, against the lattice test ``compatible``;
+- a one-sided Monte-Carlo check over rays, against the decider;
+- filter closure, ray coverage, the two-ray floor and the
+  incompatible-pair diagnostics, which read a finite structure's
+  filters and least members, and ``saturate``, which closes a seed set
+  of subspaces under the operations the axiom checker consults.  The
+  package's model check needs none of them.
 """
 
 from __future__ import annotations
@@ -11,9 +19,148 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from pqm import subspace as sub
+from pqm.decide import decide_basic
+from pqm.normalize import BasicSentence
 from pqm.structures import FiniteStructure, kappa_of
-from pqm.subspace import Subspace, UnitaryOp
+from pqm.subspace import EQ_TOL, Subspace, UnitaryOp, _same_dim, join, meet, ortho
+
+
+# ---------------------------------------------------------------------------
+# Lattice routes
+
+
+def sasaki_and_lattice(p: Subspace, q: Subspace) -> Subspace:
+    """Sasaki conjunction by its lattice formula q ^ (q' v p).
+
+    Independent route kept alongside :func:`sasaki_and`; the two are
+    cross-checked in the test suite and must agree at tolerance.
+    """
+    _same_dim(p, q)
+    return meet(q, join(ortho(q), p))
+
+
+def projectors_commute(p: Subspace, q: Subspace) -> bool:
+    """Commutator test for compatibility; independent of the lattice route."""
+    _same_dim(p, q)
+    pp, pq = p.projector(), q.projector()
+    return float(np.abs(pp @ pq - pq @ pp).max()) < EQ_TOL
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo cross-check over rays
+
+
+@dataclass(frozen=True)
+class VdCrossCheck:
+    decider_truth: bool
+    sampler_found: bool
+    witness_ok: bool | None
+    samples: int
+
+    @property
+    def agreement(self) -> bool:
+        found_implies_true = (not self.sampler_found) or self.decider_truth
+        witness_fine = self.witness_ok is not False
+        return found_implies_true and witness_fine
+
+
+def _satisfies_mask(vectors: np.ndarray, basic: BasicSentence) -> np.ndarray:
+    """Pointwise satisfaction of the literal conjunction by unit columns."""
+    ok = np.ones(vectors.shape[1], dtype=bool)
+    for p in basic.positives:
+        if p.rank == 0:
+            resid = vectors
+        else:
+            resid = vectors - p.basis @ (p.basis.conj().T @ vectors)
+        ok &= np.linalg.norm(resid, axis=0) < EQ_TOL
+    for q in basic.negatives:
+        if q.rank == 0:
+            resid = vectors
+        else:
+            resid = vectors - q.basis @ (q.basis.conj().T @ vectors)
+        ok &= ~(np.linalg.norm(resid, axis=0) < EQ_TOL)
+    return ok
+
+
+def cross_check_vd(basic: BasicSentence, dim: int, samples: int = 10_000, seed: int = 0) -> VdCrossCheck:
+    """One-sided Monte-Carlo oracle over random rays (and the zero space).
+
+    A sampled satisfier forces the decider to say true, and a decider
+    witness must itself satisfy the literal conjunction.  The converse
+    direction (no satisfier sampled) proves nothing and is not asserted.
+    """
+    verdict = decide_basic(basic, dim, seed)
+    rng = np.random.default_rng(seed)
+
+    def draw(basis: np.ndarray | None, count: int) -> np.ndarray:
+        k = dim if basis is None else basis.shape[1]
+        coeffs = rng.standard_normal((k, count)) + 1j * rng.standard_normal((k, count))
+        raw = coeffs if basis is None else basis @ coeffs
+        return raw / np.linalg.norm(raw, axis=0, keepdims=True)
+
+    # uniform rays alone would almost never land inside a positive, so
+    # part of the budget proposes from the positives and their meet;
+    # every candidate still has to pass the pointwise literal check
+    streams = [None]
+    streams.extend(p.basis for p in basic.positives if p.rank > 0)
+    p_inf = verdict.leaves[0].meet_all
+    if p_inf.rank > 0 and p_inf.rank < dim:
+        streams.append(p_inf.basis)
+    share = max(1, samples // len(streams))
+    vecs = np.concatenate(
+        [draw(b, share) for b in streams] + [draw(None, max(0, samples - share * len(streams)))],
+        axis=1,
+    )[:, :samples]
+    found = bool(_satisfies_mask(vecs, basic).any())
+    # the zero space satisfies exactly when there are no negatives
+    if not basic.negatives:
+        found = True
+    witness_ok: bool | None = None
+    if verdict.truth and verdict.witness is not None:
+        w = verdict.witness
+        if w.rank == 0:
+            witness_ok = not basic.negatives
+        else:
+            witness_ok = bool(_satisfies_mask(w.basis, basic).all())
+    return VdCrossCheck(verdict.truth, found, witness_ok, samples)
+
+
+# ---------------------------------------------------------------------------
+# Finite structures
+
+
+@dataclass(frozen=True)
+class Filter:
+    """The fragment symbols an element is related to, with closure issues."""
+
+    element: str
+    members: tuple[str, ...]
+    issues: tuple[str, ...]
+
+
+def filter_of(s: FiniteStructure, elem: str) -> Filter:
+    if elem not in s.domain:
+        raise ValueError(f"unknown element {elem!r}")
+    val = s.subspaces
+    top_sym = s.top_symbol()
+    members = tuple(p for p in val if s.related(elem, p))
+    issues = []
+    if top_sym not in members:
+        issues.append(f"{top_sym} missing from the filter")
+    member_set = set(members)
+    for p in members:
+        for q in val:
+            if q not in member_set and s.leq(p, q):
+                issues.append(f"not upward closed: {p} in filter, {p} <= {q}, {q} missing")
+    for p in members:
+        for q in members:
+            target = s.symbol_of(sub.sasaki_and(val[p], val[q]))
+            if target is not None and target not in member_set:
+                issues.append(f"not projection closed: {p}&{q} = {target} missing")
+    return Filter(elem, members, tuple(issues))
 
 
 def _strictly_below(p: Subspace, q: Subspace) -> bool:

@@ -3,7 +3,7 @@
 Each test exercises one headline property of the package at full sample
 counts and prints a single PASS/FAIL line, so a bare ``pytest -v`` run
 doubles as the acceptance report.  Everything here goes through public
-entry points only.
+entry points, checked against the independent routes in ``_routes``.
 """
 
 import math
@@ -23,7 +23,7 @@ from pqm.circuit import (
     check_rule_suite,
     run_circuit_trace,
 )
-from pqm.decide import check_axiom_suite, cross_check_vd, decide_basic
+from pqm.decide import check_axiom_suite, decide_basic
 from pqm.lang import parse_circuit_file
 from pqm.oracles import (
     CompatibleInputError,
@@ -41,15 +41,14 @@ from pqm.subspace import (
     meet,
     ortho,
     principal_angles,
-    projectors_commute,
     sasaki_and,
-    sasaki_and_lattice,
     sasaki_hook,
     span_of,
 )
 
 from _corpus import build_corpus, build_mutants
 from _helpers import random_basic
+from _routes import cross_check_vd, projectors_commute, sasaki_and_lattice
 
 
 def _report(label, problems):

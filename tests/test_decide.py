@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from pqm.decide import (
     check_axiom_suite,
-    cross_check_vd,
     decide_basic,
     evaluate,
     verdict_to_json,
@@ -23,6 +22,7 @@ from _helpers import (
     random_problem,
     random_sentence,
 )
+from _routes import cross_check_vd
 
 seeds = st.integers(0, 2**32 - 1)
 

@@ -14,7 +14,6 @@ from pqm.structures import (
     check_characterization,
     check_strong_morphism,
     check_structure_axioms,
-    filter_of,
     image_structure,
     kappa_of,
     load_structure,
@@ -38,7 +37,9 @@ from pqm.subspace import (
 )
 
 from _corpus import build_corpus, build_mutants
-from _routes import check_incompatible_pairs, check_ray_coverage, check_two_ray_floor, saturate
+from _routes import (
+    check_incompatible_pairs, check_ray_coverage, check_two_ray_floor, filter_of, saturate,
+)
 
 E1 = np.array([1, 0, 0], dtype=complex)
 E2 = np.array([0, 1, 0], dtype=complex)
