@@ -131,29 +131,35 @@ def evaluate(combo: BoolCombo, dim: int, seed: int = 0) -> Verdict:
     the combination rests on a single true leaf: from the leaf itself or
     from the first true branch of a disjunction.
     """
-    decide_leaf = _LeafDecider(dim, seed)
     leaves: list[LeafVerdict] = []
-
-    def go(c: BoolCombo) -> tuple[bool, Subspace | None]:
-        if isinstance(c, Leaf):
-            v = decide_leaf(c.basic)
-            leaves.append(v)
-            return v.truth, v.witness
-        if isinstance(c, BNot):
-            t, _ = go(c.arg)
-            return not t, None
-        if isinstance(c, BAnd):
-            lt, _ = go(c.left)
-            rt, _ = go(c.right)
-            return lt and rt, None
-        if isinstance(c, BOr):
-            lt, lw = go(c.left)
-            rt, rw = go(c.right)
-            return lt or rt, lw if lt else (rw if rt else None)
-        raise ValueError(f"unknown combo node {c!r}")
-
-    truth, witness = go(combo)
+    truth, witness = _evaluate_node(combo, _LeafDecider(dim, seed), leaves)
     return Verdict(truth, witness, tuple(leaves))
+
+
+def _evaluate_node(
+    c: BoolCombo, decide_leaf: _LeafDecider, leaves: list[LeafVerdict]
+) -> tuple[bool, Subspace | None]:
+    """Truth and propagated witness of one node; appends each leaf
+    occurrence's verdict to ``leaves``.  A module function, not a closure
+    that calls itself: that would be a reference cycle, which would keep
+    the decider's tables and every verdict alive until the cycle
+    collector ran."""
+    if isinstance(c, Leaf):
+        v = decide_leaf(c.basic)
+        leaves.append(v)
+        return v.truth, v.witness
+    if isinstance(c, BNot):
+        t, _ = _evaluate_node(c.arg, decide_leaf, leaves)
+        return not t, None
+    if isinstance(c, BAnd):
+        lt, _ = _evaluate_node(c.left, decide_leaf, leaves)
+        rt, _ = _evaluate_node(c.right, decide_leaf, leaves)
+        return lt and rt, None
+    if isinstance(c, BOr):
+        lt, lw = _evaluate_node(c.left, decide_leaf, leaves)
+        rt, rw = _evaluate_node(c.right, decide_leaf, leaves)
+        return lt or rt, lw if lt else (rw if rt else None)
+    raise ValueError(f"unknown combo node {c!r}")
 
 
 def verdict_to_json(v: Verdict) -> dict:

@@ -562,48 +562,55 @@ def _build_definitions(raw: _RawFile) -> tuple[dict[str, Subspace], dict[str, Un
     return subspaces, unitaries
 
 
+# The sentence walkers are module functions, not closures that call
+# themselves: a recursive closure is a reference cycle, which would keep
+# every checked problem alive until the cycle collector ran.
+
+
+def _check_sym(sym: str, subspaces: dict, unitaries: dict) -> None:
+    if sym not in subspaces:
+        if sym in unitaries:
+            raise SemanticError(f"unitary symbol {sym!r} used as a subspace")
+        raise SemanticError(f"undefined subspace symbol {sym!r}")
+
+
+def _check_term(t: Term, bound: frozenset[str], subspaces: dict, unitaries: dict) -> None:
+    if isinstance(t, Var):
+        if t.name not in bound:
+            raise SemanticError(f"free variable {t.name!r} in sentence")
+        return
+    if isinstance(t, Proj):
+        _check_sym(t.sym, subspaces, unitaries)
+        _check_term(t.arg, bound, subspaces, unitaries)
+        return
+    if isinstance(t, Apply):
+        if t.sym not in unitaries:
+            if t.sym in subspaces:
+                raise SemanticError(f"subspace symbol {t.sym!r} used as a unitary")
+            raise SemanticError(f"undefined unitary symbol {t.sym!r}")
+        _check_term(t.arg, bound, subspaces, unitaries)
+        return
+    raise SemanticError(f"unknown term node {t!r}")
+
+
 def _check_sentence(
-    f: Formula, subspaces: dict[str, Subspace], unitaries: dict[str, UnitaryOp]
+    f: Formula,
+    subspaces: dict[str, Subspace],
+    unitaries: dict[str, UnitaryOp],
+    bound: frozenset[str] = frozenset(),
 ) -> None:
-    def check_sym(sym: str) -> None:
-        if sym not in subspaces:
-            if sym in unitaries:
-                raise SemanticError(f"unitary symbol {sym!r} used as a subspace")
-            raise SemanticError(f"undefined subspace symbol {sym!r}")
-
-    def walk_term(t: Term, bound: frozenset[str]) -> None:
-        if isinstance(t, Var):
-            if t.name not in bound:
-                raise SemanticError(f"free variable {t.name!r} in sentence")
-            return
-        if isinstance(t, Proj):
-            check_sym(t.sym)
-            walk_term(t.arg, bound)
-            return
-        if isinstance(t, Apply):
-            if t.sym not in unitaries:
-                if t.sym in subspaces:
-                    raise SemanticError(f"subspace symbol {t.sym!r} used as a unitary")
-                raise SemanticError(f"undefined unitary symbol {t.sym!r}")
-            walk_term(t.arg, bound)
-            return
-        raise SemanticError(f"unknown term node {t!r}")
-
-    def walk(f: Formula, bound: frozenset[str]) -> None:
-        if isinstance(f, Atom):
-            walk_term(f.term, bound)
-            check_sym(f.sym)
-        elif isinstance(f, Not):
-            walk(f.arg, bound)
-        elif isinstance(f, (And, Or, Implies, Iff)):
-            walk(f.left, bound)
-            walk(f.right, bound)
-        elif isinstance(f, (Exists, Forall)):
-            walk(f.body, bound | {f.var})
-        else:
-            raise SemanticError(f"unknown formula node {f!r}")
-
-    walk(f, frozenset())
+    if isinstance(f, Atom):
+        _check_term(f.term, bound, subspaces, unitaries)
+        _check_sym(f.sym, subspaces, unitaries)
+    elif isinstance(f, Not):
+        _check_sentence(f.arg, subspaces, unitaries, bound)
+    elif isinstance(f, (And, Or, Implies, Iff)):
+        _check_sentence(f.left, subspaces, unitaries, bound)
+        _check_sentence(f.right, subspaces, unitaries, bound)
+    elif isinstance(f, (Exists, Forall)):
+        _check_sentence(f.body, subspaces, unitaries, bound | {f.var})
+    else:
+        raise SemanticError(f"unknown formula node {f!r}")
 
 
 def parse_problem(text: str) -> Problem:

@@ -19,6 +19,14 @@ When every filter has a least member the induced map into the subspace
 lattice is checked against the three strong-morphism conditions; the
 axiom check and the morphism check must agree on saturated fragments.
 
+Both checks ask the same few questions of many symbols, symbol pairs or
+elements: containment, compatibility, and which symbol denotes a
+lattice term.  A structure's fragment index answers each kind of
+question once, for all of them, with the stacked rank cut and residual
+test of ``pqm.subspace``; the axiom check's instance loop only looks
+the answers up by name, and the morphism check tests all elements in
+one stacked computation per condition.
+
 File format (JSON, one object)::
 
     {
@@ -41,16 +49,16 @@ onto and must be total on the domain, as must unitary tables.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partialmethod
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import subspace as sub
-from .axioms import CheckReport, CheckResult, _OverSubspaces, select_axioms
+from .axioms import CheckReport, CheckResult, select_axioms
 from .lang import MAX_DIM
 from .subspace import Subspace, UnitaryOp
 
@@ -90,90 +98,180 @@ class TableUnitary:
     table: Mapping[str, str]
 
 
-# The fragment index's probe: up to four unit columns of modulus-1/sqrt(d)
-# entries at irrational phases, so no coordinate of a probe vanishes and
-# distinct subspaces of one rank move it apart.  A fixed formula, not a
-# random draw: `pqm model-check` does not otherwise import numpy.random,
-# which takes megabytes of memory and milliseconds of start-up.
-_PROBE_PHASES = np.sqrt([2.0, 3.0, 5.0, 7.0])
-
-
 class _FragmentIndex:
-    """What a structure check asks about fragment symbols, each piece of
-    work done once.
+    """Every question a structure check asks about fragment symbols,
+    answered for all symbols at once, each kind on first use.
 
-    A symbol lookup scans only the candidates that a vectorized prefilter
-    cannot rule out, then confirms them with ``sub.eq`` in declared order.
-    The prefilter is exact in the safe direction: ``sub.eq(v, w)`` forces
-    equal ranks (a basis vector of the larger space leaves a residual of
-    at least 1/sqrt(rank) off the smaller one) and, for rank k,
-    ``|P_v - P_w|_2 <= sqrt(k) * EQ_TOL``.  So a candidate is dropped only
-    when its rank differs or its projector moves some unit probe column
-    by more than ten times that bound in some entry; the margin covers
-    roundoff and bases that ``Subspace(...)`` accepts as orthonormal to
-    1e-7.  Each symbol keeps its rank and its image of a ``(dim, <= 4)``
-    probe, never a ``dim x dim`` projector.
+    The symbols are held as one zero-padded ``(S, dim, dim)`` stack of
+    bases in declared order (see ``pqm.subspace.stacked``).  Each kind of
+    question is one stacked computation over all its argument tuples,
+    split into chunks of bounded size:
 
-    Complements and double complements are computed on first use by the
-    same ``sub.ortho`` calls the kernel makes, and kept: the meets,
-    complements and Sasaki hooks over symbols, the compatibility of
-    symbol pairs and the meets of a filter reuse them.  Containment of
-    one symbol in another is decided by ``sub.leq`` once per pair.
+    * ``leq`` over all ordered symbol pairs;
+    * ``compatible`` over all ordered symbol pairs, by the lattice test
+      of ``sub.compatible``, together with the ``meet`` table, whose
+      meets that test decomposes a symbol into;
+    * each other lattice term the axioms name over all its argument
+      tuples: ``ortho`` over the symbols, ``sasaki_and`` and
+      ``sasaki_hook`` over the ordered symbol pairs, and ``image`` and
+      ``preimage`` over the declared unitaries and the symbols.
+
+    A term's values go through the stacked rank cut, then resolve, as a
+    stack, to symbols: each to the first symbol in declared order that
+    passes the residual test of ``sub.eq``.  Only symbols of the value's
+    rank are tested; no other can pass, since a basis vector of the
+    larger space leaves a residual of at least 1/sqrt(rank) off the
+    smaller one.  The containment of a symbol in a value is tested only
+    where the value lies in the symbol.  Each symbol's complement is the
+    ``sub.ortho`` of its value, computed once; the terms and the meet
+    fold of ``kappa_of`` read it.
     """
 
-    def __init__(self, subspaces: Mapping[str, Subspace], dim: int):
+    def __init__(self, subspaces: Mapping[str, Subspace], dim: int,
+                 unitaries: Mapping[str, UnitaryOp] | None = None):
+        self.dim = dim
+        self.names = tuple(subspaces)
         self._values = subspaces
-        phases = np.outer(np.arange(1, dim + 1), _PROBE_PHASES[:dim])
-        self._probe = np.exp(1j * phases) / math.sqrt(dim)
-        by_rank: dict[int, list[str]] = {}
-        for name, v in subspaces.items():
-            by_rank.setdefault(v.rank, []).append(name)
-        self._buckets = {
-            rank: (names, np.stack([self._image(subspaces[n]) for n in names]))
-            for rank, names in by_rank.items()
-        }  # rank -> (names in declared order, their flattened probe images)
+        self._unitaries = dict(unitaries or {})
+        self.ranks = np.array([v.rank for v in subspaces.values()], dtype=np.intp)
+        self.bases = sub.stacked([v.basis for v in subspaces.values()], dim)
+        self._buckets = {}  # rank -> (positions in declared order, (S_r, dim, rank) bases)
+        for rank in sorted({v.rank for v in subspaces.values()}):
+            positions = np.flatnonzero(self.ranks == rank)
+            self._buckets[rank] = (positions, self.bases[positions, :, :rank])
         self._complements: dict[str, Subspace] = {}
-        self._double_complements: dict[str, Subspace] = {}
-        self._below: dict[tuple[str, str], bool] = {}
+        self._terms: dict[str, dict[tuple[str, ...], str | None]] = {}
 
-    def _image(self, v: Subspace) -> np.ndarray:
-        return (v.basis @ (v.basis.conj().T @ self._probe)).ravel()
+    # -- symbol lookup
 
-    def candidates(self, value: Subspace) -> list[str]:
-        """The symbols, in declared order, that may denote ``value``."""
-        bucket = self._buckets.get(value.rank)
-        if bucket is None:
+    def _equal(self, rank: int, values: np.ndarray) -> np.ndarray:
+        """(n, S_r): which symbols of ``rank`` pass ``sub.eq`` against each
+        of the (n, dim, rank) values.  The containment of a symbol in a
+        value is tested only where the value lies in the symbol."""
+        _, bases = self._buckets[rank]
+        equal = sub.stacked_leq_table(values, bases)
+        i, j = np.nonzero(equal)
+        equal[i, j] = sub.stacked_leq(bases[j], values[i])
+        return equal
+
+    def resolve(self, bases: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """The position of the symbol of each value of a stack, or -1."""
+        out = np.full(len(ranks), -1, dtype=np.intp)
+        for rank, (positions, _) in self._buckets.items():
+            rows = np.flatnonzero(ranks == rank)
+            if rows.size:
+                equal = self._equal(rank, bases[rows, :, :rank])
+                hit = equal.any(axis=1)
+                out[rows[hit]] = positions[equal.argmax(axis=1)[hit]]
+        return out
+
+    def matches(self, value: Subspace) -> list[str]:
+        """Every symbol that passes ``sub.eq`` against ``value``, in declared order."""
+        if value.dim != self.dim:
+            raise sub.DimensionMismatchError(f"subspaces of dimension {value.dim} and {self.dim}")
+        if value.rank not in self._buckets:
             return []
-        names, images = bucket
-        moved = np.abs(images - self._image(value)).max(axis=1)
-        keep = np.flatnonzero(moved <= 10 * math.sqrt(value.rank) * sub.EQ_TOL)
-        return [names[k] for k in keep]
-
-    def symbol_of(self, value: Subspace) -> str | None:
-        for name in self.candidates(value):
-            if sub.eq(self._values[name], value):
-                return name
-        return None
+        positions, _ = self._buckets[value.rank]
+        equal = self._equal(value.rank, value.basis[None])[0]
+        return [self.names[k] for k in positions[equal]]
 
     def complement(self, name: str) -> Subspace:
         if name not in self._complements:
             self._complements[name] = sub.ortho(self._values[name])
         return self._complements[name]
 
-    def double_complement(self, name: str) -> Subspace:
-        if name not in self._double_complements:
-            self._double_complements[name] = sub.ortho(self.complement(name))
-        return self._double_complements[name]
+    # -- the tables
+
+    @cached_property
+    def _complement_stack(self) -> np.ndarray:
+        return sub.stacked([self.complement(n).basis for n in self.names], self.dim)
+
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """The (S, dim, dim) projectors onto the symbols."""
+        return self.bases @ self.bases.conj().swapaxes(-1, -2)
+
+    def _by_pair(self, table: np.ndarray) -> dict[tuple[str, str], bool]:
+        """An (S, S) table keyed by the pairs of symbol names."""
+        return dict(zip(product(self.names, repeat=2), table.ravel().tolist()))
+
+    @cached_property
+    def _below(self) -> dict[tuple[str, str], bool]:
+        return self._by_pair(sub.stacked_leq_table(self.bases, self.bases))
+
+    @cached_property
+    def _meets_and_compatibility(self) -> tuple[np.ndarray, np.ndarray]:
+        """Over the ordered symbol pairs (p, q), row-major: the symbol
+        position of the meet q ^ p = (q' v p')', and whether
+        p = (q ^ p) v (q' ^ p), the test of ``sub.compatible``, where
+        q' ^ p = (q v p')'.  The meets are returned transposed, so that
+        entry (p, q) holds p ^ q."""
+        size, dim = len(self.names), self.dim
+        b, c = self.bases, self._complement_stack
+        meets = np.empty(size * size, dtype=np.intp)
+        compatible = np.empty(size * size, dtype=bool)
+        for chunk in sub.stack_chunks(size * size, 2 * dim * dim):
+            p, q = np.divmod(np.arange(size * size)[chunk], size)
+            inside_q, ranks = sub.stacked_complement(np.concatenate([c[q], c[p]], axis=-1))
+            outside_q, _ = sub.stacked_complement(np.concatenate([b[q], c[p]], axis=-1))
+            parts, _ = sub.stacked_span(np.concatenate([inside_q, outside_q], axis=-1))
+            meets[chunk] = self.resolve(inside_q, ranks)
+            compatible[chunk] = sub.stacked_leq(b[p], parts) & sub.stacked_leq(parts, b[p])
+        return meets.reshape(size, size).T.ravel(), compatible.reshape(size, size)
+
+    @cached_property
+    def _compatible(self) -> dict[tuple[str, str], bool]:
+        return self._by_pair(self._meets_and_compatibility[1])
 
     def leq(self, p: str, q: str) -> bool:
-        if (p, q) not in self._below:
-            self._below[p, q] = sub.leq(self._values[p], self._values[q])
         return self._below[p, q]
 
     def compatible(self, p: str, q: str) -> bool:
-        return sub.compatible_by_complements(
-            self._values[p], self.complement(p), self.complement(q), self.double_complement(q)
-        )
+        return self._compatible[p, q]
+
+    def _term_values(self, term: str, first: np.ndarray, second: np.ndarray):
+        """The values of a term other than the meet at the argument
+        positions ``first`` (and ``second``), as a stack and its ranks."""
+        b, c = self.bases, self._complement_stack
+        if term == "ortho":
+            return c[first], self.dim - self.ranks[first]
+        if term == "sasaki_and":  # the span of P_q p
+            return sub.stacked_span(self.projectors[second] @ b[first])
+        if term == "sasaki_hook":  # q' v (p ^ q), with p ^ q = (p' v q')'
+            meets, _ = sub.stacked_complement(np.concatenate([c[first], c[second]], axis=-1))
+            return sub.stacked_span(np.concatenate([c[second], meets], axis=-1))
+        ops = np.stack([u.matrix for u in self._unitaries.values()])
+        if term == "preimage":
+            ops = ops.conj().swapaxes(-1, -2)
+        values, ranks = sub.stacked_span(ops[first] @ b[second])
+        if np.any(ranks != self.ranks[second]):
+            raise sub.InternalInvariantError("unitary image changed rank")
+        return values, ranks
+
+    def term(self, term: str) -> dict[tuple[str, ...], str | None]:
+        """The symbol of a lattice term at every argument tuple, None where
+        no symbol denotes its value."""
+        if term not in self._terms:
+            if term == "ortho":
+                domains = [self.names]
+            elif term in ("image", "preimage"):
+                domains = [tuple(self._unitaries), self.names]
+            else:
+                domains = [self.names, self.names]
+            args = list(product(*domains))
+            if term == "meet":
+                found = self._meets_and_compatibility[0]
+            else:
+                positions = np.unravel_index(np.arange(len(args)), [len(d) for d in domains])
+                first, second = positions[0], positions[-1]
+                found = np.empty(len(args), dtype=np.intp)
+                for chunk in sub.stack_chunks(len(args), 2 * self.dim * self.dim):
+                    values = self._term_values(term, first[chunk], second[chunk])
+                    found[chunk] = self.resolve(*values)
+            self._terms[term] = {
+                a: self.names[k] if k >= 0 else None for a, k in zip(args, found.tolist())
+            }
+        return self._terms[term]
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +280,11 @@ class FiniteStructure:
     projector and unitary tables, and the verification relation.
 
     Questions about symbols go through a fragment index, built once, on
-    first use, from ``subspaces`` (which must not change afterwards).
-    A lookup still answers with the first symbol in declared order that
-    ``sub.eq`` confirms; the index only skips symbols that cannot be
-    equal, and keeps each symbol's complement once computed.
+    first use, from ``subspaces`` and the unitaries' matrices (which must
+    not change afterwards).  It answers each kind of question for every
+    symbol at once, with stacked numpy calls; a lookup still answers with
+    the first symbol in declared order that passes the residual test of
+    ``sub.eq``.
     """
 
     dim: int
@@ -197,14 +296,16 @@ class FiniteStructure:
 
     @cached_property
     def _index(self) -> _FragmentIndex:
-        return _FragmentIndex(self.subspaces, self.dim)
+        ops = {name: tu.op for name, tu in self.unitaries.items()}
+        return _FragmentIndex(self.subspaces, self.dim, ops)
 
     def related(self, elem: str, symbol: str) -> bool:
         return (elem, symbol) in self.relation
 
     def symbol_of(self, value: Subspace) -> str | None:
         """First fragment symbol denoting ``value``, or None."""
-        return self._index.symbol_of(value)
+        found = self._index.matches(value)
+        return found[0] if found else None
 
     def leq(self, p: str, q: str) -> bool:
         """Whether the symbol p denotes a subspace of what q denotes."""
@@ -439,51 +540,34 @@ class _Unresolved(Exception):
 class _OverStructure:
     """The axioms read over a finite structure, where elements, symbols,
     projectors and unitaries are names.  A lattice term over symbols
-    resolves to the first fragment symbol denoting its value, or to None,
-    once per check call; verifying against None skips the instance.  The
-    full-space and zero-space symbols resolve on construction.  Meets,
-    complements and Sasaki hooks take the symbols' complements from the
-    fragment index."""
+    resolves through the fragment index's table of that term, to the
+    first fragment symbol denoting its value or to None; verifying
+    against None skips the instance.  The full-space and zero-space
+    symbols resolve on construction."""
 
     def __init__(self, s: FiniteStructure):
         self.s = s
         self.top, self.bottom = s.top_symbol(), s.bot_symbol()
-        self._values = _OverSubspaces(None, s.dim)
-        self._symbols: dict[tuple, str | None] = {}
+        self._relation, self._projectors, self._terms = s.relation, s.projectors, s._index.term
 
     def verify(self, x: str, p: str | None) -> bool:
         if p is None:
             raise _Unresolved
-        return (x, p) in self.s.relation
+        return (x, p) in self._relation
 
     def project(self, x: str, q: str) -> str:
-        return self.s.projectors[q][x]
+        return self._projectors[q][x]
 
     def transform(self, u: str, x: str) -> str:
         return self.s.unitaries[u].table[x]
 
     def _symbol(self, term: str, *names: str) -> str | None:
-        key = (term, *names)
-        if key not in self._symbols:
-            self._symbols[key] = self.s.symbol_of(self._value(term, *names))
-        return self._symbols[key]
-
-    def _value(self, term: str, *names: str) -> Subspace:
-        complement = self.s._index.complement
-        if term == "ortho":
-            return complement(names[0])
-        if term == "meet":
-            return sub.meet_by_complements(*map(complement, names))
-        if term == "sasaki_hook":
-            return sub.sasaki_hook_by_complements(*map(complement, names))
-        v = self.s.subspaces
-        if term in ("image", "preimage"):
-            return getattr(self._values, term)(self.s.unitaries[names[0]].op, v[names[1]])
-        return getattr(self._values, term)(*(v[n] for n in names))
+        return self._terms(term)[names]
 
     # partial methods, not partials of a bound method set on the instance:
-    # those made each interpretation a reference cycle, which kept the
-    # structure and its fragment index alive until the cycle collector ran
+    # those would make each interpretation a reference cycle, which would
+    # keep the structure and its fragment index alive until the cycle
+    # collector ran
     meet = partialmethod(_symbol, "meet")
     ortho = partialmethod(_symbol, "ortho")
     sasaki_and = partialmethod(_symbol, "sasaki_and")
@@ -578,17 +662,12 @@ class KappaResult:
 def kappa_of(s: FiniteStructure, elem: str) -> KappaResult:
     if elem not in s.domain:
         raise ValueError(f"unknown element {elem!r}")
-    val = s.subspaces
-    members = [p for p in val if s.related(elem, p)]
+    members = [p for p in s.subspaces if s.related(elem, p)]
     value = sub.top(s.dim)
     for p in members:
         value = sub.meet_by_complements(sub.ortho(value), s._index.complement(p))
     member_set = set(members)
-    member_symbol = None
-    for p in s._index.candidates(value):
-        if p in member_set and sub.eq(val[p], value):
-            member_symbol = p
-            break
+    member_symbol = next((p for p in s._index.matches(value) if p in member_set), None)
     conflict = None
     if member_symbol is None:
         minimal = [
@@ -649,6 +728,42 @@ class MorphismReport:
         }
 
 
+def _table_mismatches(
+    s: FiniteStructure,
+    tables: Mapping[str, Mapping[str, str]],
+    operators: Mapping[str, np.ndarray],
+    values: np.ndarray,
+    ranks: np.ndarray,
+    row: Mapping[str, int],
+    keeps_rank: bool,
+) -> tuple[list[tuple[str, str, str]], int]:
+    """The sites (table, element, target) where the span of the table's
+    operator applied to the element's mapped value fails ``sub.eq``
+    against the target's mapped value, in table and domain order, and the
+    number of sites not evaluated because an element has no mapped value:
+    no ``row`` in the stack ``values`` of mapped values, whose ranks are
+    ``ranks``.  One stacked rank cut and residual test over all sites;
+    ``keeps_rank`` marks unitary operators."""
+    sites = []
+    skipped = 0
+    for name, table in tables.items():
+        for m in s.domain:
+            if m in row and table[m] in row:
+                sites.append((name, m, table[m]))
+            else:
+                skipped += 1
+    ok = np.empty(len(sites), dtype=bool)
+    for chunk in sub.stack_chunks(len(sites), s.dim * s.dim):
+        names, elems, targets = zip(*sites[chunk])
+        sources = [row[m] for m in elems]
+        images, image_ranks = sub.stacked_span(np.stack([operators[n] for n in names]) @ values[sources])
+        if keeps_rank and np.any(image_ranks != ranks[sources]):
+            raise sub.InternalInvariantError("unitary image changed rank")
+        expected = values[[row[t] for t in targets]]
+        ok[chunk] = sub.stacked_leq(images, expected) & sub.stacked_leq(expected, images)
+    return [site for site, good in zip(sites, ok) if not good], skipped
+
+
 def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
     """Check the least-member map against the three morphism conditions.
 
@@ -658,56 +773,52 @@ def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
     Elements without a least member make the check fail; instances
     touching them are counted in ``not_evaluated``.  The map must also
     send some element to a nonzero subspace.
+
+    Each condition is one stacked computation over all elements with a
+    mapped value: the containment of each in every symbol, and the
+    projections and unitary images of each, compared with the mapped
+    value of the table target.
     """
     kappa = {m: kappa_of(s, m) for m in s.domain}
     no_least = tuple(m for m in s.domain if kappa[m].no_least)
-    usable = {m for m in s.domain if not kappa[m].no_least}
+    usable = [m for m in s.domain if not kappa[m].no_least]
+    row = {m: k for k, m in enumerate(usable)}
+    index = s._index
+    values = sub.stacked([kappa[m].value.basis for m in usable], s.dim)
+    ranks = np.array([kappa[m].value.rank for m in usable], dtype=np.intp)
 
-    rel_bad: list[str] = []
-    proj_bad: list[str] = []
-    uni_bad: list[str] = []
-    not_evaluated = 0
+    holds = sub.stacked_leq_table(values, index.bases)
+    related = np.array([[s.related(m, p) for p in index.names] for m in usable], dtype=bool)
+    rel_bad = []
+    for k, j in zip(*np.nonzero(holds != related.reshape(holds.shape))):
+        direction = "related without containment" if related[k, j] else "containment without relation"
+        rel_bad.append(f"({usable[k]}, {index.names[j]}): {direction}")
 
-    for m in s.domain:
-        if m not in usable:
-            not_evaluated += len(s.subspaces)
-            continue
-        km = kappa[m].value
-        for p, pv in s.subspaces.items():
-            holds = sub.leq(km, pv)
-            if s.related(m, p) != holds:
-                direction = "related without containment" if s.related(m, p) else "containment without relation"
-                rel_bad.append(f"({m}, {p}): {direction}")
-
-    for q, table in s.projectors.items():
-        for m in s.domain:
-            target = table[m]
-            if m not in usable or target not in usable:
-                not_evaluated += 1
-                continue
-            expected = sub.sasaki_and(kappa[m].value, s.subspaces[q])
-            if not sub.eq(kappa[target].value, expected):
-                proj_bad.append(f"projector {q} at {m}: table target {target} has the wrong value")
-
-    for uname, tu in s.unitaries.items():
-        for m in s.domain:
-            target = tu.table[m]
-            if m not in usable or target not in usable:
-                not_evaluated += 1
-                continue
-            expected = sub.apply_unitary(tu.op, kappa[m].value)
-            if not sub.eq(kappa[target].value, expected):
-                uni_bad.append(f"unitary {uname} at {m}: table target {target} has the wrong value")
-
-    nontrivial = any(kappa[m].value.rank > 0 for m in usable)
+    position = {p: k for k, p in enumerate(index.names)}
+    projectors = {q: index.projectors[position[q]] for q in s.projectors}
+    proj_sites, proj_skipped = _table_mismatches(
+        s, s.projectors, projectors, values, ranks, row, False
+    )
+    uni_sites, uni_skipped = _table_mismatches(
+        s,
+        {u: tu.table for u, tu in s.unitaries.items()},
+        {u: tu.op.matrix for u, tu in s.unitaries.items()},
+        values, ranks, row, True,
+    )
     return MorphismReport(
         kappa=kappa,
         no_least=no_least,
         relation_violations=tuple(rel_bad),
-        projector_violations=tuple(proj_bad),
-        unitary_violations=tuple(uni_bad),
-        not_evaluated=not_evaluated,
-        nontrivial=nontrivial,
+        projector_violations=tuple(
+            f"projector {q} at {m}: table target {target} has the wrong value"
+            for q, m, target in proj_sites
+        ),
+        unitary_violations=tuple(
+            f"unitary {u} at {m}: table target {target} has the wrong value"
+            for u, m, target in uni_sites
+        ),
+        not_evaluated=len(no_least) * len(s.subspaces) + proj_skipped + uni_skipped,
+        nontrivial=any(kappa[m].value.rank > 0 for m in usable),
     )
 
 
@@ -786,30 +897,29 @@ def image_structure(
     if len(set(syms)) != len(syms):
         raise ValueError("duplicate fragment symbol")
     vals = dict(fragment)
-    index = _FragmentIndex(vals, dim)
+    index = _FragmentIndex(vals, dim, unitaries)
 
-    def rep_of(value: Subspace, context: str) -> str:
-        name = index.symbol_of(value)
-        if name is None:
+    def rep_of(symbol: str | None, context: str) -> str:
+        if symbol is None:
             raise sub.InternalInvariantError(f"fragment not closed under {context}")
-        return f"{name}_0"
+        return f"{symbol}_0"
 
     domain = [f"{name}_{k}" for name in syms for k in range(copies)]
     elem_val = {f"{name}_{k}": vals[name] for name in syms for k in range(copies)}
+    symbol = {f"{name}_{k}": name for name in syms for k in range(copies)}
 
+    projected, moved = index.term("sasaki_and"), index.term("image")
     projectors = {
-        q: {m: rep_of(sub.sasaki_and(elem_val[m], vals[q]), f"projection onto {q}") for m in domain}
+        q: {m: rep_of(projected[symbol[m], q], f"projection onto {q}") for m in domain}
         for q in projector_syms
     }
     unitary_tables = {
         uname: TableUnitary(
-            op, {m: rep_of(sub.apply_unitary(op, elem_val[m]), f"image under {uname}") for m in domain}
+            op, {m: rep_of(moved[uname, symbol[m]], f"image under {uname}") for m in domain}
         )
         for uname, op in unitaries.items()
     }
-    relation = frozenset(
-        (m, p) for m in domain for p in syms if sub.leq(elem_val[m], vals[p])
-    )
+    relation = frozenset((m, p) for m in domain for p in syms if index.leq(symbol[m], p))
     structure = FiniteStructure(
         dim=dim,
         domain=tuple(domain),
@@ -908,6 +1018,6 @@ def mixed_fragment(
             fragment.append(("probe" + "".join(str(i + 1) for i in bits), w))
 
     index = _FragmentIndex(dict(fragment), dim)
-    if any(index.symbol_of(v) != name for name, v in fragment):
+    if np.any(index.resolve(index.bases, index.ranks) != np.arange(len(fragment))):
         raise sub.InternalInvariantError("probe ray degenerated into the frame")
     return fragment, boolean_syms, {"ident": UnitaryOp(dim, np.eye(dim))}

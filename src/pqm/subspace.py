@@ -17,12 +17,17 @@ Validation happens once, at the input boundary: ``Subspace(...)``,
 ``UnitaryOp(...)`` and :func:`span_of` check what they are given.
 Kernel results (SVD and QR factors, ``np.eye``, ``np.zeros``, adjoints)
 are valid by construction and built unchecked by ``_trusted``.
+
+The stacked forms (:func:`stacked_span`, :func:`stacked_complement`,
+:func:`stacked_leq`, :func:`stacked_leq_table`) take the same rank cut
+and the same residual test over a whole stack of zero-padded bases in a
+few numpy calls, for callers that ask one question of many subspaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,14 +50,18 @@ __all__ = [
     "eq",
     "sasaki_and",
     "sasaki_hook",
-    "sasaki_hook_by_complements",
     "compatible",
-    "compatible_by_complements",
     "apply_unitary",
     "principal_angles",
     "ray_in_avoiding",
     "subspace_to_json",
     "unitary_deviation",
+    "stack_chunks",
+    "stacked",
+    "stacked_span",
+    "stacked_complement",
+    "stacked_leq",
+    "stacked_leq_table",
 ]
 
 # The thresholds of every numerical decision.  A quantity within a factor
@@ -250,7 +259,8 @@ def meet_by_complements(p_c: Subspace, q_c: Subspace) -> Subspace:
 
     The one De Morgan meet: :func:`meet`, :func:`sasaki_hook` and
     :func:`compatible` meet through it, and so does a caller that holds
-    the complements already.
+    the complements already (the least-member fold of
+    ``pqm.structures.kappa_of``).
     """
     return ortho(join(p_c, q_c))
 
@@ -285,12 +295,8 @@ def sasaki_hook(p: Subspace, q: Subspace) -> Subspace:
     """Sasaki hook (residuation) q' v (p ^ q): the largest x with
     sasaki_and(x, q) <= p."""
     _same_dim(p, q)
-    return sasaki_hook_by_complements(ortho(p), ortho(q))
-
-
-def sasaki_hook_by_complements(p_c: Subspace, q_c: Subspace) -> Subspace:
-    """:func:`sasaki_hook` of p and q from their complements p' and q'."""
-    return join(q_c, meet_by_complements(p_c, q_c))
+    q_c = ortho(q)
+    return join(q_c, meet_by_complements(ortho(p), q_c))
 
 
 def compatible(p: Subspace, q: Subspace) -> bool:
@@ -300,14 +306,8 @@ def compatible(p: Subspace, q: Subspace) -> bool:
     check it against.
     """
     _same_dim(p, q)
-    q_c = ortho(q)
-    return compatible_by_complements(p, ortho(p), q_c, ortho(q_c))
-
-
-def compatible_by_complements(p: Subspace, p_c: Subspace, q_c: Subspace, q_cc: Subspace) -> bool:
-    """:func:`compatible` of p and q from p's complement p', q's
-    complement q' and the complement q'' of q'."""
-    decomposed = join(meet_by_complements(q_c, p_c), meet_by_complements(q_cc, p_c))
+    p_c, q_c = ortho(p), ortho(q)
+    decomposed = join(meet_by_complements(q_c, p_c), meet_by_complements(ortho(q_c), p_c))
     return eq(p, decomposed)
 
 
@@ -320,6 +320,106 @@ def apply_unitary(u: UnitaryOp, p: Subspace) -> Subspace:
     out = _span_from_matrix(u.matrix @ p.basis, p.dim)
     if out.rank != p.rank:
         raise InternalInvariantError("unitary image changed rank")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Stacked forms of the rank cut and the residual test
+#
+# A stack holds n subspaces of C^dim as one (n, dim, k) array: each
+# orthonormal basis sits in the leading columns and zero columns pad it
+# to the common width k.  Zero columns change neither a span nor a
+# residual, so a stacked call decides exactly what the per-pair call
+# decides, at the same thresholds, for every matrix of the stack.
+
+# The most complex entries one stacked numpy call takes in: the input
+# stack of an SVD, the residual array of a containment test.  Longer
+# stacks are split into chunks, so memory stays bounded whatever the
+# length of the stack.
+_STACK_ENTRIES = 1 << 13
+
+
+def stack_chunks(n: int, entries_per_item: int) -> Iterator[slice]:
+    """Slices of ``range(n)`` holding at most ``_STACK_ENTRIES`` entries
+    each, at ``entries_per_item`` entries per item (at least one item)."""
+    step = max(1, _STACK_ENTRIES // max(1, entries_per_item))
+    return (slice(k, k + step) for k in range(0, n, step))
+
+
+def stacked(bases: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """The (n, dim, dim) stack of the given (dim, rank) bases, zero-padded."""
+    out = np.zeros((len(bases), dim, dim), dtype=np.complex128)
+    for k, b in enumerate(bases):
+        out[k, :, : b.shape[1]] = b
+    return out
+
+
+def _stacked_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors (n, dim, dim) of a stack of (dim, m) matrices,
+    m >= dim, and the rank of each under the cut of a single span."""
+    n, dim, m = a.shape
+    if m < dim:
+        raise ValueError(f"stacked spans need at least {dim} columns, got {m}")
+    u = np.empty((n, dim, dim), dtype=np.complex128)
+    rank = np.empty(n, dtype=np.intp)
+    for chunk in stack_chunks(n, dim * m):
+        u[chunk], s, _ = np.linalg.svd(a[chunk], full_matrices=False)
+        cut = RANK_TOL * np.maximum(1.0, s[:, 0])
+        rank[chunk] = np.count_nonzero(s > cut[:, None], axis=1)
+    return u, rank
+
+
+def _leading(u: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """u with every column from ``rank`` on set to zero, per matrix."""
+    return u * (np.arange(u.shape[-1]) < rank[:, None])[:, None, :]
+
+
+def stacked_span(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The span of each (dim, m) matrix of a stack, m >= dim, as a
+    (n, dim, dim) stack and the ranks: one SVD per matrix and the
+    ``RANK_TOL * max(1, s[0])`` cut of :func:`span_of`."""
+    u, rank = _stacked_svd(a)
+    return _leading(u, rank), rank
+
+
+def stacked_complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orthogonal complement of each span of :func:`stacked_span`,
+    from the same SVD: its trailing left singular vectors."""
+    u, rank = _stacked_svd(a)
+    rank = a.shape[1] - rank
+    return _leading(u[..., ::-1], rank), rank
+
+
+def stacked_leq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`leq` of p[i] in q[i] for each i, over stacks (n, dim, k) and
+    (n, dim, m): True where every column of p[i] leaves a residual below
+    ``EQ_TOL`` off the span of q[i], whose columns must be orthonormal or
+    zero.  A zero column leaves no residual, so a zero p[i] (the zero
+    space) is below every q[i], and a zero q[i] is above only the zero
+    space."""
+    n, dim, k = p.shape
+    out = np.empty(n, dtype=bool)
+    for chunk in stack_chunks(n, dim * max(k, q.shape[-1])):
+        pc, qc = p[chunk], q[chunk]
+        resid = pc - qc @ (qc.conj().swapaxes(-1, -2) @ pc)
+        out[chunk] = np.linalg.norm(resid, axis=-2).max(axis=-1, initial=0.0) < EQ_TOL
+    return out
+
+
+def stacked_leq_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The (n, m) table of :func:`stacked_leq` over every pair of p[i] in
+    q[j], for stacks (n, dim, k) and (m, dim, l).  The columns of a chunk
+    of p sit side by side, so each q[j] meets them in one matrix product."""
+    n, dim, k = p.shape
+    if k == 0:
+        return np.ones((n, len(q)), dtype=bool)
+    out = np.empty((n, len(q)), dtype=bool)
+    q_h = q.conj().swapaxes(-1, -2)
+    for chunk in stack_chunks(n, len(q) * dim * k):
+        cols = p[chunk].transpose(1, 0, 2).reshape(dim, -1)
+        resid = cols - q @ (q_h @ cols)
+        worst = np.linalg.norm(resid, axis=-2).reshape(len(q), -1, k).max(axis=-1)
+        out[chunk] = (worst < EQ_TOL).T
     return out
 
 

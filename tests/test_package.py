@@ -1,6 +1,9 @@
-"""Package hygiene: no unused imports in its modules, no stale ``__all__`` entry."""
+"""Package hygiene: no unused imports in its modules, no stale ``__all__``
+entry, and no reference cycles left behind by the decide and
+model-check paths."""
 
 import ast
+import gc
 import importlib
 from pathlib import Path
 
@@ -58,3 +61,34 @@ def test_all_names_resolve(module):
     # function, not the module.
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_main_paths_leave_no_reference_cycles(samples_dir):
+    """With the cycle collector off, every step of ``pqm decide`` and of
+    ``pqm model-check`` frees what it made by reference counting alone:
+    a cycle would keep a problem's subspaces, the decider's tables and
+    every verdict, or a structure and its fragment index, alive until
+    the collector ran."""
+    lang, normalize, decide, structures = (
+        importlib.import_module(f"pqm.{m}") for m in ("lang", "normalize", "decide", "structures")
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        problems = [
+            lang.parse_problem(path.read_text())
+            for path in sorted(samples_dir.glob("*.pqm"))
+            if "circuit" not in path.name
+        ]
+        assert problems and gc.collect() == 0
+        for problem in problems:
+            assert lang.validate(problem) == [] and gc.collect() == 0
+            combo = normalize.normalize(problem.sentence, problem)
+            assert gc.collect() == 0
+            decide.evaluate(combo, problem.dim)
+            assert gc.collect() == 0
+        structure = structures.load_structure(samples_dir / "model3.json")
+        structures.check_characterization(structure)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
