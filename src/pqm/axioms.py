@@ -33,12 +33,8 @@ import numpy as np
 
 from . import subspace as sub
 from .sampling import (
-    random_compatible_pair,
-    random_ray_or_bot,
-    random_ray_within,
-    random_subspace,
-    random_subspace_within,
-    random_unitary,
+    BOT_PROBABILITY, random_compatible_pair, random_ray_or_bot, random_ray_within, random_subspace,
+    random_subspace_within, random_unitary,
 )
 from .subspace import EQ_TOL, Subspace
 
@@ -47,6 +43,7 @@ __all__ = [
     "CheckReport",
     "ExactSemantics",
     "SampledSemantics",
+    "RAYS_PER_CHECK",
     "SubspaceElements",
     "RayElements",
     "AXIOMS",
@@ -85,7 +82,7 @@ class RayElements:
         return random_ray_or_bot(rng, dim)
 
     def inside(self, rng: np.random.Generator, s: Subspace) -> Subspace:
-        if s.rank == 0 or rng.random() < 0.125:
+        if s.rank == 0 or rng.random() < BOT_PROBABILITY:
             return sub.bottom(s.dim)
         return random_ray_within(rng, s)
 
@@ -101,20 +98,23 @@ class ExactSemantics:
         return sub.leq(s, p)
 
 
+# Complement rays drawn per sampled verification statement.
+RAYS_PER_CHECK = 64
+
+
 class SampledSemantics:
     """[s : p] by its projective definition, sampled over rays.
 
     s verifies p when every ray of the complement of p projects s to the
-    zero space.  The complement's rays are sampled (``rays_per_check``
-    per evaluation); a genuinely true statement can never be refuted by
-    sampling, so suites under this semantics are one-sided in the safe
-    direction.
+    zero space.  ``RAYS_PER_CHECK`` rays of the complement are drawn
+    from ``rng`` per evaluation.  A true statement is never refuted by
+    sampling, and a false one is missed only when every drawn ray is
+    orthogonal to s within ``EQ_TOL``, so suites under this semantics
+    are one-sided in the safe direction.
     """
 
-    def __init__(self, rng: np.random.Generator, rays_per_check: int = 64):
-        _require_positive("rays_per_check", rays_per_check)
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.rays = rays_per_check
 
     def verify(self, s: Subspace, p: Subspace) -> bool:
         comp = sub.ortho(p)
@@ -124,9 +124,8 @@ class SampledSemantics:
             return True
         # Projecting s onto a ray phi gives the zero space exactly when
         # phi is orthogonal to s, i.e. the basis residual s* phi vanishes.
-        coeffs = self.rng.standard_normal((comp.rank, self.rays)) + 1j * self.rng.standard_normal(
-            (comp.rank, self.rays)
-        )
+        shape = (comp.rank, RAYS_PER_CHECK)
+        coeffs = self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
         phis = comp.basis @ coeffs
         phis = phis / np.linalg.norm(phis, axis=0, keepdims=True)
         overlaps = np.linalg.norm(s.basis.conj().T @ phis, axis=0)

@@ -65,21 +65,22 @@ class _LeafDecider:
     """Decides the leaves of one call, each distinct piece of work once.
 
     Leaf verdicts are keyed by the BasicSentence object, the meet of each
-    ordered prefix of positives by (meet of the shorter prefix, literal),
-    containment tests by (meet, negative) and witness searches by (meet,
-    negatives), all by identity.  Each key object is kept alive by the
+    ordered prefix of positives by (meet of the shorter prefix, literal)
+    and containment tests by (meet, negative), all by identity.  Witness
+    searches need no table: equal meet and negatives mean an equal leaf,
+    and ``normalize`` hands out one BasicSentence per leaf, so the
+    verdict table answers first.  Each key object is kept alive by the
     tables or by the caller's combo, so no id is reused during the call.
     Literals are never dropped, reordered or compared by value, so every
     result is bit-for-bit the one the uncached fold computes.
     """
 
-    def __init__(self, dim: int, seed: int):
-        self.dim, self.seed = dim, seed
+    def __init__(self, dim: int):
+        self.dim = dim
         self.top = top(dim)
         self.verdicts: dict[int, LeafVerdict] = {}
         self.meets: dict[tuple[int, int], Subspace] = {}
         self.contains: dict[tuple[int, int], bool] = {}
-        self.witnesses: dict[tuple, Subspace | None] = {}
 
     def __call__(self, basic: BasicSentence) -> LeafVerdict:
         return _once(self.verdicts, id(basic), self._decide, basic)
@@ -100,10 +101,7 @@ class _LeafDecider:
                 # nothing to avoid.
                 witness = bottom(self.dim)
             else:
-                key = (id(p_inf), tuple(map(id, basic.negatives)))
-                witness = _once(
-                    self.witnesses, key, ray_in_avoiding, p_inf, list(basic.negatives), self.seed
-                )
+                witness = ray_in_avoiding(p_inf, basic.negatives)
                 if witness is None:
                     raise InternalInvariantError("witness search failed after containment check")
         return LeafVerdict(basic, truth, p_inf, contained, witness)
@@ -116,12 +114,12 @@ def _once(table: dict, key, fn, *args):
     return table[key]
 
 
-def decide_basic(basic: BasicSentence, dim: int, seed: int = 0) -> Verdict:
-    leaf = _LeafDecider(dim, seed)(basic)
+def decide_basic(basic: BasicSentence, dim: int) -> Verdict:
+    leaf = _LeafDecider(dim)(basic)
     return Verdict(leaf.truth, leaf.witness, (leaf,))
 
 
-def evaluate(combo: BoolCombo, dim: int, seed: int = 0) -> Verdict:
+def evaluate(combo: BoolCombo, dim: int) -> Verdict:
     """Decide a Boolean combination of basic sentences.
 
     Each distinct leaf is decided once per call, and repeated
@@ -132,7 +130,7 @@ def evaluate(combo: BoolCombo, dim: int, seed: int = 0) -> Verdict:
     from the first true branch of a disjunction.
     """
     leaves: list[LeafVerdict] = []
-    truth, witness = _evaluate_node(combo, _LeafDecider(dim, seed), leaves)
+    truth, witness = _evaluate_node(combo, _LeafDecider(dim), leaves)
     return Verdict(truth, witness, tuple(leaves))
 
 

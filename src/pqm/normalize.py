@@ -20,6 +20,7 @@ there; it is not a proof-theoretic transformation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .lang import (
     And, Apply, Atom, Exists, Forall, Formula, Iff, Implies, Not, Or, Problem, Proj, Var,
@@ -327,83 +328,86 @@ def combo_to_json(c: BoolCombo) -> dict:
     ``["or", a, b]``, where k indexes ``leaves`` and a and b index
     ``nodes``.  ``root`` indexes the whole combination.
     """
-    subspaces: dict[int, int] = {}
-    leaves: dict[int, int] = {}
-    subspace_json: list[dict] = []
-    leaf_json: list[dict] = []
-    nodes: dict[tuple, int] = {}
-    walked: dict[int, int] = {}  # node index by id; the combo keeps each node alive
-
-    def space(p: Subspace) -> int:
-        if id(p) not in subspaces:
-            subspaces[id(p)] = len(subspace_json)
-            subspace_json.append(subspace_to_json(p))
-        return subspaces[id(p)]
-
-    def walk(c: BoolCombo) -> int:
-        if id(c) in walked:
-            return walked[id(c)]
-        if isinstance(c, Leaf):
-            b = c.basic
-            if id(b) not in leaves:
-                leaves[id(b)] = len(leaf_json)
-                leaf_json.append({
-                    "positives": [space(p) for p in b.positives],
-                    "negatives": [space(q) for q in b.negatives],
-                })
-            key: tuple = ("leaf", leaves[id(b)])
-        elif isinstance(c, BNot):
-            key = ("not", walk(c.arg))
-        elif isinstance(c, BAnd):
-            key = ("and", walk(c.left), walk(c.right))
-        elif isinstance(c, BOr):
-            key = ("or", walk(c.left), walk(c.right))
-        else:
-            raise ValueError(f"unknown combo node {c!r}")
-        walked[id(c)] = nodes.setdefault(key, len(nodes))
-        return walked[id(c)]
-
-    root = walk(c)
+    tables = _JsonTables()
+    root = tables.node(c)
     return {
-        "subspaces": subspace_json,
-        "leaves": leaf_json,
-        "nodes": [list(key) for key in nodes],
+        "subspaces": tables.subspace_json,
+        "leaves": tables.leaf_json,
+        "nodes": [list(key) for key in tables.nodes],
         "root": root,
     }
 
 
-def combo_to_formula(
-    c: BoolCombo, var: str = "x", prefix: str = "s"
-) -> tuple[Formula, dict[str, Subspace]]:
-    """Render a normal form back into a sentence plus the subspace
-    definitions it mentions.  Used for round-trip testing; the rendered
-    sentence is equivalent to the combo over the subspace model."""
-    defs: dict[str, Subspace] = {}
+class _JsonTables:
+    """The tables of ``combo_to_json``, filled by a walk from the root.  Methods,
+    not closures that call themselves: those would make each call a reference cycle."""
 
-    def fresh(space: Subspace) -> str:
-        name = f"{prefix}{len(defs)}"
-        defs[name] = space
-        return name
+    def __init__(self) -> None:
+        self.subspaces: dict[int, int] = {}
+        self.leaves: dict[int, int] = {}
+        self.subspace_json: list[dict] = []
+        self.leaf_json: list[dict] = []
+        self.nodes: dict[tuple, int] = {}
+        self.walked: dict[int, int] = {}  # node index by id; the combo keeps each node alive
 
-    def leaf_formula(b: BasicSentence) -> Formula:
-        atoms: list[Formula] = [Atom(Var(var), fresh(p)) for p in b.positives]
-        atoms.extend(Not(Atom(Var(var), fresh(q))) for q in b.negatives)
-        if not atoms:
-            atoms = [Atom(Var(var), "top")]
-        body = atoms[0]
-        for a in atoms[1:]:
-            body = And(body, a)
-        return Exists(var, body)
+    def space(self, p: Subspace) -> int:
+        if id(p) not in self.subspaces:
+            self.subspaces[id(p)] = len(self.subspace_json)
+            self.subspace_json.append(subspace_to_json(p))
+        return self.subspaces[id(p)]
 
-    def walk(c: BoolCombo) -> Formula:
+    def node(self, c: BoolCombo) -> int:
+        if id(c) in self.walked:
+            return self.walked[id(c)]
         if isinstance(c, Leaf):
-            return leaf_formula(c.basic)
-        if isinstance(c, BNot):
-            return Not(walk(c.arg))
-        if isinstance(c, BAnd):
-            return And(walk(c.left), walk(c.right))
-        if isinstance(c, BOr):
-            return Or(walk(c.left), walk(c.right))
-        raise ValueError(f"unknown combo node {c!r}")
+            b = c.basic
+            if id(b) not in self.leaves:
+                self.leaves[id(b)] = len(self.leaf_json)
+                self.leaf_json.append({
+                    "positives": [self.space(p) for p in b.positives],
+                    "negatives": [self.space(q) for q in b.negatives],
+                })
+            key: tuple = ("leaf", self.leaves[id(b)])
+        elif isinstance(c, BNot):
+            key = ("not", self.node(c.arg))
+        elif isinstance(c, BAnd):
+            key = ("and", self.node(c.left), self.node(c.right))
+        elif isinstance(c, BOr):
+            key = ("or", self.node(c.left), self.node(c.right))
+        else:
+            raise ValueError(f"unknown combo node {c!r}")
+        self.walked[id(c)] = self.nodes.setdefault(key, len(self.nodes))
+        return self.walked[id(c)]
 
-    return walk(c), defs
+
+def combo_to_formula(c: BoolCombo) -> tuple[Formula, dict[str, Subspace]]:
+    """Render a normal form back into a sentence over the variable x,
+    plus the definitions s0, s1, ... of the subspaces it mentions.  Used
+    for round-trip testing; the rendered sentence is equivalent to the
+    combo over the subspace model."""
+    defs: dict[str, Subspace] = {}
+    return _formula_node(c, defs), defs
+
+
+def _formula_node(c: BoolCombo, defs: dict[str, Subspace]) -> Formula:
+    """One node of ``combo_to_formula``; not a closure, as ``_JsonTables`` explains."""
+    if isinstance(c, Leaf):
+        return _leaf_formula(c.basic, defs)
+    if isinstance(c, BNot):
+        return Not(_formula_node(c.arg, defs))
+    if isinstance(c, BAnd):
+        return And(_formula_node(c.left, defs), _formula_node(c.right, defs))
+    if isinstance(c, BOr):
+        return Or(_formula_node(c.left, defs), _formula_node(c.right, defs))
+    raise ValueError(f"unknown combo node {c!r}")
+
+
+def _leaf_formula(b: BasicSentence, defs: dict[str, Subspace]) -> Formula:
+    atoms: list[Formula] = []
+    for positive, spaces in ((True, b.positives), (False, b.negatives)):
+        for space in spaces:
+            name = f"s{len(defs)}"
+            defs[name] = space
+            atom = Atom(Var("x"), name)
+            atoms.append(atom if positive else Not(atom))
+    return Exists("x", reduce(And, atoms or [Atom(Var("x"), "top")]))

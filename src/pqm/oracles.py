@@ -52,6 +52,9 @@ _ONE_FLOOR = 1.0 - 1e-15
 # seconds.
 MIN_CHAIN_START = 0.01
 
+# The ray-pair collapse lives in C^3.
+_DIM = 3
+
 
 class OracleDomainError(ValueError):
     """Input outside the domain of a closed-form construction."""
@@ -108,7 +111,6 @@ class EllipseWitness:
     a: float
     x: float
     y: float
-    dim: int
     u_plus: np.ndarray
     u_minus: np.ndarray
     w: np.ndarray
@@ -120,15 +122,13 @@ class EllipseWitness:
     on_ellipse: bool
 
 
-def ellipse_witness(
-    a: float, x: float, y: float, dim: int = 3, tol: float = 1e-9
-) -> EllipseWitness:
+def ellipse_witness(a: float, x: float, y: float, tol: float = 1e-9) -> EllipseWitness:
     """Build the two fixed rays, the probe, and their residual geometry.
 
-    The fixed rays sit at (+-a, 0, 1) in the first three coordinates of
-    the standard basis, the probe at (x, y, 1).  Subtracting the probe
-    component from each ray leaves vectors orthogonal to the probe by
-    construction; their mutual orthogonality is the ellipse criterion.
+    The fixed rays sit at (+-a, 0, 1) in the standard basis of C^3, the
+    probe at (x, y, 1).  Subtracting the probe component from each ray
+    leaves vectors orthogonal to the probe by construction; their mutual
+    orthogonality is the ellipse criterion.
     ``orthogonal`` tests the inner product against ``tol``, and
     ``on_ellipse`` tests the raw ellipse residual against the same
     ``tol``; the two agree whenever the residual is not in the narrow
@@ -138,8 +138,6 @@ def ellipse_witness(
     """
     if not 0.0 < a < 1.0:
         raise OracleDomainError(f"ellipse parameter needs 0 < a < 1, got {a!r}")
-    if dim < 3:
-        raise OracleDomainError("the construction needs at least three dimensions")
     if not 0.0 < tol < math.inf:
         raise OracleDomainError(f"tolerance needs to be positive and finite, got {tol!r}")
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -149,12 +147,9 @@ def ellipse_witness(
     if scale == math.inf:
         raise OracleDomainError(f"probe coordinates x={x!r}, y={y!r} overflow the float range")
     norm = math.sqrt(1.0 + a * a)
-    u_plus = np.zeros(dim, dtype=complex)
-    u_minus = np.zeros(dim, dtype=complex)
-    w = np.zeros(dim, dtype=complex)
-    u_plus[0], u_plus[2] = a / norm, 1.0 / norm
-    u_minus[0], u_minus[2] = -a / norm, 1.0 / norm
-    w[0], w[1], w[2] = x, y, 1.0
+    u_plus = np.array([a, 0.0, 1.0], dtype=complex) / norm
+    u_minus = np.array([-a, 0.0, 1.0], dtype=complex) / norm
+    w = np.array([x, y, 1.0], dtype=complex)
 
     ww = float(np.real(np.vdot(w, w)))
     v_plus = u_plus - (np.vdot(w, u_plus) / ww) * w
@@ -180,7 +175,6 @@ def ellipse_witness(
         a=a,
         x=x,
         y=y,
-        dim=dim,
         u_plus=u_plus,
         u_minus=u_minus,
         w=w,
@@ -296,25 +290,25 @@ class TwoRayCollapse:
     final_meet_rank: int
 
 
-def _frame(phi: float, dim: int) -> np.ndarray:
-    """The standard basis of C^dim with its first two vectors turned by ``phi``.
+def _frame(phi: float) -> np.ndarray:
+    """The standard basis of C^3 with its first two vectors turned by ``phi``.
 
     Built from the angle each round, so the frame stays orthonormal to
     roundoff however many rounds turn it; a product of thousands of
     per-round turns drifts far enough to flip the lattice checks."""
-    frame = np.eye(dim, dtype=complex)
+    frame = np.eye(_DIM, dtype=complex)
     c, s = math.cos(phi), math.sin(phi)
     frame[0, 0], frame[1, 0], frame[0, 1], frame[1, 1] = c, s, -s, c
     return frame
 
 
-def _pair_at(frame: np.ndarray, b: float, dim: int) -> tuple[Subspace, Subspace]:
+def _pair_at(frame: np.ndarray, b: float) -> tuple[Subspace, Subspace]:
     plus = b * frame[:, 0] + frame[:, 2]
     minus = -b * frame[:, 0] + frame[:, 2]
-    return sub.span_of([plus], dim), sub.span_of([minus], dim)
+    return sub.span_of([plus], _DIM), sub.span_of([minus], _DIM)
 
 
-def two_ray_collapse(a: float, dim: int = 3) -> TwoRayCollapse:
+def two_ray_collapse(a: float) -> TwoRayCollapse:
     """Drive two rays at parameter ``a`` to an orthogonal pair.
 
     The number of rounds equals the step-chain length for ``a``: the
@@ -326,14 +320,12 @@ def two_ray_collapse(a: float, dim: int = 3) -> TwoRayCollapse:
     """
     if not MIN_CHAIN_START <= a <= 1.0:
         raise OracleDomainError(f"collapse start needs {MIN_CHAIN_START} <= a <= 1, got {a!r}")
-    if dim < 3:
-        raise OracleDomainError("the construction needs at least three dimensions")
 
     phi = 0.0
-    frame = _frame(phi, dim)
+    frame = _frame(phi)
     parameters = [a]
     b = a
-    ray_plus, ray_minus = _pair_at(frame, b, dim)
+    ray_plus, ray_minus = _pair_at(frame, b)
     rounds = 0
 
     while b < _ONE_FLOOR:
@@ -347,7 +339,7 @@ def two_ray_collapse(a: float, dim: int = 3) -> TwoRayCollapse:
         x, y = math.sqrt(max(x2, 0.0)), math.sqrt(max(y2, 0.0))
 
         probe_vec = x * frame[:, 0] + y * frame[:, 1] + frame[:, 2]
-        probe = sub.span_of([probe_vec], dim)
+        probe = sub.span_of([probe_vec], _DIM)
         plane_plus = sub.join(ray_plus, probe)
         plane_minus = sub.join(ray_minus, probe)
         if not sub.compatible(plane_plus, plane_minus):
@@ -362,16 +354,16 @@ def two_ray_collapse(a: float, dim: int = 3) -> TwoRayCollapse:
         off_residual = ox * ox + (1.0 - b * b) * oy * oy - b * b
         if abs(off_residual) > 1e-6:
             off_vec = ox * frame[:, 0] + oy * frame[:, 1] + frame[:, 2]
-            off = sub.span_of([off_vec], dim)
+            off = sub.span_of([off_vec], _DIM)
             if sub.compatible(sub.join(ray_plus, off), sub.join(ray_minus, off)):
                 raise InternalInvariantError("off-ellipse planes came out compatible")
 
         # Rotate the plane frame so the new pair reads (+-r, 0, 1).
         phi += math.atan2(y, x)
-        frame = _frame(phi, dim)
+        frame = _frame(phi)
         b = r
         parameters.append(b)
-        ray_plus, ray_minus = _pair_at(frame, b, dim)
+        ray_plus, ray_minus = _pair_at(frame, b)
         rounds += 1
 
     final_meet = sub.meet(ray_plus, ray_minus)

@@ -11,6 +11,7 @@ import numpy as np
 from .subspace import Subspace, UnitaryOp, _check_dim, bottom, span_of
 
 __all__ = [
+    "BOT_PROBABILITY",
     "random_unitary",
     "random_subspace",
     "random_ray",
@@ -19,6 +20,10 @@ __all__ = [
     "random_ray_within",
     "random_compatible_pair",
 ]
+
+
+# The chance that a draw from the ray model is the zero space.
+BOT_PROBABILITY = 0.125
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -58,8 +63,9 @@ def random_ray(rng: np.random.Generator, dim: int) -> Subspace:
     return span_of([v], dim)
 
 
-def random_ray_or_bot(rng: np.random.Generator, dim: int, bot_probability: float = 0.125) -> Subspace:
-    if rng.random() < bot_probability:
+def random_ray_or_bot(rng: np.random.Generator, dim: int) -> Subspace:
+    """The zero space with probability ``BOT_PROBABILITY``, else a random ray."""
+    if rng.random() < BOT_PROBABILITY:
         return bottom(dim)
     return random_ray(rng, dim)
 

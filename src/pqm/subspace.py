@@ -7,11 +7,13 @@ every rank decision goes through singular values, so degenerate spans,
 the null space (rank 0) and the full space (rank d) are all ordinary
 values of the same type.
 
-Equality and containment are tolerance-based, at three fixed thresholds
+Equality and containment are tolerance-based, at four fixed thresholds
 defined here and nowhere else: ``RANK_TOL`` cuts singular values when
 deciding the rank of a span, ``EQ_TOL`` bounds residual norms when
-deciding containment, and ``UNITARY_TOL`` bounds the deviation from
-unitarity of a matrix given to ``UnitaryOp``.
+deciding containment, ``UNITARY_TOL`` bounds the deviation from
+unitarity of a matrix given to ``UnitaryOp``, and ``ORTHONORMAL_TOL``
+bounds the deviation from orthonormality of a basis given to
+``Subspace``.
 
 Validation happens once, at the input boundary: ``Subspace(...)``,
 ``UnitaryOp(...)`` and :func:`span_of` check what they are given.
@@ -37,6 +39,7 @@ __all__ = [
     "RANK_TOL",
     "EQ_TOL",
     "UNITARY_TOL",
+    "ORTHONORMAL_TOL",
     "Subspace",
     "UnitaryOp",
     "top",
@@ -69,6 +72,7 @@ __all__ = [
 RANK_TOL = 1e-10  # singular values <= RANK_TOL * max(1, largest) are cut from a span
 EQ_TOL = 1e-8  # p <= q when each basis vector of p leaves a residual below EQ_TOL off q
 UNITARY_TOL = 1e-8  # max-norm deviation of U*U from the identity tolerated at construction
+ORTHONORMAL_TOL = 1e-7  # max-norm deviation of B*B from the identity tolerated at construction
 
 
 class DimensionMismatchError(ValueError):
@@ -121,7 +125,7 @@ class Subspace:
             raise ValueError("rank cannot exceed the ambient dimension")
         if b.shape[1]:
             gram = b.conj().T @ b
-            if not np.abs(gram - np.eye(b.shape[1])).max() <= 1e-7:  # NaN fails too
+            if not np.abs(gram - np.eye(b.shape[1])).max() <= ORTHONORMAL_TOL:  # NaN fails too
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -453,14 +457,15 @@ def _ray_admissible(u: Subspace, p: Subspace, avoid: Sequence[Subspace]) -> bool
     )
 
 
-def ray_in_avoiding(p: Subspace, avoid: Sequence[Subspace], seed: int = 0) -> Subspace | None:
+def ray_in_avoiding(p: Subspace, avoid: Sequence[Subspace]) -> Subspace | None:
     """A rank-1 subspace of p avoiding every member of ``avoid``.
 
     The caller must supply a nonzero p not contained in any avoided
     subspace; those preconditions are re-checked and ``None`` is returned
     when they fail.  Otherwise a ray always exists (p cannot be a finite
-    union of strict subspaces) and one is found by seeded random sampling
-    over p's basis, with a deterministic polynomial sweep as fallback.
+    union of strict subspaces) and one is found by random sampling over
+    p's basis at a fixed seed, so the search is deterministic, with a
+    polynomial sweep as fallback.
     The result is self-checked before being returned.
     """
     avoid = list(avoid)
@@ -472,7 +477,7 @@ def ray_in_avoiding(p: Subspace, avoid: Sequence[Subspace], seed: int = 0) -> Su
         if leq(p, q):
             return None
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     r = p.rank
     for _ in range(64):
         coeffs = rng.standard_normal(r) + 1j * rng.standard_normal(r)

@@ -92,7 +92,7 @@ def cross_check_vd(basic: BasicSentence, dim: int, samples: int = 10_000, seed: 
     witness must itself satisfy the literal conjunction.  The converse
     direction (no satisfier sampled) proves nothing and is not asserted.
     """
-    verdict = decide_basic(basic, dim, seed)
+    verdict = decide_basic(basic, dim)
     rng = np.random.default_rng(seed)
 
     def draw(basis: np.ndarray | None, count: int) -> np.ndarray:

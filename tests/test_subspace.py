@@ -319,7 +319,7 @@ def test_ray_in_avoiding_avoids(seed, dim):
     rng = np.random.default_rng(seed)
     p = random_subspace(rng, dim, rank=int(rng.integers(1, dim + 1)))
     avoid = [random_subspace(rng, dim, rank=int(rng.integers(0, dim))) for _ in range(3)]
-    w = ray_in_avoiding(p, avoid, seed=seed)
+    w = ray_in_avoiding(p, avoid)
     if any(leq(p, a) for a in avoid):
         assert w is None
     else:
@@ -333,7 +333,7 @@ def test_ray_in_avoiding_survives_many_hyperplanes():
     p = top(dim)
     rng = np.random.default_rng(7)
     avoid = [random_subspace(rng, dim, rank=2) for _ in range(80)]
-    w = ray_in_avoiding(p, avoid, seed=7)
+    w = ray_in_avoiding(p, avoid)
     assert w is not None
     assert not any(leq(w, a) for a in avoid)
 
