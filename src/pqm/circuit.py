@@ -34,6 +34,7 @@ __all__ = [
     "Circuit",
     "run_circuit",
     "run_circuit_trace",
+    "final_state",
     "is_impossible",
     "build_circuit",
     "check_rule_suite",
@@ -71,11 +72,15 @@ def run_circuit_trace(circuit: Circuit, state: Subspace) -> list[Subspace]:
     return out
 
 
-def run_circuit(circuit: Circuit, state: Subspace) -> Subspace:
-    """The final state: the last of the trace, or the input when the
-    circuit has no steps."""
-    trace = run_circuit_trace(circuit, state)
+def final_state(trace: list[Subspace], state: Subspace) -> Subspace:
+    """The final state of a run from its trace and its input state: the
+    last of the trace, or the input when the circuit has no steps."""
     return trace[-1] if trace else state
+
+
+def run_circuit(circuit: Circuit, state: Subspace) -> Subspace:
+    """The final state of the run of ``circuit`` on ``state``."""
+    return final_state(run_circuit_trace(circuit, state), state)
 
 
 def is_impossible(circuit: Circuit, state: Subspace) -> bool:

@@ -18,6 +18,7 @@ from .circuit import (
     build_circuit,
     check_axioms_from_rules,
     check_rule_suite,
+    final_state,
     run_circuit_trace,
 )
 from .decide import check_axiom_suite, evaluate, verdict_to_json
@@ -225,7 +226,7 @@ def _cmd_circuit(args) -> int:
     cp = parse_circuit_file(text)
     circ, input_space = build_circuit(cp)
     states = run_circuit_trace(circ, input_space)
-    final = states[-1] if states else input_space
+    final = final_state(states, input_space)
     impossible = final.rank == 0
 
     if args.emit == "json":

@@ -107,24 +107,22 @@ class _FragmentIndex:
     question is one stacked computation over all its argument tuples,
     split into chunks of bounded size:
 
-    * ``leq`` over all ordered symbol pairs;
-    * ``compatible`` over all ordered symbol pairs, by the lattice test
-      of ``sub.compatible``, together with the ``meet`` table, whose
-      meets that test decomposes a symbol into;
-    * each other lattice term the axioms name over all its argument
-      tuples: ``ortho`` over the symbols, ``sasaki_and`` and
+    * ``leq`` and ``compatible`` over all ordered symbol pairs;
+    * each lattice term the axioms name over all its argument tuples:
+      ``ortho`` over the symbols, ``meet``, ``sasaki_and`` and
       ``sasaki_hook`` over the ordered symbol pairs, and ``image`` and
       ``preimage`` over the declared unitaries and the symbols.
 
-    A term's values go through the stacked rank cut, then resolve, as a
-    stack, to symbols: each to the first symbol in declared order that
-    passes the residual test of ``sub.eq``.  Only symbols of the value's
-    rank are tested; no other can pass, since a basis vector of the
-    larger space leaves a residual of at least 1/sqrt(rank) off the
-    smaller one.  The containment of a symbol in a value is tested only
-    where the value lies in the symbol.  Each symbol's complement is the
-    ``sub.ortho`` of its value, computed once; the terms and the meet
-    fold of ``kappa_of`` read it.
+    ``meet`` and ``compatible`` take the residual cut of ``sub.meet`` and
+    ``sub.compatible`` over the pairs grouped by the first symbol's rank.
+    A term's values go through the stacked rank cut or residual cut,
+    then resolve, as a stack, to symbols: each to the first symbol in
+    declared order that passes the residual test of ``sub.eq``.  Only
+    symbols of the value's rank are tested; no other can pass, since a
+    basis vector of the larger space leaves a residual of at least
+    1/sqrt(rank) off the smaller one.  The containment of a symbol in a
+    value is tested only where the value lies in the symbol.  Each
+    symbol's complement is the ``sub.ortho`` of its value, computed once.
     """
 
     def __init__(self, subspaces: Mapping[str, Subspace], dim: int,
@@ -139,7 +137,6 @@ class _FragmentIndex:
         for rank in sorted({v.rank for v in subspaces.values()}):
             positions = np.flatnonzero(self.ranks == rank)
             self._buckets[rank] = (positions, self.bases[positions, :, :rank])
-        self._complements: dict[str, Subspace] = {}
         self._terms: dict[str, dict[tuple[str, ...], str | None]] = {}
 
     # -- symbol lookup
@@ -175,16 +172,11 @@ class _FragmentIndex:
         equal = self._equal(value.rank, value.basis[None])[0]
         return [self.names[k] for k in positions[equal]]
 
-    def complement(self, name: str) -> Subspace:
-        if name not in self._complements:
-            self._complements[name] = sub.ortho(self._values[name])
-        return self._complements[name]
-
     # -- the tables
 
     @cached_property
     def _complement_stack(self) -> np.ndarray:
-        return sub.stacked([self.complement(n).basis for n in self.names], self.dim)
+        return sub.stacked([sub.ortho(v).basis for v in self._values.values()], self.dim)
 
     @cached_property
     def projectors(self) -> np.ndarray:
@@ -199,29 +191,23 @@ class _FragmentIndex:
     def _below(self) -> dict[tuple[str, str], bool]:
         return self._by_pair(sub.stacked_leq_table(self.bases, self.bases))
 
-    @cached_property
-    def _meets_and_compatibility(self) -> tuple[np.ndarray, np.ndarray]:
-        """Over the ordered symbol pairs (p, q), row-major: the symbol
-        position of the meet q ^ p = (q' v p')', and whether
-        p = (q ^ p) v (q' ^ p), the test of ``sub.compatible``, where
-        q' ^ p = (q v p')'.  The meets are returned transposed, so that
-        entry (p, q) holds p ^ q."""
-        size, dim = len(self.names), self.dim
-        b, c = self.bases, self._complement_stack
-        meets = np.empty(size * size, dtype=np.intp)
-        compatible = np.empty(size * size, dtype=bool)
-        for chunk in sub.stack_chunks(size * size, 2 * dim * dim):
-            p, q = np.divmod(np.arange(size * size)[chunk], size)
-            inside_q, ranks = sub.stacked_complement(np.concatenate([c[q], c[p]], axis=-1))
-            outside_q, _ = sub.stacked_complement(np.concatenate([b[q], c[p]], axis=-1))
-            parts, _ = sub.stacked_span(np.concatenate([inside_q, outside_q], axis=-1))
-            meets[chunk] = self.resolve(inside_q, ranks)
-            compatible[chunk] = sub.stacked_leq(b[p], parts) & sub.stacked_leq(parts, b[p])
-        return meets.reshape(size, size).T.ravel(), compatible.reshape(size, size)
+    def _pairwise(self, stacked_fn, first: np.ndarray, second: np.ndarray):
+        """``stacked_fn(p, q)`` over the symbol pairs at the positions
+        ``first`` and ``second``, grouped by p's rank, so that no p carries
+        zero columns: yields each group's rows, rank and result."""
+        for rank, (positions, bases) in self._buckets.items():
+            rows = np.flatnonzero(self.ranks[first] == rank)
+            if rows.size:
+                p = bases[np.searchsorted(positions, first[rows])]
+                yield rows, rank, stacked_fn(p, self.bases[second[rows]])
 
     @cached_property
     def _compatible(self) -> dict[tuple[str, str], bool]:
-        return self._by_pair(self._meets_and_compatibility[1])
+        first, second = np.divmod(np.arange(len(self.names) ** 2), len(self.names))
+        fits = np.empty(len(first), dtype=bool)
+        for rows, _, fit in self._pairwise(sub.stacked_compatible, first, second):
+            fits[rows] = fit
+        return self._by_pair(fits)
 
     def leq(self, p: str, q: str) -> bool:
         return self._below[p, q]
@@ -230,15 +216,21 @@ class _FragmentIndex:
         return self._compatible[p, q]
 
     def _term_values(self, term: str, first: np.ndarray, second: np.ndarray):
-        """The values of a term other than the meet at the argument
-        positions ``first`` (and ``second``), as a stack and its ranks."""
+        """The values of a term at the argument positions ``first`` (and
+        ``second``), as a stack and its ranks."""
         b, c = self.bases, self._complement_stack
         if term == "ortho":
             return c[first], self.dim - self.ranks[first]
+        if term == "meet":
+            meets = np.zeros((len(first), self.dim, self.dim), dtype=np.complex128)
+            ranks = np.zeros(len(first), dtype=np.intp)
+            for rows, rank, (values, kept) in self._pairwise(sub.stacked_meet, first, second):
+                meets[rows, :, :rank], ranks[rows] = values, kept
+            return meets, ranks
         if term == "sasaki_and":  # the span of P_q p
             return sub.stacked_span(self.projectors[second] @ b[first])
-        if term == "sasaki_hook":  # q' v (p ^ q), with p ^ q = (p' v q')'
-            meets, _ = sub.stacked_complement(np.concatenate([c[first], c[second]], axis=-1))
+        if term == "sasaki_hook":  # q' v (p ^ q)
+            meets, _ = self._term_values("meet", first, second)
             return sub.stacked_span(np.concatenate([c[second], meets], axis=-1))
         ops = np.stack([u.matrix for u in self._unitaries.values()])
         if term == "preimage":
@@ -259,15 +251,12 @@ class _FragmentIndex:
             else:
                 domains = [self.names, self.names]
             args = list(product(*domains))
-            if term == "meet":
-                found = self._meets_and_compatibility[0]
-            else:
-                positions = np.unravel_index(np.arange(len(args)), [len(d) for d in domains])
-                first, second = positions[0], positions[-1]
-                found = np.empty(len(args), dtype=np.intp)
-                for chunk in sub.stack_chunks(len(args), 2 * self.dim * self.dim):
-                    values = self._term_values(term, first[chunk], second[chunk])
-                    found[chunk] = self.resolve(*values)
+            positions = np.unravel_index(np.arange(len(args)), [len(d) for d in domains])
+            first, second = positions[0], positions[-1]
+            found = np.empty(len(args), dtype=np.intp)
+            for chunk in sub.stack_chunks(len(args), 2 * self.dim * self.dim):
+                values = self._term_values(term, first[chunk], second[chunk])
+                found[chunk] = self.resolve(*values)
             self._terms[term] = {
                 a: self.names[k] if k >= 0 else None for a, k in zip(args, found.tolist())
             }
@@ -665,7 +654,7 @@ def kappa_of(s: FiniteStructure, elem: str) -> KappaResult:
     members = [p for p in s.subspaces if s.related(elem, p)]
     value = sub.top(s.dim)
     for p in members:
-        value = sub.meet_by_complements(sub.ortho(value), s._index.complement(p))
+        value = sub.meet(value, s.subspaces[p])
     member_set = set(members)
     member_symbol = next((p for p in s._index.matches(value) if p in member_set), None)
     conflict = None

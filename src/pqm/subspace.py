@@ -9,21 +9,28 @@ values of the same type.
 
 Equality and containment are tolerance-based, at four fixed thresholds
 defined here and nowhere else: ``RANK_TOL`` cuts singular values when
-deciding the rank of a span, ``EQ_TOL`` bounds residual norms when
-deciding containment, ``UNITARY_TOL`` bounds the deviation from
-unitarity of a matrix given to ``UnitaryOp``, and ``ORTHONORMAL_TOL``
-bounds the deviation from orthonormality of a basis given to
-``Subspace``.
+deciding the rank of a span, ``EQ_TOL`` cuts the residual's singular
+values when deciding containment and the meet, ``UNITARY_TOL`` bounds
+the deviation from unitarity of a matrix given to ``UnitaryOp``, and
+``ORTHONORMAL_TOL`` bounds the deviation from orthonormality of a basis
+given to ``Subspace``.
 
 Validation happens once, at the input boundary: ``Subspace(...)``,
 ``UnitaryOp(...)`` and :func:`span_of` check what they are given.
 Kernel results (SVD and QR factors, ``np.eye``, ``np.zeros``, adjoints)
 are valid by construction and built unchecked by ``_trusted``.
 
-The stacked forms (:func:`stacked_span`, :func:`stacked_complement`,
-:func:`stacked_leq`, :func:`stacked_leq_table`) take the same rank cut
-and the same residual test over a whole stack of zero-padded bases in a
-few numpy calls, for callers that ask one question of many subspaces.
+The meet, compatibility and containment all read the residual
+R = P - Q (Q^H P) of a basis P of p off a basis Q of q, whose singular
+values are the sines of the principal angles between p and q, accurate
+near 0.  All three cut them at ``EQ_TOL``, so ``leq(p, q)`` holds
+exactly when ``meet(p, q)`` keeps p's rank.
+
+The stacked forms (:func:`stacked_span`, :func:`stacked_meet`,
+:func:`stacked_compatible`, :func:`stacked_leq`,
+:func:`stacked_leq_table`) take the same rank cut, residual cut and
+residual test over a whole stack of bases in a few numpy calls, for
+callers that ask one question of many subspaces.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ __all__ = [
     "span_of",
     "ortho",
     "meet",
-    "meet_by_complements",
     "join",
     "leq",
     "eq",
@@ -62,7 +68,8 @@ __all__ = [
     "stack_chunks",
     "stacked",
     "stacked_span",
-    "stacked_complement",
+    "stacked_meet",
+    "stacked_compatible",
     "stacked_leq",
     "stacked_leq_table",
 ]
@@ -70,7 +77,7 @@ __all__ = [
 # The thresholds of every numerical decision.  A quantity within a factor
 # of ten of its threshold is decided unreliably: roundoff could flip it.
 RANK_TOL = 1e-10  # singular values <= RANK_TOL * max(1, largest) are cut from a span
-EQ_TOL = 1e-8  # p <= q when each basis vector of p leaves a residual below EQ_TOL off q
+EQ_TOL = 1e-8  # sines of principal angles below EQ_TOL count as 0: for p <= q and for the meet
 UNITARY_TOL = 1e-8  # max-norm deviation of U*U from the identity tolerated at construction
 ORTHONORMAL_TOL = 1e-7  # max-norm deviation of B*B from the identity tolerated at construction
 
@@ -252,32 +259,60 @@ def join(p: Subspace, q: Subspace) -> Subspace:
     return _span_from_matrix(np.hstack([p.basis, q.basis]), p.dim)
 
 
+def _residual(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """P - Q (Q^H P): the part of each column of P off the span of Q, for
+    one pair of bases or a stack of them."""
+    return p - q @ (q.conj().swapaxes(-1, -2) @ p)
+
+
 def meet(p: Subspace, q: Subspace) -> Subspace:
-    """Lattice meet (intersection), computed by De Morgan from join."""
+    """Lattice meet (intersection): P v for each right singular vector v
+    of the residual R of p's basis P off q whose singular value (a sine)
+    is below ``EQ_TOL``, the closest direction first.  When R's Frobenius
+    norm is below ``EQ_TOL`` so is every sine, and the meet is p."""
     _same_dim(p, q)
-    return meet_by_complements(ortho(p), ortho(q))
-
-
-def meet_by_complements(p_c: Subspace, q_c: Subspace) -> Subspace:
-    """The meet of p and q from their complements p' and q': (p' v q')'.
-
-    The one De Morgan meet: :func:`meet`, :func:`sasaki_hook` and
-    :func:`compatible` meet through it, and so does a caller that holds
-    the complements already (the least-member fold of
-    ``pqm.structures.kappa_of``).
-    """
-    return ortho(join(p_c, q_c))
+    if p.rank == 0 or q.rank == 0:
+        return bottom(p.dim)
+    resid = _residual(p.basis, q.basis)
+    if float(_squared_columns(resid).sum()) < EQ_TOL**2:
+        return p
+    _, sin, vh = np.linalg.svd(resid, full_matrices=False)
+    kept = int(np.count_nonzero(sin < EQ_TOL))
+    return Subspace._trusted(p.dim, p.basis @ vh[::-1][:kept].conj().T)
 
 
 def leq(p: Subspace, q: Subspace) -> bool:
-    """Containment p <= q, decided by projection residuals of p's basis."""
+    """Containment p <= q: the largest singular value of the residual of
+    p's basis off q is below ``EQ_TOL``.  It lies between the residual's
+    largest column norm and its Frobenius norm, so an SVD is taken only
+    when ``EQ_TOL`` falls between those two."""
     _same_dim(p, q)
     if p.rank == 0:
         return True
     if q.rank == 0:
         return False
-    resid = p.basis - q.basis @ (q.basis.conj().T @ p.basis)
-    return float(np.linalg.norm(resid, axis=0).max()) < EQ_TOL
+    resid = _residual(p.basis, q.basis)
+    columns = _squared_columns(resid)
+    if float(columns.max()) >= EQ_TOL**2:
+        return False
+    if float(columns.sum()) < EQ_TOL**2:
+        return True
+    return float(np.linalg.svd(resid, compute_uv=False)[0]) < EQ_TOL
+
+
+def _squared_columns(resid: np.ndarray) -> np.ndarray:
+    """The squared norm of each column of a residual or of a stack of them."""
+    return np.square(np.abs(resid)).sum(axis=-2)
+
+
+def _residual_below(resid: np.ndarray) -> np.ndarray:
+    """:func:`leq`'s test of a residual, per matrix of a stack."""
+    columns = _squared_columns(resid)
+    out = columns.sum(axis=-1) < EQ_TOL**2
+    band = ~out & (columns.max(axis=-1, initial=0.0) < EQ_TOL**2)
+    if band.any():
+        out[band] = np.linalg.svd(resid[band], compute_uv=False)[:, 0] < EQ_TOL
+    return out
 
 
 def eq(p: Subspace, q: Subspace) -> bool:
@@ -299,20 +334,17 @@ def sasaki_hook(p: Subspace, q: Subspace) -> Subspace:
     """Sasaki hook (residuation) q' v (p ^ q): the largest x with
     sasaki_and(x, q) <= p."""
     _same_dim(p, q)
-    q_c = ortho(q)
-    return join(q_c, meet_by_complements(ortho(p), q_c))
+    return join(ortho(q), meet(p, q))
 
 
 def compatible(p: Subspace, q: Subspace) -> bool:
-    """Lattice compatibility: p = (q ^ p) v (q' ^ p).
-
-    Coincides with commutation of the projectors, the route the tests
-    check it against.
-    """
+    """Lattice compatibility p = (p ^ q) v (p ^ q'), as rank(p ^ q) +
+    rank(p ^ q') == rank(p): the singular values below ``EQ_TOL`` of the
+    residual R of p's basis P off q (sines) and of P - R (cosines).  It
+    coincides with commutation of the projectors, the route the tests
+    check it against."""
     _same_dim(p, q)
-    p_c, q_c = ortho(p), ortho(q)
-    decomposed = join(meet_by_complements(q_c, p_c), meet_by_complements(ortho(q_c), p_c))
-    return eq(p, decomposed)
+    return bool(stacked_compatible(p.basis[None], q.basis[None])[0])
 
 
 def apply_unitary(u: UnitaryOp, p: Subspace) -> Subspace:
@@ -328,13 +360,16 @@ def apply_unitary(u: UnitaryOp, p: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Stacked forms of the rank cut and the residual test
+# Stacked forms of the rank cut, the residual test and the residual meet
 #
 # A stack holds n subspaces of C^dim as one (n, dim, k) array: each
 # orthonormal basis sits in the leading columns and zero columns pad it
 # to the common width k.  Zero columns change neither a span nor a
-# residual, so a stacked call decides exactly what the per-pair call
-# decides, at the same thresholds, for every matrix of the stack.
+# residual's largest singular value, so a stacked call decides exactly
+# what the per-pair call decides, at the same thresholds, for every
+# matrix of the stack.  A zero column of p would add a zero singular
+# value to the residual of p off q, though, so the first argument of the
+# stacked meet and compatibility test holds bases of one rank, unpadded.
 
 # The most complex entries one stacked numpy call takes in: the input
 # stack of an SVD, the residual array of a containment test.  Longer
@@ -358,21 +393,6 @@ def stacked(bases: Sequence[np.ndarray], dim: int) -> np.ndarray:
     return out
 
 
-def _stacked_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors (n, dim, dim) of a stack of (dim, m) matrices,
-    m >= dim, and the rank of each under the cut of a single span."""
-    n, dim, m = a.shape
-    if m < dim:
-        raise ValueError(f"stacked spans need at least {dim} columns, got {m}")
-    u = np.empty((n, dim, dim), dtype=np.complex128)
-    rank = np.empty(n, dtype=np.intp)
-    for chunk in stack_chunks(n, dim * m):
-        u[chunk], s, _ = np.linalg.svd(a[chunk], full_matrices=False)
-        cut = RANK_TOL * np.maximum(1.0, s[:, 0])
-        rank[chunk] = np.count_nonzero(s > cut[:, None], axis=1)
-    return u, rank
-
-
 def _leading(u: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """u with every column from ``rank`` on set to zero, per matrix."""
     return u * (np.arange(u.shape[-1]) < rank[:, None])[:, None, :]
@@ -382,48 +402,84 @@ def stacked_span(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The span of each (dim, m) matrix of a stack, m >= dim, as a
     (n, dim, dim) stack and the ranks: one SVD per matrix and the
     ``RANK_TOL * max(1, s[0])`` cut of :func:`span_of`."""
-    u, rank = _stacked_svd(a)
+    n, dim, m = a.shape
+    if m < dim:
+        raise ValueError(f"stacked spans need at least {dim} columns, got {m}")
+    u = np.empty((n, dim, dim), dtype=np.complex128)
+    rank = np.empty(n, dtype=np.intp)
+    for chunk in stack_chunks(n, dim * m):
+        u[chunk], s, _ = np.linalg.svd(a[chunk], full_matrices=False)
+        cut = RANK_TOL * np.maximum(1.0, s[:, 0])
+        rank[chunk] = np.count_nonzero(s > cut[:, None], axis=1)
     return _leading(u, rank), rank
 
 
-def stacked_complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The orthogonal complement of each span of :func:`stacked_span`,
-    from the same SVD: its trailing left singular vectors."""
-    u, rank = _stacked_svd(a)
-    rank = a.shape[1] - rank
-    return _leading(u[..., ::-1], rank), rank
+def stacked_meet(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`meet` of p[i] and q[i] for each i, over stacks (n, dim, k)
+    and (n, dim, m), as an (n, dim, k) stack and the ranks: each meet's
+    basis leads, closest direction first, and zero columns pad it.  Each
+    p[i] has k orthonormal columns, with no padding; the columns of q[i]
+    are orthonormal or zero."""
+    n, dim, k = p.shape
+    meets = np.zeros_like(p)
+    rank = np.zeros(n, dtype=np.intp)
+    if k == 0:  # the zero space: no SVD to take
+        return meets, rank
+    for chunk in stack_chunks(n, dim * max(k, q.shape[-1])):
+        pc = p[chunk]
+        _, sin, vh = np.linalg.svd(_residual(pc, q[chunk]), full_matrices=False)
+        rank[chunk] = np.count_nonzero(sin < EQ_TOL, axis=-1)
+        meets[chunk] = pc @ vh[:, ::-1].conj().swapaxes(-1, -2)
+    return _leading(meets, rank), rank
+
+
+def stacked_compatible(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`compatible` of p[i] with q[i] for each i, over stacks
+    shaped as for :func:`stacked_meet`."""
+    n, dim, k = p.shape
+    out = np.ones(n, dtype=bool)
+    if k == 0:  # the zero space is compatible with every subspace
+        return out
+    for chunk in stack_chunks(n, dim * max(k, q.shape[-1])):
+        pc = p[chunk]
+        resid = _residual(pc, q[chunk])
+        inside = np.linalg.svd(resid, compute_uv=False) < EQ_TOL  # sines: p ^ q
+        outside = np.linalg.svd(pc - resid, compute_uv=False) < EQ_TOL  # cosines: p ^ q'
+        out[chunk] = np.count_nonzero(inside, axis=-1) + np.count_nonzero(outside, axis=-1) == k
+    return out
 
 
 def stacked_leq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """:func:`leq` of p[i] in q[i] for each i, over stacks (n, dim, k) and
-    (n, dim, m): True where every column of p[i] leaves a residual below
-    ``EQ_TOL`` off the span of q[i], whose columns must be orthonormal or
-    zero.  A zero column leaves no residual, so a zero p[i] (the zero
-    space) is below every q[i], and a zero q[i] is above only the zero
-    space."""
+    (n, dim, m), whose columns must be orthonormal or zero.  A zero p[i]
+    (the zero space) is below every q[i], and a zero q[i] is above only
+    the zero space."""
     n, dim, k = p.shape
     out = np.empty(n, dtype=bool)
     for chunk in stack_chunks(n, dim * max(k, q.shape[-1])):
-        pc, qc = p[chunk], q[chunk]
-        resid = pc - qc @ (qc.conj().swapaxes(-1, -2) @ pc)
-        out[chunk] = np.linalg.norm(resid, axis=-2).max(axis=-1, initial=0.0) < EQ_TOL
+        out[chunk] = _residual_below(_residual(p[chunk], q[chunk]))
     return out
 
 
 def stacked_leq_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The (n, m) table of :func:`stacked_leq` over every pair of p[i] in
     q[j], for stacks (n, dim, k) and (m, dim, l).  The columns of a chunk
-    of p sit side by side, so each q[j] meets them in one matrix product."""
+    of p sit side by side, so each q[j] meets them in one matrix product;
+    only the pairs whose column norms leave :func:`leq` undecided are
+    taken again, pair by pair."""
     n, dim, k = p.shape
     if k == 0:
         return np.ones((n, len(q)), dtype=bool)
     out = np.empty((n, len(q)), dtype=bool)
-    q_h = q.conj().swapaxes(-1, -2)
     for chunk in stack_chunks(n, len(q) * dim * k):
-        cols = p[chunk].transpose(1, 0, 2).reshape(dim, -1)
-        resid = cols - q @ (q_h @ cols)
-        worst = np.linalg.norm(resid, axis=-2).reshape(len(q), -1, k).max(axis=-1)
-        out[chunk] = (worst < EQ_TOL).T
+        pc = p[chunk]
+        cols = pc.transpose(1, 0, 2).reshape(dim, -1)
+        columns = _squared_columns(_residual(cols, q)).reshape(len(q), -1, k)
+        below = columns.sum(axis=-1) < EQ_TOL**2
+        j, i = np.nonzero(~below & (columns.max(axis=-1) < EQ_TOL**2))
+        if j.size:
+            below[j, i] = stacked_leq(pc[i], q[j])
+        out[chunk] = below.T
     return out
 
 

@@ -3,6 +3,8 @@
 The package keeps one route per operation.  These are the second routes
 the tests check it against:
 
+- the De Morgan meet (p' v q')', against the residual meet that
+  ``meet`` computes;
 - the lattice formula of the Sasaki conjunction, against the projector
   image that ``sasaki_and`` computes;
 - the projector commutator, against the lattice test ``compatible``;
@@ -30,6 +32,14 @@ from pqm.subspace import EQ_TOL, Subspace, UnitaryOp, _same_dim, join, meet, ort
 
 # ---------------------------------------------------------------------------
 # Lattice routes
+
+
+def meet_by_complements(p: Subspace, q: Subspace) -> Subspace:
+    """Lattice meet by De Morgan, (p' v q')': three SVDs and a join,
+    cutting singular values at ``RANK_TOL`` where :func:`meet` cuts the
+    sines of the principal angles at ``EQ_TOL``."""
+    _same_dim(p, q)
+    return ortho(join(ortho(p), ortho(q)))
 
 
 def sasaki_and_lattice(p: Subspace, q: Subspace) -> Subspace:

@@ -10,6 +10,7 @@ from pqm.circuit import (
     build_circuit,
     check_axioms_from_rules,
     check_rule_suite,
+    final_state,
     is_impossible,
     run_circuit,
     run_circuit_trace,
@@ -149,6 +150,13 @@ def test_trace_matches_run(rng):
     states = run_circuit_trace(circ, top(4))
     assert len(states) == len(circ.steps)
     assert eq(states[-1], run_circuit(circ, top(4)))
+
+
+def test_final_state_is_the_last_of_the_trace_or_the_input():
+    states = run_circuit_trace(bell_prep(), top(4))
+    assert final_state(states, top(4)) is states[-1]
+    s = top(3)
+    assert final_state(run_circuit_trace(Circuit(3, ()), s), s) is s
 
 
 def test_build_circuit_from_file():

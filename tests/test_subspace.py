@@ -38,7 +38,7 @@ from pqm.subspace import (
     unitary_deviation,
 )
 
-from _routes import projectors_commute, sasaki_and_lattice
+from _routes import meet_by_complements, projectors_commute, sasaki_and_lattice
 
 seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(1, 4)
@@ -269,6 +269,44 @@ def test_compatibility_routes_agree(seed, dim):
     p, q, _ = pq(seed, dim)
     lattice = eq(p, join(meet(q, p), meet(ortho(q), p)))
     assert compatible(p, q) == projectors_commute(p, q) == lattice
+
+
+def _degenerate_pairs(rng, dim):
+    """Random pairs and pairs in degenerate position: two spans sharing
+    a ray, nested spans, a meet against its own arguments, and a span and
+    a copy with 1e-9 noise on its basis, between ``RANK_TOL`` and
+    ``EQ_TOL``.  Yields (p, q, noisy), both orders of each pair."""
+    p, q = random_subspace(rng, dim), random_subspace(rng, dim)
+    ray = random_ray(rng, dim)
+    extra = int(rng.integers(0, dim))
+    shared = join(ray, random_subspace(rng, dim, rank=extra))
+    other = join(ray, random_subspace(rng, dim, rank=int(rng.integers(0, dim - extra))))
+    inner = random_subspace_within(rng, q)
+    m = meet(p, q)
+    plane = random_subspace(rng, dim, rank=int(rng.integers(1, dim + 1)))
+    noise = 1e-9 * (rng.standard_normal(plane.basis.shape) + 1j * rng.standard_normal(plane.basis.shape))
+    copy = span_of((plane.basis + noise).T, dim)
+    pairs = [(p, q, False), (shared, other, False), (inner, q, False), (m, p, False), (m, q, False),
+             (plane, copy, True)]
+    for a, b, noisy in pairs:
+        yield a, b, noisy
+        yield b, a, noisy
+
+
+@given(seeds, st.sampled_from([2, 3, 4, 6]))
+@settings(max_examples=150, deadline=None)
+def test_residual_meet_agrees_with_containment_and_the_oracles(seed, dim):
+    rng = np.random.default_rng(seed)
+    for p, q, noisy in _degenerate_pairs(rng, dim):
+        m = meet(p, q)
+        assert leq(p, q) == (m.rank == p.rank)
+        assert leq(m, p) and leq(m, q)
+        assert compatible(p, q) == projectors_commute(p, q)
+        if noisy:  # the De Morgan meet cuts the copy's noise at RANK_TOL and can lose rank
+            assert eq(p, q) and eq(m, p)
+        else:
+            oracle = meet_by_complements(p, q)
+            assert m.rank == oracle.rank and eq(m, oracle)
 
 
 @given(seeds, dims)
