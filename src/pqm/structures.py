@@ -23,9 +23,15 @@ Both checks ask the same few questions of many symbols, symbol pairs or
 elements: containment, compatibility, and which symbol denotes a
 lattice term.  A structure's fragment index answers each kind of
 question once, for all of them, with the stacked rank cut and residual
-test of ``pqm.subspace``; the axiom check's instance loop only looks
-the answers up by name, and the morphism check tests all elements in
-one stacked computation per condition.
+test of ``pqm.subspace``; a value is looked up among the symbols of its
+own rank, where one containment test decides equality.  The axiom
+check's instance loop only looks the answers up by name, and the
+morphism check tests all elements in one stacked computation per
+condition.
+
+The module holds the check only.  A structure comes from a JSON file
+or is built by the caller as a ``FiniteStructure``; the test suite's
+corpus of image structures is built that way, in ``tests/_corpus.py``.
 
 File format (JSON, one object)::
 
@@ -51,7 +57,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partialmethod
+from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -76,9 +82,6 @@ __all__ = [
     "kappa_of",
     "check_strong_morphism",
     "check_characterization",
-    "image_structure",
-    "boolean_fragment",
-    "mixed_fragment",
 ]
 
 
@@ -117,47 +120,39 @@ class _FragmentIndex:
     ``sub.compatible`` over the pairs grouped by the first symbol's rank.
     A term's values go through the stacked rank cut or residual cut,
     then resolve, as a stack, to symbols: each to the first symbol in
-    declared order that passes the residual test of ``sub.eq``.  Only
-    symbols of the value's rank are tested; no other can pass, since a
-    basis vector of the larger space leaves a residual of at least
-    1/sqrt(rank) off the smaller one.  The containment of a symbol in a
-    value is tested only where the value lies in the symbol.  Each
-    symbol's complement is the ``sub.ortho`` of its value, computed once.
+    declared order that passes ``sub.eq``.  Only symbols of the value's
+    rank are tested; no other can pass, since a basis vector of the
+    larger space leaves a residual of at least 1/sqrt(rank) off the
+    smaller one.  At equal rank one containment test decides: the
+    largest sine of the principal angles is the same in both directions.
+    Each symbol's complement is the ``sub.ortho`` of its value, computed
+    once.
     """
 
-    def __init__(self, subspaces: Mapping[str, Subspace], dim: int,
-                 unitaries: Mapping[str, UnitaryOp] | None = None):
-        self.dim = dim
-        self.names = tuple(subspaces)
-        self._values = subspaces
-        self._unitaries = dict(unitaries or {})
-        self.ranks = np.array([v.rank for v in subspaces.values()], dtype=np.intp)
-        self.bases = sub.stacked([v.basis for v in subspaces.values()], dim)
+    def __init__(self, s: FiniteStructure):
+        # holds the structure's fields, not s: a reference to s would be a cycle
+        # through the structure's cached ``_index``
+        self.dim = s.dim
+        self.names = tuple(s.subspaces)
+        self._values = s.subspaces
+        self._unitaries = {name: tu.op for name, tu in s.unitaries.items()}
+        self.ranks = np.array([v.rank for v in s.subspaces.values()], dtype=np.intp)
+        self.bases = sub.stacked([v.basis for v in s.subspaces.values()], s.dim)
         self._buckets = {}  # rank -> (positions in declared order, (S_r, dim, rank) bases)
-        for rank in sorted({v.rank for v in subspaces.values()}):
+        for rank in sorted({v.rank for v in s.subspaces.values()}):
             positions = np.flatnonzero(self.ranks == rank)
             self._buckets[rank] = (positions, self.bases[positions, :, :rank])
         self._terms: dict[str, dict[tuple[str, ...], str | None]] = {}
 
     # -- symbol lookup
 
-    def _equal(self, rank: int, values: np.ndarray) -> np.ndarray:
-        """(n, S_r): which symbols of ``rank`` pass ``sub.eq`` against each
-        of the (n, dim, rank) values.  The containment of a symbol in a
-        value is tested only where the value lies in the symbol."""
-        _, bases = self._buckets[rank]
-        equal = sub.stacked_leq_table(values, bases)
-        i, j = np.nonzero(equal)
-        equal[i, j] = sub.stacked_leq(bases[j], values[i])
-        return equal
-
     def resolve(self, bases: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """The position of the symbol of each value of a stack, or -1."""
         out = np.full(len(ranks), -1, dtype=np.intp)
-        for rank, (positions, _) in self._buckets.items():
+        for rank, (positions, symbols) in self._buckets.items():
             rows = np.flatnonzero(ranks == rank)
             if rows.size:
-                equal = self._equal(rank, bases[rows, :, :rank])
+                equal = sub.stacked_leq_table(bases[rows, :, :rank], symbols)
                 hit = equal.any(axis=1)
                 out[rows[hit]] = positions[equal.argmax(axis=1)[hit]]
         return out
@@ -168,8 +163,8 @@ class _FragmentIndex:
             raise sub.DimensionMismatchError(f"subspaces of dimension {value.dim} and {self.dim}")
         if value.rank not in self._buckets:
             return []
-        positions, _ = self._buckets[value.rank]
-        equal = self._equal(value.rank, value.basis[None])[0]
+        positions, symbols = self._buckets[value.rank]
+        equal = sub.stacked_leq_table(value.basis[None], symbols)[0]
         return [self.names[k] for k in positions[equal]]
 
     # -- the tables
@@ -271,9 +266,9 @@ class FiniteStructure:
     Questions about symbols go through a fragment index, built once, on
     first use, from ``subspaces`` and the unitaries' matrices (which must
     not change afterwards).  It answers each kind of question for every
-    symbol at once, with stacked numpy calls; a lookup still answers with
-    the first symbol in declared order that passes the residual test of
-    ``sub.eq``.
+    symbol at once, with stacked numpy calls; a lookup answers with the
+    first symbol in declared order that passes ``sub.eq``, which at equal
+    rank is one containment test.
     """
 
     dim: int
@@ -285,8 +280,7 @@ class FiniteStructure:
 
     @cached_property
     def _index(self) -> _FragmentIndex:
-        ops = {name: tu.op for name, tu in self.unitaries.items()}
-        return _FragmentIndex(self.subspaces, self.dim, ops)
+        return _FragmentIndex(self)
 
     def related(self, elem: str, symbol: str) -> bool:
         return (elem, symbol) in self.relation
@@ -537,7 +531,19 @@ class _OverStructure:
     def __init__(self, s: FiniteStructure):
         self.s = s
         self.top, self.bottom = s.top_symbol(), s.bot_symbol()
-        self._relation, self._projectors, self._terms = s.relation, s.projectors, s._index.term
+        self._relation, self._projectors = s.relation, s.projectors
+        terms = s._index.term
+
+        # closures over the index, not over self: a bound method set on
+        # the instance would make each interpretation a reference cycle,
+        # which would keep the structure and its fragment index alive
+        # until the cycle collector ran
+        def lookup(term: str):
+            return lambda *names: terms(term)[names]
+
+        self.meet, self.ortho, self.sasaki_and, self.sasaki_hook, self.image, self.preimage = (
+            lookup(t) for t in ("meet", "ortho", "sasaki_and", "sasaki_hook", "image", "preimage")
+        )
 
     def verify(self, x: str, p: str | None) -> bool:
         if p is None:
@@ -549,20 +555,6 @@ class _OverStructure:
 
     def transform(self, u: str, x: str) -> str:
         return self.s.unitaries[u].table[x]
-
-    def _symbol(self, term: str, *names: str) -> str | None:
-        return self._terms(term)[names]
-
-    # partial methods, not partials of a bound method set on the instance:
-    # those would make each interpretation a reference cycle, which would
-    # keep the structure and its fragment index alive until the cycle
-    # collector ran
-    meet = partialmethod(_symbol, "meet")
-    ortho = partialmethod(_symbol, "ortho")
-    sasaki_and = partialmethod(_symbol, "sasaki_and")
-    sasaki_hook = partialmethod(_symbol, "sasaki_hook")
-    image = partialmethod(_symbol, "image")
-    preimage = partialmethod(_symbol, "preimage")
 
 
 def _check_axiom(axiom, s: FiniteStructure, interp: _OverStructure) -> CheckResult:
@@ -649,6 +641,11 @@ class KappaResult:
 
 
 def kappa_of(s: FiniteStructure, elem: str) -> KappaResult:
+    """The least member of ``elem``'s filter, the symbols it is related
+    to.  The meet of the members, folded from the full space, is the
+    least member exactly when a member symbol denotes it; otherwise the
+    result names two distinct minimal members as the conflict.  Raises
+    ValueError on an element outside the domain."""
     if elem not in s.domain:
         raise ValueError(f"unknown element {elem!r}")
     members = [p for p in s.subspaces if s.related(elem, p)]
@@ -731,8 +728,9 @@ def _table_mismatches(
     against the target's mapped value, in table and domain order, and the
     number of sites not evaluated because an element has no mapped value:
     no ``row`` in the stack ``values`` of mapped values, whose ranks are
-    ``ranks``.  One stacked rank cut and residual test over all sites;
-    ``keeps_rank`` marks unitary operators."""
+    ``ranks``.  One stacked rank cut over all sites, then a rank
+    comparison and one containment test, which at equal rank decide
+    ``sub.eq``; ``keeps_rank`` marks unitary operators."""
     sites = []
     skipped = 0
     for name, table in tables.items():
@@ -748,8 +746,8 @@ def _table_mismatches(
         images, image_ranks = sub.stacked_span(np.stack([operators[n] for n in names]) @ values[sources])
         if keeps_rank and np.any(image_ranks != ranks[sources]):
             raise sub.InternalInvariantError("unitary image changed rank")
-        expected = values[[row[t] for t in targets]]
-        ok[chunk] = sub.stacked_leq(images, expected) & sub.stacked_leq(expected, images)
+        expected = [row[t] for t in targets]
+        ok[chunk] = (image_ranks == ranks[expected]) & sub.stacked_leq(images, values[expected])
     return [site for site, good in zip(sites, ok) if not good], skipped
 
 
@@ -858,155 +856,3 @@ def check_characterization(s: FiniteStructure) -> CharacterizationReport:
         axioms=check_structure_axioms(s, "base"),
         morphism=check_strong_morphism(s),
     )
-
-
-# ---------------------------------------------------------------------------
-# Fragment construction helpers
-
-
-def image_structure(
-    fragment: Sequence[tuple[str, Subspace]],
-    dim: int,
-    projector_syms: Sequence[str],
-    unitaries: Mapping[str, UnitaryOp],
-    copies: int = 1,
-) -> tuple[FiniteStructure, dict[str, Subspace]]:
-    """Export the fragment itself as a structure, relation = containment.
-
-    The domain takes ``copies`` elements per fragment value; tables send
-    every copy to the first copy of the computed value, which must be a
-    fragment value again (the fragment has to be closed under the
-    operations it declares).  Returns the structure and each element's
-    underlying value, so tests can compare the reconstructed map against
-    the ground truth.
-    """
-    if copies < 1:
-        raise ValueError("copies must be at least 1")
-    syms = [name for name, _ in fragment]
-    if len(set(syms)) != len(syms):
-        raise ValueError("duplicate fragment symbol")
-    vals = dict(fragment)
-    index = _FragmentIndex(vals, dim, unitaries)
-
-    def rep_of(symbol: str | None, context: str) -> str:
-        if symbol is None:
-            raise sub.InternalInvariantError(f"fragment not closed under {context}")
-        return f"{symbol}_0"
-
-    domain = [f"{name}_{k}" for name in syms for k in range(copies)]
-    elem_val = {f"{name}_{k}": vals[name] for name in syms for k in range(copies)}
-    symbol = {f"{name}_{k}": name for name in syms for k in range(copies)}
-
-    projected, moved = index.term("sasaki_and"), index.term("image")
-    projectors = {
-        q: {m: rep_of(projected[symbol[m], q], f"projection onto {q}") for m in domain}
-        for q in projector_syms
-    }
-    unitary_tables = {
-        uname: TableUnitary(
-            op, {m: rep_of(moved[uname, symbol[m]], f"image under {uname}") for m in domain}
-        )
-        for uname, op in unitaries.items()
-    }
-    relation = frozenset((m, p) for m in domain for p in syms if index.leq(symbol[m], p))
-    structure = FiniteStructure(
-        dim=dim,
-        domain=tuple(domain),
-        subspaces=vals,
-        projectors=projectors,
-        unitaries=unitary_tables,
-        relation=relation,
-    )
-    return structure, elem_val
-
-
-def _mask_name(bits: tuple[int, ...], dim: int) -> str:
-    if not bits:
-        return "bot"
-    if len(bits) == dim:
-        return "top"
-    return "s" + "".join(str(i + 1) for i in bits)
-
-
-def _frame_power_set(
-    rng: np.random.Generator, dim: int
-) -> tuple[np.ndarray, list[tuple[str, Subspace]]]:
-    """A random orthonormal frame and the spans of every subset of its
-    columns, smallest first."""
-    from .sampling import random_unitary
-
-    if dim < 2:
-        raise ValueError(f"fragments need dimension >= 2, got {dim}")
-    frame = random_unitary(rng, dim).matrix
-    fragment = []
-    for size in range(dim + 1):
-        for bits in _subsets(dim, size):
-            cols = frame[:, list(bits)] if bits else np.zeros((dim, 0))
-            fragment.append((_mask_name(bits, dim), sub.span_of(cols.T, dim)))
-    return frame, fragment
-
-
-def boolean_fragment(
-    rng: np.random.Generator, dim: int = 3
-) -> tuple[list[tuple[str, Subspace]], list[str], dict[str, UnitaryOp]]:
-    """Power set of a random orthonormal basis, with two basis permutations.
-
-    Every symbol gets a projector; the fragment is closed under meet,
-    projection, complement and the permutation images, so the exported
-    image structure is fully checkable with zero skips.  ``dim`` must be
-    at least 2, as it must for ``mixed_fragment``.
-    """
-    frame, fragment = _frame_power_set(rng, dim)
-    cycle = np.zeros((dim, dim))
-    for i in range(dim):
-        cycle[(i + 1) % dim, i] = 1.0
-    swap = np.eye(dim)
-    swap[[0, 1]] = swap[[1, 0]]
-    unitaries = {
-        "cycle": UnitaryOp(dim, frame @ cycle @ frame.conj().T),
-        "swap": UnitaryOp(dim, frame @ swap @ frame.conj().T),
-    }
-    return fragment, [name for name, _ in fragment], unitaries
-
-
-def _subsets(n: int, size: int):
-    from itertools import combinations
-
-    return combinations(range(n), size)
-
-
-def mixed_fragment(
-    rng: np.random.Generator, dim: int = 3
-) -> tuple[list[tuple[str, Subspace]], list[str], dict[str, UnitaryOp]]:
-    """Boolean fragment plus a probe ray and its coordinate projections.
-
-    The probe ray is generic (no zero coordinate against the frame), so
-    its projection onto each coordinate subspace spanned by 2 to dim - 1
-    frame vectors is a further ray, named after those vectors.
-    Projectors are declared for the Boolean symbols only; projecting the
-    probe's projection onto S further onto a Boolean value T gives its
-    projection onto S & T: a probe-derived ray, a frame ray or the zero
-    space, so the export stays closed.  The probe rays are
-    pairwise incompatible with off-axis Boolean values, which makes the
-    incompatibility diagnostics non-vacuous.
-    """
-    frame, fragment = _frame_power_set(rng, dim)
-    boolean_syms = [name for name, _ in fragment]
-
-    while True:
-        coeffs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        coeffs /= np.linalg.norm(coeffs)
-        if np.min(np.abs(coeffs)) > 0.25:
-            break
-    probe = sub.span_of([frame @ coeffs], dim)
-    fragment.append(("probe", probe))
-    vals = dict(fragment)
-    for size in range(dim - 1, 1, -1):
-        for bits in _subsets(dim, size):
-            w = sub.sasaki_and(probe, vals[_mask_name(bits, dim)])
-            fragment.append(("probe" + "".join(str(i + 1) for i in bits), w))
-
-    index = _FragmentIndex(dict(fragment), dim)
-    if np.any(index.resolve(index.bases, index.ranks) != np.arange(len(fragment))):
-        raise sub.InternalInvariantError("probe ray degenerated into the frame")
-    return fragment, boolean_syms, {"ident": UnitaryOp(dim, np.eye(dim))}

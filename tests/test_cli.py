@@ -1,5 +1,6 @@
 """Command line interface: exit codes, output channels, JSON determinism."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -481,3 +482,41 @@ def test_installed_entry_point(samples_dir):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "true"
+
+
+SAMPLE_OUTPUTS_SHA256 = {
+    "decide": "2e460b58454aad9ff6b5adae309bf85be63fed23cb35ff86d2cea9110c837502",
+    "circuit": "ad33f74de2a66df329375dde7abb7c9e6b37246630308f81f80576248311fbba",
+    "model-check": "57ac407b65a50a0f3e69666d365daa92eaa3da5861f3b80c1f358b71c154f565",
+    "kappa": "64f5138af7f5304203fb08965b2c103a8d2b705ab93dc6af00eab5b0f83fffff",
+    "check-axioms": "293a71b61af234ca23e367cc13c34f8da4f7365464afe1aa805971bd77977d7d",
+    "check-rules": "cc094e4622fc425df83ecf924244dd028f46c8538c3f7846921d08c8b9f3c69d",
+    "oracle": "c3ffad4ebad635655b1501442816eebc74559db9e60d8423aa8d4b0cf9477415",
+}
+
+
+def test_sample_outputs_are_pinned(samples_dir, tmp_path, capsys):
+    """The sha256 of the exit code, stdout and stderr of each run, in text
+    and in JSON, of each subcommand's argv set over ``samples/``.  JSON
+    output holds subspace bases as LAPACK returns them, so another LAPACK
+    build may change the digests.  A deliberate change of output records
+    new digests here and says so in CHANGES.md."""
+    defs = tmp_path / "defs.pqm"
+    defs.write_text("dim 3\nlet r1 = span{(1,0,0)}\nlet r2 = span{(1,1,0)}\nlet r3 = span{(0,1,0)}\n")
+    path, suite = lambda name: str(samples_dir / name), ["--dim", "2", "--samples", "20"]
+    runs = {
+        "decide": [["decide", *f, path(p)] for p in ("bell.pqm", "contradiction.pqm")
+                   for f in ([], ["--trace"], ["--emit-normal-form"], ["--trace", "--emit-normal-form"])],
+        "circuit": [["circuit", *f, path(c)] for f in ([], ["--trace"])
+                    for c in ("bell_circuit.pqm", "bell_circuit_impossible.pqm")],
+        "model-check": [["model-check", path("model3.json")]],
+        "kappa": [["kappa", path("model3.json")]],
+        "check-axioms": [["check-axioms", *suite]],
+        "check-rules": [["check-rules", *suite, "--derived-axioms"]],
+        "oracle": [["oracle", *o.split()] for o in (
+            "f-steps 0.5", "ellipse 0.6 0.6 0.0", "ellipse 0.6 0.59 0.0", "collapse 0.5")]
+        + [["oracle", "incompat", str(defs), "r1", r] for r in ("r2", "r3")],
+    }
+    emit = ([], ["--emit", "json"])
+    outputs = {c: repr([run(capsys, *a, *e) for a in argvs for e in emit]) for c, argvs in runs.items()}
+    assert {c: hashlib.sha256(o.encode()).hexdigest() for c, o in outputs.items()} == SAMPLE_OUTPUTS_SHA256

@@ -64,15 +64,6 @@ def test_all_names_resolve(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-# Defaulted parameters that no call in src/pqm/ or perfbench/ sets, each
-# with the reason it stays a parameter.
-UNSET_OPTIONS_ALLOWED = {
-    ("image_structure", "copies"): "the test corpus exports fragments with several copies",
-    ("boolean_fragment", "dim"): "the test corpus draws fragments at several dimensions",
-    ("mixed_fragment", "dim"): "the test corpus draws fragments at several dimensions",
-}
-
-
 def unset_options(modules: list[str], callers: list[str]) -> list[tuple[str, str]]:
     """(callee, parameter) of every defaulted parameter of a public function,
     or of a public class's ``__init__``, in the ``modules`` sources that no
@@ -159,7 +150,7 @@ def test_unset_option_scan_follows_forwarded_parameters():
 def test_every_option_is_set_by_some_caller():
     modules = [p.read_text(encoding="utf-8") for p in SRC.glob("*.py")]
     callers = [p.read_text(encoding="utf-8") for p in PERFBENCH.rglob("*.py")]
-    assert unset_options(modules, callers) == sorted(UNSET_OPTIONS_ALLOWED)
+    assert unset_options(modules, callers) == []
 
 
 def test_main_paths_leave_no_reference_cycles(samples_dir):

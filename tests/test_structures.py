@@ -11,14 +11,11 @@ from pqm.structures import (
     FiniteStructure,
     StructureValidationError,
     TableUnitary,
-    boolean_fragment,
     check_characterization,
     check_strong_morphism,
     check_structure_axioms,
-    image_structure,
     kappa_of,
     load_structure,
-    mixed_fragment,
     parse_structure_json,
     structure_to_json,
 )
@@ -41,7 +38,7 @@ from pqm.subspace import (
     top,
 )
 
-from _corpus import build_corpus, build_mutants
+from _corpus import boolean_fragment, build_corpus, build_mutants, image_structure, mixed_fragment
 from _routes import (
     check_incompatible_pairs, check_ray_coverage, check_two_ray_floor, filter_of,
     projectors_commute, saturate,
@@ -237,16 +234,10 @@ def test_saturate_respects_cap(rng):
 
 
 def test_image_structure_rejects_open_fragment():
-    fragment = [("top", top(3)), ("p", span_of([E1, E2], 3))]
-    # projection of top through p lands on p, fine; but meet with an
-    # absent complement cannot be represented once demanded
+    # projecting q onto p gives the ray of E2, which no symbol denotes
+    fragment = [("p", span_of([E1, E2], 3)), ("q", span_of([E2, E3], 3))]
     with pytest.raises(InternalInvariantError):
-        image_structure(
-            [("p", span_of([E1, E2], 3)), ("q", span_of([E2, E3], 3))],
-            3,
-            projector_syms=["p", "q"],
-            unitaries={},
-        )
+        image_structure(fragment, projector_syms=["p", "q"], unitaries={})
 
 
 def test_mixed_fragment_probe_is_generic(rng):
@@ -261,7 +252,7 @@ def test_mixed_fragment_probe_is_generic(rng):
 def test_mixed_fragment_closed_at_dim_4():
     fragment, proj_syms, unitaries = mixed_fragment(np.random.default_rng(0), dim=4)
     assert len(fragment) == 27
-    s, _ = image_structure(fragment, 4, proj_syms, unitaries)
+    s, _ = image_structure(fragment, proj_syms, unitaries)
     report = check_characterization(s)
     assert report.verdict == "model"
     assert report.axioms.total_skipped == 0
@@ -287,20 +278,15 @@ def test_checks_reading_a_lost_builtin_symbol_raise(missing):
             check_two_ray_floor(s)
 
 
-@pytest.mark.parametrize("maker", [boolean_fragment, mixed_fragment])
-def test_fragment_builders_reject_dimension_below_two(maker):
-    with pytest.raises(ValueError):
-        maker(np.random.default_rng(0), dim=1)
-
-
 # ---------------------------------------------------------------------------
 # The fragment index against the routes it replaces
 
 
 def _scan_symbol_of(s, value):
-    """The lookup the fragment index replaces: an ``eq`` scan in declared order."""
+    """The lookup the fragment index replaces: a scan in declared order
+    for mutual containment, the two-way route of ``eq``."""
     for name, v in s.subspaces.items():
-        if eq(v, value):
+        if leq(v, value) and leq(value, v):
             return name
     return None
 
@@ -516,8 +502,7 @@ def test_characterization_work_is_pinned(monkeypatch):
     monkeypatch.setattr(pqm.subspace.np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(pqm.subspace, "leq", counted("leq", pqm.subspace.leq))
     for dim, svds in [(4, 45), (5, 95)]:
-        fragment, proj_syms, unitaries = boolean_fragment(np.random.default_rng(dim), dim=dim)
-        s, _ = image_structure(fragment, dim, proj_syms, unitaries)
+        s, _ = image_structure(*boolean_fragment(np.random.default_rng(dim), dim))
         counts.clear()
         assert check_characterization(s).verdict == "model"
         assert counts["svd"] <= svds, dim
