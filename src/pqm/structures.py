@@ -851,8 +851,16 @@ def check_characterization(s: FiniteStructure) -> CharacterizationReport:
     as a nontrivial strong morphism are equivalent; a disagreement
     without skipped instances indicates a bug, one with skips means the
     fragment was too poor to decide.
+
+    The axioms read are the ``base`` figure's.  When they all hold but
+    the morphism check fails, the check is repeated with every axiom
+    (figure ``all``): the base figure lacks ``meet`` over incompatible
+    pairs and ``project-adjoint``, which hold wherever the least-member
+    map is a strong morphism, and without them a projector table that
+    drops an element to one with a smaller least member passes.
     """
-    return CharacterizationReport(
-        axioms=check_structure_axioms(s, "base"),
-        morphism=check_strong_morphism(s),
-    )
+    axioms = check_structure_axioms(s, "base")
+    morphism = check_strong_morphism(s)
+    if axioms.ok and not morphism.ok:
+        axioms = check_structure_axioms(s, "all")
+    return CharacterizationReport(axioms=axioms, morphism=morphism)

@@ -169,6 +169,16 @@ def structure_json(draw):
 @settings(max_examples=150, deadline=None)
 @given(structure_json())
 @example({"dim": 1, "domain": [], "subspaces": {}, "projectors": {}, "unitaries": {}, "relation": []})
+# the base axioms hold, but the projector onto the full space lowers m1's least member
+@example({
+    "dim": 2, "domain": ["m0", "m1"],
+    "subspaces": {
+        "top": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "bot": [], "p": [],
+        "q": [[[0, 0], [0, 1]]], "dup": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    },
+    "projectors": {"dup": {"m0": "m0", "m1": "m0"}}, "unitaries": {},
+    "relation": [["m0", "dup"], ["m1", "dup"], ["m0", "q"], ["m0", "top"], ["m1", "top"]],
+})
 def test_structure_json_from_scratch(data):
     with tempfile.TemporaryDirectory() as tmp:
         f = pathlib.Path(tmp) / "structure.json"

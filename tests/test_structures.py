@@ -155,6 +155,26 @@ def test_missing_meet_yields_undetermined(tiny=tiny_structure_json):
     assert report.verdict == "undetermined-skip"
 
 
+def test_lowering_projector_table_is_a_non_model():
+    # The projector onto the full space sends m1 (least member top) to m0
+    # (least member the line e2): every base axiom holds, project-adjoint fails.
+    s = parse_structure_json({
+        "dim": 3,
+        "domain": ["m0", "m1"],
+        "subspaces": {"top": _basis_json(E1, E2, E3), "bot": [], "q": _basis_json(E2)},
+        "projectors": {"top": {"m0": "m0", "m1": "m0"}},
+        "unitaries": {},
+        "relation": [["m0", "top"], ["m0", "q"], ["m1", "top"]],
+    })
+    assert check_structure_axioms(s, "base").ok
+    report = check_characterization(s)
+    assert not report.morphism.ok
+    assert report.verdict == "non-model"
+    assert report.axioms.to_json()["figure"] == "all"
+    failed = {r.name for r in report.axioms.results if r.violations}
+    assert failed == {"project-adjoint"}
+
+
 def test_morphism_conditions_on_corpus_sample():
     name, s, elem_val = build_corpus()[0]
     report = check_strong_morphism(s)
