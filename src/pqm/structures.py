@@ -19,15 +19,14 @@ When every filter has a least member the induced map into the subspace
 lattice is checked against the three strong-morphism conditions; the
 axiom check and the morphism check must agree on saturated fragments.
 
-Both checks ask the same few questions of many symbols, symbol pairs or
-elements: containment, compatibility, and which symbol denotes a
-lattice term.  A structure's fragment index answers each kind of
-question once, for all of them, with the stacked rank cut and residual
-test of ``pqm.subspace``; a value is looked up among the symbols of its
-own rank, where one containment test decides equality.  The axiom
-check's instance loop only looks the answers up by name, and the
-morphism check tests all elements in one stacked computation per
-condition.
+Both checks ask the same few questions of many symbols or symbol
+pairs: containment, compatibility, and which symbol denotes a lattice
+term.  A structure's fragment index answers each kind of question once,
+for all of them, with the stacked rank cut and residual test of
+``pqm.subspace``; a value is looked up among the symbols of its own
+rank, where one containment test decides equality.  Both checks only
+look the answers up by name: the axiom check's instance loop, and the
+morphism check, since a least member is itself a symbol.
 
 The module holds the check only.  A structure comes from a JSON file
 or is built by the caller as a ``FiniteStructure``; the test suite's
@@ -126,7 +125,8 @@ class _FragmentIndex:
     smaller one.  At equal rank one containment test decides: the
     largest sine of the principal angles is the same in both directions.
     Each symbol's complement is the ``sub.ortho`` of its value, computed
-    once.
+    once.  ``FiniteStructure.symbol_of`` resolves a stack of one, and the
+    least member and the morphism conditions are lookups in these tables.
     """
 
     def __init__(self, s: FiniteStructure):
@@ -156,16 +156,6 @@ class _FragmentIndex:
                 hit = equal.any(axis=1)
                 out[rows[hit]] = positions[equal.argmax(axis=1)[hit]]
         return out
-
-    def matches(self, value: Subspace) -> list[str]:
-        """Every symbol that passes ``sub.eq`` against ``value``, in declared order."""
-        if value.dim != self.dim:
-            raise sub.DimensionMismatchError(f"subspaces of dimension {value.dim} and {self.dim}")
-        if value.rank not in self._buckets:
-            return []
-        positions, symbols = self._buckets[value.rank]
-        equal = sub.stacked_leq_table(value.basis[None], symbols)[0]
-        return [self.names[k] for k in positions[equal]]
 
     # -- the tables
 
@@ -287,8 +277,10 @@ class FiniteStructure:
 
     def symbol_of(self, value: Subspace) -> str | None:
         """First fragment symbol denoting ``value``, or None."""
-        found = self._index.matches(value)
-        return found[0] if found else None
+        if value.dim != self.dim:
+            raise sub.DimensionMismatchError(f"subspaces of dimension {value.dim} and {self.dim}")
+        k = self._index.resolve(sub.stacked([value.basis], self.dim), np.array([value.rank]))[0]
+        return self._index.names[k] if k >= 0 else None
 
     def leq(self, p: str, q: str) -> bool:
         """Whether the symbol p denotes a subspace of what q denotes."""
@@ -642,18 +634,18 @@ class KappaResult:
 
 def kappa_of(s: FiniteStructure, elem: str) -> KappaResult:
     """The least member of ``elem``'s filter, the symbols it is related
-    to.  The meet of the members, folded from the full space, is the
-    least member exactly when a member symbol denotes it; otherwise the
-    result names two distinct minimal members as the conflict.  Raises
-    ValueError on an element outside the domain."""
+    to: the first member, in declared order, that is ``leq`` every
+    member.  The value is the meet of the members, folded from the full
+    space.  Without a least member the result names two distinct
+    minimal members as the conflict.  Raises ValueError on an element
+    outside the domain."""
     if elem not in s.domain:
         raise ValueError(f"unknown element {elem!r}")
     members = [p for p in s.subspaces if s.related(elem, p)]
     value = sub.top(s.dim)
     for p in members:
         value = sub.meet(value, s.subspaces[p])
-    member_set = set(members)
-    member_symbol = next((p for p in s._index.matches(value) if p in member_set), None)
+    member_symbol = next((p for p in members if all(s.leq(p, q) for q in members)), None)
     conflict = None
     if member_symbol is None:
         minimal = [
@@ -714,43 +706,6 @@ class MorphismReport:
         }
 
 
-def _table_mismatches(
-    s: FiniteStructure,
-    tables: Mapping[str, Mapping[str, str]],
-    operators: Mapping[str, np.ndarray],
-    values: np.ndarray,
-    ranks: np.ndarray,
-    row: Mapping[str, int],
-    keeps_rank: bool,
-) -> tuple[list[tuple[str, str, str]], int]:
-    """The sites (table, element, target) where the span of the table's
-    operator applied to the element's mapped value fails ``sub.eq``
-    against the target's mapped value, in table and domain order, and the
-    number of sites not evaluated because an element has no mapped value:
-    no ``row`` in the stack ``values`` of mapped values, whose ranks are
-    ``ranks``.  One stacked rank cut over all sites, then a rank
-    comparison and one containment test, which at equal rank decide
-    ``sub.eq``; ``keeps_rank`` marks unitary operators."""
-    sites = []
-    skipped = 0
-    for name, table in tables.items():
-        for m in s.domain:
-            if m in row and table[m] in row:
-                sites.append((name, m, table[m]))
-            else:
-                skipped += 1
-    ok = np.empty(len(sites), dtype=bool)
-    for chunk in sub.stack_chunks(len(sites), s.dim * s.dim):
-        names, elems, targets = zip(*sites[chunk])
-        sources = [row[m] for m in elems]
-        images, image_ranks = sub.stacked_span(np.stack([operators[n] for n in names]) @ values[sources])
-        if keeps_rank and np.any(image_ranks != ranks[sources]):
-            raise sub.InternalInvariantError("unitary image changed rank")
-        expected = [row[t] for t in targets]
-        ok[chunk] = (image_ranks == ranks[expected]) & sub.stacked_leq(images, values[expected])
-    return [site for site, good in zip(sites, ok) if not good], skipped
-
-
 def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
     """Check the least-member map against the three morphism conditions.
 
@@ -761,51 +716,50 @@ def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
     touching them are counted in ``not_evaluated``.  The map must also
     send some element to a nonzero subspace.
 
-    Each condition is one stacked computation over all elements with a
-    mapped value: the containment of each in every symbol, and the
-    projections and unitary images of each, compared with the mapped
-    value of the table target.
+    An element's least member is a symbol, so each condition is a lookup
+    in the fragment index's tables: (1) in ``leq`` at the pair of the
+    least member and the symbol, (2) and (3) in the ``sasaki_and`` and
+    ``image`` terms at the least member, whose symbol must denote the
+    same subspace as the table target's least member (``leq`` both ways;
+    a term no symbol denotes fails).
     """
     kappa = {m: kappa_of(s, m) for m in s.domain}
     no_least = tuple(m for m in s.domain if kappa[m].no_least)
-    usable = [m for m in s.domain if not kappa[m].no_least]
-    row = {m: k for k, m in enumerate(usable)}
-    index = s._index
-    values = sub.stacked([kappa[m].value.basis for m in usable], s.dim)
-    ranks = np.array([kappa[m].value.rank for m in usable], dtype=np.intp)
+    least = {m: k.member_symbol for m, k in kappa.items() if not k.no_least}
+    rel_bad = [
+        f"({m}, {p}): {'related without containment' if s.related(m, p) else 'containment without relation'}"
+        for m, k in least.items()
+        for p in s.subspaces
+        if s.related(m, p) != s.leq(k, p)
+    ]
 
-    holds = sub.stacked_leq_table(values, index.bases)
-    related = np.array([[s.related(m, p) for p in index.names] for m in usable], dtype=bool)
-    rel_bad = []
-    for k, j in zip(*np.nonzero(holds != related.reshape(holds.shape))):
-        direction = "related without containment" if related[k, j] else "containment without relation"
-        rel_bad.append(f"({usable[k]}, {index.names[j]}): {direction}")
+    def mismatches(kind: str, tables: Mapping[str, Mapping[str, str]], term: str, args):
+        """The sites whose term at the source's least member does not
+        denote the target's, in table and domain order, and the number of
+        sites not evaluated."""
+        bad, skipped = [], 0
+        for name, table in tables.items():
+            for m in s.domain:
+                if m not in least or table[m] not in least:
+                    skipped += 1
+                    continue
+                got, want = s._index.term(term)[args(name, least[m])], least[table[m]]
+                if got is None or not (s.leq(got, want) and s.leq(want, got)):
+                    bad.append(f"{kind} {name} at {m}: table target {table[m]} has the wrong value")
+        return tuple(bad), skipped
 
-    position = {p: k for k, p in enumerate(index.names)}
-    projectors = {q: index.projectors[position[q]] for q in s.projectors}
-    proj_sites, proj_skipped = _table_mismatches(
-        s, s.projectors, projectors, values, ranks, row, False
-    )
-    uni_sites, uni_skipped = _table_mismatches(
-        s,
-        {u: tu.table for u, tu in s.unitaries.items()},
-        {u: tu.op.matrix for u, tu in s.unitaries.items()},
-        values, ranks, row, True,
+    projector_bad, projector_skipped = mismatches("projector", s.projectors, "sasaki_and", lambda q, k: (k, q))
+    unitary_bad, unitary_skipped = mismatches(
+        "unitary", {u: tu.table for u, tu in s.unitaries.items()}, "image", lambda u, k: (u, k)
     )
     return MorphismReport(
         kappa=kappa,
         no_least=no_least,
         relation_violations=tuple(rel_bad),
-        projector_violations=tuple(
-            f"projector {q} at {m}: table target {target} has the wrong value"
-            for q, m, target in proj_sites
-        ),
-        unitary_violations=tuple(
-            f"unitary {u} at {m}: table target {target} has the wrong value"
-            for u, m, target in uni_sites
-        ),
-        not_evaluated=len(no_least) * len(s.subspaces) + proj_skipped + uni_skipped,
-        nontrivial=any(kappa[m].value.rank > 0 for m in usable),
+        projector_violations=projector_bad,
+        unitary_violations=unitary_bad,
+        not_evaluated=len(no_least) * len(s.subspaces) + projector_skipped + unitary_skipped,
+        nontrivial=any(kappa[m].value.rank > 0 for m in least),
     )
 
 

@@ -9,6 +9,9 @@ the tests check it against:
   image that ``sasaki_and`` computes;
 - the projector commutator, against the lattice test ``compatible``;
 - a one-sided Monte-Carlo check over rays, against the decider;
+- the strong-morphism check by per-pair kernel calls on the least
+  members' values, against the lookups in the fragment index's tables
+  that ``check_strong_morphism`` makes;
 - filter closure, ray coverage, the two-ray floor and the
   incompatible-pair diagnostics, which read a finite structure's
   filters and least members, and ``saturate``, which closes a seed set
@@ -26,7 +29,7 @@ import numpy as np
 from pqm import subspace as sub
 from pqm.decide import decide_basic
 from pqm.normalize import BasicSentence
-from pqm.structures import FiniteStructure, kappa_of
+from pqm.structures import FiniteStructure, KappaResult, MorphismReport, kappa_of
 from pqm.subspace import EQ_TOL, Subspace, UnitaryOp, _same_dim, join, meet, ortho
 
 
@@ -175,6 +178,66 @@ def filter_of(s: FiniteStructure, elem: str) -> Filter:
 
 def _strictly_below(p: Subspace, q: Subspace) -> bool:
     return sub.leq(p, q) and not sub.leq(q, p)
+
+
+def strong_morphism_by_pairs(s: FiniteStructure) -> dict:
+    """The JSON of the strong-morphism report, by the route that compares
+    values: each element's least member is the first member, in declared
+    order, that passes ``sub.eq`` against the meet of its filter; each
+    condition is then tested per site on these values, with per-pair
+    ``sub.leq``, ``sub.sasaki_and`` and ``sub.apply_unitary``, and the
+    image compared with the table target's value by rank and one
+    containment test."""
+    val = s.subspaces
+    kappa = {}
+    for m in s.domain:
+        members = [p for p in val if s.related(m, p)]
+        value = sub.top(s.dim)
+        for p in members:
+            value = sub.meet(value, val[p])
+        least = next((p for p in members if sub.eq(value, val[p])), None)
+        conflict = None
+        if least is None:
+            minimal = [p for p in members if not any(_strictly_below(val[q], val[p]) for q in members)]
+            conflict = next(
+                ((p, q) for i, p in enumerate(minimal) for q in minimal[i + 1 :] if not sub.eq(val[p], val[q])),
+                None,
+            )
+        kappa[m] = KappaResult(m, tuple(members), value, least, least is None, conflict)
+    no_least = tuple(m for m in s.domain if kappa[m].no_least)
+    mapped = {m: kappa[m].value for m in s.domain if not kappa[m].no_least}
+
+    relation = []
+    for m, v in mapped.items():
+        for p in val:
+            if s.related(m, p) != sub.leq(v, val[p]):
+                direction = "related without containment" if s.related(m, p) else "containment without relation"
+                relation.append(f"({m}, {p}): {direction}")
+
+    skipped = 0
+
+    def mismatches(kind, tables, image):
+        nonlocal skipped
+        out = []
+        for name, table in tables.items():
+            for m in s.domain:
+                if m not in mapped or table[m] not in mapped:
+                    skipped += 1
+                    continue
+                got, want = image(name, mapped[m]), mapped[table[m]]
+                if not (got.rank == want.rank and sub.leq(got, want)):
+                    out.append(f"{kind} {name} at {m}: table target {table[m]} has the wrong value")
+        return tuple(out)
+
+    projector = mismatches("projector", s.projectors, lambda q, v: sub.sasaki_and(v, val[q]))
+    unitary = mismatches(
+        "unitary", {u: tu.table for u, tu in s.unitaries.items()},
+        lambda u, v: sub.apply_unitary(s.unitaries[u].op, v),
+    )
+    return MorphismReport(
+        kappa, no_least, tuple(relation), projector, unitary,
+        len(no_least) * len(val) + skipped, any(v.rank > 0 for v in mapped.values()),
+    ).to_json()
 
 
 def check_ray_coverage(s: FiniteStructure) -> dict[str, bool]:

@@ -1,6 +1,7 @@
 """Package hygiene: no unused imports in its modules, no stale ``__all__``
-entry, no option that no caller sets, and no reference cycles left
-behind by the decide and model-check paths."""
+entry, no private helper that nothing in the package uses, no option
+that no caller sets, and no reference cycles left behind by the decide
+and model-check paths."""
 
 import ast
 import gc
@@ -62,6 +63,44 @@ def test_all_names_resolve(module):
     # function, not the module.
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of every module-level private function or class in
+    ``sources`` (module name -> source) that no code in ``sources`` reads,
+    as a name or an attribute, outside the helper's own body."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_") and not own.startswith("__"):
+                defined.append((module, own))
+            read |= {
+                n.attr if isinstance(n, ast.Attribute) else n.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+            } - {own}
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_orphan_scan_flags_only_unread_helpers():
+    sources = {
+        "a": "def _used():\n    return 1\n"
+             "def _recursive(n):\n    return _recursive(n - 1)\n"
+             "class _Orphan:\n    pass\n"
+             "def __getattr__(name):\n    pass\n"
+             "def public():\n    return _used()\n",
+        "b": "from . import a\n"
+             "def _by_attribute():\n    pass\n"
+             "class K:\n    def _method(self):\n        pass\n",
+        "c": "from . import b\nx = b._by_attribute\n",
+    }
+    assert orphaned_helpers(sources) == [("a", "_Orphan"), ("a", "_recursive")]
+
+
+def test_no_orphaned_helpers():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert orphaned_helpers(sources) == []
 
 
 def unset_options(modules: list[str], callers: list[str]) -> list[tuple[str, str]]:

@@ -1,9 +1,12 @@
 """Finite structures: validation, filters, least members, modelhood."""
 
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pqm.subspace
 from pqm.lang import MAX_DIM
@@ -22,6 +25,7 @@ from pqm.structures import (
 from pqm.sampling import random_subspace, random_unitary
 from pqm.subspace import (
     EQ_TOL,
+    DimensionMismatchError,
     InternalInvariantError,
     Subspace,
     UnitaryOp,
@@ -41,8 +45,9 @@ from pqm.subspace import (
 from _corpus import boolean_fragment, build_corpus, build_mutants, image_structure, mixed_fragment
 from _routes import (
     check_incompatible_pairs, check_ray_coverage, check_two_ray_floor, filter_of,
-    projectors_commute, saturate,
+    projectors_commute, saturate, strong_morphism_by_pairs,
 )
+from test_fuzz import structure_json
 
 E1 = np.array([1, 0, 0], dtype=complex)
 E2 = np.array([0, 1, 0], dtype=complex)
@@ -155,17 +160,21 @@ def test_missing_meet_yields_undetermined(tiny=tiny_structure_json):
     assert report.verdict == "undetermined-skip"
 
 
-def test_lowering_projector_table_is_a_non_model():
-    # The projector onto the full space sends m1 (least member top) to m0
-    # (least member the line e2): every base axiom holds, project-adjoint fails.
-    s = parse_structure_json({
+def lowering_structure_json():
+    """The projector onto the full space sends m1 (least member top) to m0
+    (least member the line e2): every base axiom holds, project-adjoint fails."""
+    return {
         "dim": 3,
         "domain": ["m0", "m1"],
         "subspaces": {"top": _basis_json(E1, E2, E3), "bot": [], "q": _basis_json(E2)},
         "projectors": {"top": {"m0": "m0", "m1": "m0"}},
         "unitaries": {},
         "relation": [["m0", "top"], ["m0", "q"], ["m1", "top"]],
-    })
+    }
+
+
+def test_lowering_projector_table_is_a_non_model():
+    s = parse_structure_json(lowering_structure_json())
     assert check_structure_axioms(s, "base").ok
     report = check_characterization(s)
     assert not report.morphism.ok
@@ -187,6 +196,40 @@ def test_morphism_conditions_on_corpus_sample():
     lhs = kappa_of(s, image).value
     rhs = sasaki_and(kappa_of(s, m).value, s.subspaces[q])
     assert eq(lhs, rhs)
+
+
+def unresolved_projection_json():
+    """m0's least member is a tilted ray, whose projection onto the plane
+    of e1 and e2 is the line e1, which no symbol denotes."""
+    return {
+        "dim": 3,
+        "domain": ["m0"],
+        "subspaces": {"top": _basis_json(E1, E2, E3), "bot": [], "p": _basis_json(E1, E2), "r": _basis_json(E1 + E3)},
+        "projectors": {"p": {"m0": "m0"}},
+        "unitaries": {},
+        "relation": [["m0", "top"], ["m0", "r"]],
+    }
+
+
+# SHA-256 of the JSON list of ``check_strong_morphism(s).to_json()``, every
+# kappa entry included, over the corpus, its mutants, and the tiny, the
+# lowering and the unresolved-projection structures.  Recorded with the
+# morphism check that compared stacked spans of the kappa values, before
+# it read the index's tables.
+MORPHISM_SHA256 = "04bd0babbae9f72ceb3a8d09d6d105ffd6e8d32ecae86af56b7461949cb65e9d"
+
+
+def _morphism_pin_structures():
+    corpus = build_corpus()
+    return (
+        [s for _, s, _ in corpus] + [m for _, m in build_mutants(corpus)]
+        + [parse_structure_json(f()) for f in (tiny_structure_json, lowering_structure_json, unresolved_projection_json)]
+    )
+
+
+def test_morphism_reports_are_pinned():
+    reports = [check_strong_morphism(s).to_json() for s in _morphism_pin_structures()]
+    assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == MORPHISM_SHA256
 
 
 def test_mutants_fail_both_checks():
@@ -349,6 +392,8 @@ def test_index_lookup_matches_the_scan(dim):
         queries += [sasaki_and(p, q) for p in values[:4] for q in values[:4]]
         for value in queries:
             assert s.symbol_of(value) == _scan_symbol_of(s, value)
+        with pytest.raises(DimensionMismatchError):
+            s.symbol_of(top(dim + 1))
         if dim > 1:  # first in declared order wins; the tilted copies straddle the threshold
             ray = s.subspaces["ray"]
             assert s.symbol_of(ray) == next(n for n in s.subspaces if n in ("ray", "same", "respanned", "near"))
@@ -482,6 +527,64 @@ def test_tables_match_the_kernel_on_degenerate_fragments(dim):
     assert s._index.term("meet")["chain", "plane"] == "plane"
 
 
+# ---------------------------------------------------------------------------
+# The morphism check against the per-pair route it replaces
+
+
+def _assert_morphism_matches_the_pairs(s):
+    expected = strong_morphism_by_pairs(s)
+    assert check_strong_morphism(s).to_json() == expected
+    for m in s.domain:
+        assert kappa_of(s, m).to_json() == expected["kappa"][m]
+
+
+def test_morphism_matches_the_pairs_on_the_corpus():
+    for s in _morphism_pin_structures():
+        _assert_morphism_matches_the_pairs(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure_json())
+def test_morphism_matches_the_pairs_on_fuzzed_structures(data):
+    try:
+        s = parse_structure_json(data)
+    except StructureValidationError:
+        return  # the draw is malformed on purpose; the fuzz tests read it
+    _assert_morphism_matches_the_pairs(s)
+
+
+@st.composite
+def near_tolerance_structure(draw):
+    """The symbols of ``_lookup_structure`` and three elements, each related
+    to the full space, to a drawn set of the ray's copies (the ray under
+    two names, re-spanned, and tilted by half and by twice ``EQ_TOL``) and
+    to up to two other symbols.  Drawn tables: a projector onto a copy or
+    the full space, the identity and a random unitary."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = _lookup_structure(rng, dim)
+    copies = ["ray", "same", "respanned", "near", "far"]
+    domain = ("m0", "m1", "m2")
+    relation = set()
+    for m in domain:
+        related = draw(st.sets(st.sampled_from(copies), min_size=1))
+        related |= draw(st.sets(st.sampled_from(list(base.subspaces)), max_size=2))
+        relation |= {(m, p) for p in related | {"top"}}
+    table = st.fixed_dictionaries({m: st.sampled_from(domain) for m in domain})
+    projectors = {draw(st.sampled_from(copies + ["top"])): draw(table)}
+    unitaries = {
+        "id": TableUnitary(UnitaryOp(dim, np.eye(dim)), draw(table)),
+        "u": TableUnitary(random_unitary(rng, dim), draw(table)),
+    }
+    return FiniteStructure(dim, domain, base.subspaces, projectors, unitaries, frozenset(relation))
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_tolerance_structure())
+def test_morphism_matches_the_pairs_near_the_threshold(s):
+    _assert_morphism_matches_the_pairs(s)
+
+
 @pytest.mark.parametrize("budget", [1, 100])
 def test_chunked_tables_give_the_same_reports(monkeypatch, budget):
     """A stack split into one-item or few-item chunks gives the reports
@@ -510,7 +613,9 @@ def test_characterization_work_is_pinned(monkeypatch):
     and 8,644 at dim 5, and the stacked tables with the De Morgan meet
     216 and 697 SVDs.  The residual meet takes one SVD where that meet
     took three, in the tables and in the meet fold of ``kappa_of``, and
-    none where the fold's value already lies in the next member."""
+    none where the fold's value already lies in the next member: 45 and
+    95.  The morphism check then read the index's tables instead of
+    spanning the least members' projections and images: 43 and 90."""
     counts = Counter()
 
     def counted(name, fn):
@@ -521,7 +626,7 @@ def test_characterization_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(pqm.subspace.np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(pqm.subspace, "leq", counted("leq", pqm.subspace.leq))
-    for dim, svds in [(4, 45), (5, 95)]:
+    for dim, svds in [(4, 43), (5, 90)]:
         s, _ = image_structure(*boolean_fragment(np.random.default_rng(dim), dim))
         counts.clear()
         assert check_characterization(s).verdict == "model"
