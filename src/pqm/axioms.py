@@ -3,10 +3,12 @@
 Each axiom in ``AXIOMS`` is an implication (or an existential) over a
 system element x and parameters, written once as a hypothesis and a
 conclusion over an interpretation ``I``, which offers ``verify``,
-``project``, ``transform``, ``top``, ``bottom`` and the lattice terms
-the axioms name.  Two interpretations read the same statements: over
-subspaces, where ``run_axiom_suite`` draws random instances, and over a
-finite structure, where ``pqm.structures`` enumerates them.
+``project``, ``transform``, ``top``, ``bottom``, the lattice terms the
+axioms name, and ``both(a, b)`` and ``no(a)`` for ``a and b()`` and
+``not a``, which cannot take arrays.  Two interpretations read the same
+statements: over subspaces, where ``run_axiom_suite`` draws random
+instances one at a time, and over a finite structure, where
+``pqm.structures`` reads each axiom once over arrays of all instances.
 
 Random instances bias the antecedent towards truth, since for random
 data most antecedents are vacuously false.  Evaluation is parameterized
@@ -26,6 +28,7 @@ circuit rules.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable
 
@@ -149,6 +152,8 @@ class _OverSubspaces:
         self.image = self.transform = sub.apply_unitary
         self.preimage = lambda u, p: sub.apply_unitary(u.adjoint(), p)
 
+    both, no = staticmethod(lambda a, b: a and b()), staticmethod(operator.not_)
+
 
 # ---------------------------------------------------------------------------
 # Axiom definitions
@@ -162,7 +167,8 @@ class AxiomDef:
     and the instance's arguments: the element x, then the parameters.
     ``draw(rng, dim, domain)`` samples the arguments over subspaces.
     ``cases(s)`` yields the parameter tuples of a finite structure
-    ``s`` in checking order, each taken with every domain element as x.
+    ``s`` in checking order, each taken with every domain element as x:
+    symbol names, but the first names a unitary if ``over_unitaries``.
     ``note`` describes a violated instance over a structure, where every
     argument is a name.  An existential axiom asks for some x whose
     conclusion holds; its note takes the parameters only.
@@ -177,6 +183,7 @@ class AxiomDef:
     hypothesis: Callable[..., bool]
     conclusion: Callable[..., bool]
     note: Callable[..., str]
+    over_unitaries: bool = False
 
 
 def _mix(rng, domain, dim, inside_of: Subspace | None):
@@ -270,7 +277,7 @@ def _under_unitaries(s):
 _MEET_COMPATIBLE = AxiomDef(
     "meet-compatible", True, False, False, _draw_compatible_pair,
     lambda s: ((p, q) for p, q in _unordered_pairs(s) if s.compatible(p, q)),
-    hypothesis=lambda I, x, p, q: I.verify(x, p) and I.verify(x, q),
+    hypothesis=lambda I, x, p, q: I.both(I.verify(x, p), lambda: I.verify(x, q)),
     conclusion=lambda I, x, p, q: I.verify(x, I.meet(p, q)),
     note=lambda I, x, p, q: f"{x} verifies {p} and {q} but not their meet {I.meet(p, q)}",
 )
@@ -285,7 +292,7 @@ AXIOMS: tuple[AxiomDef, ...] = (
     AxiomDef(
         "some-possible", True, True, True, _draw_free, _no_parameters,
         hypothesis=lambda I, x: True,
-        conclusion=lambda I, x: not I.verify(x, I.bottom),
+        conclusion=lambda I, x: I.no(I.verify(x, I.bottom)),
         note=lambda I: f"every element verifies {I.bottom}",
     ),
     AxiomDef(
@@ -335,6 +342,7 @@ AXIOMS: tuple[AxiomDef, ...] = (
         hypothesis=lambda I, x, u, p: I.verify(x, p),
         conclusion=lambda I, x, u, p: I.verify(I.transform(u, x), I.image(u, p)),
         note=lambda I, x, u, p: f"{u} applied to {x} loses the image of {p}",
+        over_unitaries=True,
     ),
     AxiomDef(
         "unitary-elim", True, True, False,
@@ -342,6 +350,7 @@ AXIOMS: tuple[AxiomDef, ...] = (
         hypothesis=lambda I, x, u, p: I.verify(I.transform(u, x), p),
         conclusion=lambda I, x, u, p: I.verify(x, I.preimage(u, p)),
         note=lambda I, x, u, p: f"{u} image of {x} verifies {p} but {x} misses its preimage",
+        over_unitaries=True,
     ),
 )
 

@@ -8,10 +8,11 @@ fragment symbols again.  Instances that fall outside are counted as
 skipped, never silently dropped.
 
 The axioms are the statements of ``pqm.axioms.AXIOMS``, each written
-once; the random suites read them over subspaces, and
-``check_structure_axioms`` reads the same statements over the structure,
-where elements, symbols, projectors and unitaries are names and each
-axiom's ``cases`` enumerate its instances.
+once; the random suites read them over subspaces, one instance at a
+time, and ``check_structure_axioms`` reads each once over all its
+instances on the structure, as lookups in tables over arrays of the
+positions of its elements, symbols and unitaries: one row per case and
+one column per element.  The per-instance loop is a test oracle.
 
 The model-characterization pipeline computes, for every domain element,
 the least member of its filter (the set of symbols it is related to).
@@ -25,8 +26,9 @@ term.  A structure's fragment index answers each kind of question once,
 for all of them, with the stacked rank cut and residual test of
 ``pqm.subspace``; a value is looked up among the symbols of its own
 rank, where one containment test decides equality.  Both checks only
-look the answers up by name: the axiom check's instance loop, and the
-morphism check, since a least member is itself a symbol.
+look the answers up, by position: the axiom check over arrays of
+instances, and the morphism check, since a least member is itself a
+symbol.
 
 The module holds the check only.  A structure comes from a JSON file
 or is built by the caller as a ``FiniteStructure``; the test suite's
@@ -57,7 +59,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -125,8 +127,10 @@ class _FragmentIndex:
     smaller one.  At equal rank one containment test decides: the
     largest sine of the principal angles is the same in both directions.
     Each symbol's complement is the ``sub.ortho`` of its value, computed
-    once.  ``FiniteStructure.symbol_of`` resolves a stack of one, and the
-    least member and the morphism conditions are lookups in these tables.
+    once.  The tables are arrays over the positions of the symbols and
+    unitaries in declared order (``position`` and ``unitary_position``).
+    ``FiniteStructure.symbol_of`` resolves a stack of one, and the rest
+    of a structure check is lookups in these tables.
     """
 
     def __init__(self, s: FiniteStructure):
@@ -142,7 +146,9 @@ class _FragmentIndex:
         for rank in sorted({v.rank for v in s.subspaces.values()}):
             positions = np.flatnonzero(self.ranks == rank)
             self._buckets[rank] = (positions, self.bases[positions, :, :rank])
-        self._terms: dict[str, dict[tuple[str, ...], str | None]] = {}
+        self.position = {name: k for k, name in enumerate(self.names)}
+        self.unitary_position = {name: k for k, name in enumerate(self._unitaries)}
+        self._terms: dict[str, np.ndarray] = {}
 
     # -- symbol lookup
 
@@ -168,13 +174,10 @@ class _FragmentIndex:
         """The (S, dim, dim) projectors onto the symbols."""
         return self.bases @ self.bases.conj().swapaxes(-1, -2)
 
-    def _by_pair(self, table: np.ndarray) -> dict[tuple[str, str], bool]:
-        """An (S, S) table keyed by the pairs of symbol names."""
-        return dict(zip(product(self.names, repeat=2), table.ravel().tolist()))
-
     @cached_property
-    def _below(self) -> dict[tuple[str, str], bool]:
-        return self._by_pair(sub.stacked_leq_table(self.bases, self.bases))
+    def below(self) -> np.ndarray:
+        """The (S, S) table of ``sub.leq``."""
+        return sub.stacked_leq_table(self.bases, self.bases)
 
     def _pairwise(self, stacked_fn, first: np.ndarray, second: np.ndarray):
         """``stacked_fn(p, q)`` over the symbol pairs at the positions
@@ -187,18 +190,13 @@ class _FragmentIndex:
                 yield rows, rank, stacked_fn(p, self.bases[second[rows]])
 
     @cached_property
-    def _compatible(self) -> dict[tuple[str, str], bool]:
+    def compatible(self) -> np.ndarray:
+        """The (S, S) table of ``sub.compatible``."""
         first, second = np.divmod(np.arange(len(self.names) ** 2), len(self.names))
         fits = np.empty(len(first), dtype=bool)
         for rows, _, fit in self._pairwise(sub.stacked_compatible, first, second):
             fits[rows] = fit
-        return self._by_pair(fits)
-
-    def leq(self, p: str, q: str) -> bool:
-        return self._below[p, q]
-
-    def compatible(self, p: str, q: str) -> bool:
-        return self._compatible[p, q]
+        return fits.reshape(len(self.names), -1)
 
     def _term_values(self, term: str, first: np.ndarray, second: np.ndarray):
         """The values of a term at the argument positions ``first`` (and
@@ -225,26 +223,21 @@ class _FragmentIndex:
             raise sub.InternalInvariantError("unitary image changed rank")
         return values, ranks
 
-    def term(self, term: str) -> dict[tuple[str, ...], str | None]:
-        """The symbol of a lattice term at every argument tuple, None where
-        no symbol denotes its value."""
+    def term(self, term: str) -> np.ndarray:
+        """The position of the symbol of a lattice term at every argument
+        tuple, -1 where no symbol denotes its value: an int array with an
+        axis per argument, over the unitaries for the first argument of
+        ``image`` and ``preimage`` and over the symbols otherwise."""
         if term not in self._terms:
-            if term == "ortho":
-                domains = [self.names]
-            elif term in ("image", "preimage"):
-                domains = [tuple(self._unitaries), self.names]
-            else:
-                domains = [self.names, self.names]
-            args = list(product(*domains))
-            positions = np.unravel_index(np.arange(len(args)), [len(d) for d in domains])
+            first_axis = len(self._unitaries) if term in ("image", "preimage") else len(self.names)
+            shape = (len(self.names),) if term == "ortho" else (first_axis, len(self.names))
+            positions = np.unravel_index(np.arange(np.prod(shape, dtype=np.intp)), shape)
             first, second = positions[0], positions[-1]
-            found = np.empty(len(args), dtype=np.intp)
-            for chunk in sub.stack_chunks(len(args), 2 * self.dim * self.dim):
+            found = np.empty(len(first), dtype=np.intp)
+            for chunk in sub.stack_chunks(len(first), 2 * self.dim * self.dim):
                 values = self._term_values(term, first[chunk], second[chunk])
                 found[chunk] = self.resolve(*values)
-            self._terms[term] = {
-                a: self.names[k] if k >= 0 else None for a, k in zip(args, found.tolist())
-            }
+            self._terms[term] = found.reshape(shape)
         return self._terms[term]
 
 
@@ -284,11 +277,11 @@ class FiniteStructure:
 
     def leq(self, p: str, q: str) -> bool:
         """Whether the symbol p denotes a subspace of what q denotes."""
-        return self._index.leq(p, q)
+        return bool(self._index.below[self._index.position[p], self._index.position[q]])
 
     def compatible(self, p: str, q: str) -> bool:
         """Whether the symbols p and q denote compatible subspaces."""
-        return self._index.compatible(p, q)
+        return bool(self._index.compatible[self._index.position[p], self._index.position[q]])
 
     def top_symbol(self) -> str:
         name = self.symbol_of(sub.top(self.dim))
@@ -508,78 +501,113 @@ def structure_to_json(s: FiniteStructure) -> dict:
 _MAX_EXAMPLES = 5
 
 
-class _Unresolved(Exception):
-    """A conclusion names a subspace that no fragment symbol denotes."""
+def _relation_table(s: FiniteStructure) -> np.ndarray:
+    """The relation as an (elements, symbols) bool table."""
+    element = {m: k for k, m in enumerate(s.domain)}
+    table = np.zeros((len(s.domain), len(s.subspaces)), dtype=bool)
+    for m, p in s.relation:
+        table[element[m], s._index.position[p]] = True
+    return table
 
 
 class _OverStructure:
-    """The axioms read over a finite structure, where elements, symbols,
-    projectors and unitaries are names.  A lattice term over symbols
-    resolves through the fragment index's table of that term, to the
-    first fragment symbol denoting its value or to None; verifying
-    against None skips the instance.  The full-space and zero-space
-    symbols resolve on construction."""
+    """The axioms read over a finite structure, every instance at once:
+    elements, symbols and unitaries are positions in declared order, in
+    int arrays that broadcast over (case, element).  ``verify``,
+    ``project``, ``transform`` and the lattice terms are lookups in the
+    relation, projector, unitary and term tables.  A term is -1 where no
+    symbol denotes its value; ``verify`` reads it as False and marks
+    where it did in ``unresolved``, until that is reset.  The full-space
+    and zero-space symbols resolve on construction."""
 
     def __init__(self, s: FiniteStructure):
-        self.s = s
-        self.top, self.bottom = s.top_symbol(), s.bot_symbol()
-        self._relation, self._projectors = s.relation, s.projectors
-        terms = s._index.term
+        index, element = s._index, {m: k for k, m in enumerate(s.domain)}
+        self.top, self.bottom = index.position[s.top_symbol()], index.position[s.bot_symbol()]
+        self._relation = np.pad(_relation_table(s), ((0, 0), (0, 1)))  # position -1 reads False
+        self._projectors = np.zeros((len(s.subspaces), len(s.domain)), dtype=np.intp)
+        for q, table in s.projectors.items():
+            self._projectors[index.position[q]] = [element[table[m]] for m in s.domain]
+        self._transforms = np.array([[element[tu.table[m]] for m in s.domain] for tu in s.unitaries.values()],
+                                    dtype=np.intp).reshape(len(s.unitaries), len(s.domain))
 
         # closures over the index, not over self: a bound method set on
         # the instance would make each interpretation a reference cycle,
         # which would keep the structure and its fragment index alive
         # until the cycle collector ran
         def lookup(term: str):
-            return lambda *names: terms(term)[names]
+            return lambda *args: index.term(term)[args]
 
         self.meet, self.ortho, self.sasaki_and, self.sasaki_hook, self.image, self.preimage = (
             lookup(t) for t in ("meet", "ortho", "sasaki_and", "sasaki_hook", "image", "preimage")
         )
 
-    def verify(self, x: str, p: str | None) -> bool:
-        if p is None:
-            raise _Unresolved
-        return (x, p) in self._relation
+    def verify(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        self.unresolved = self.unresolved | (p < 0)
+        return self._relation[x, p]
 
-    def project(self, x: str, q: str) -> str:
-        return self._projectors[q][x]
+    def project(self, x: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return self._projectors[q, x]
 
-    def transform(self, u: str, x: str) -> str:
-        return self.s.unitaries[u].table[x]
+    def transform(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self._transforms[u, x]
+
+    both, no = staticmethod(lambda a, b: a & b()), staticmethod(np.logical_not)
 
 
-def _check_axiom(axiom, s: FiniteStructure, interp: _OverStructure) -> CheckResult:
-    """Count one axiom's instances; the conclusion is read only where the
-    hypothesis holds.  An existential is one instance over the domain,
-    and its hypothesis always holds."""
-    hypothesis, conclusion = axiom.hypothesis, axiom.conclusion
-    instances = hits = skipped = 0
-    failed = []  # the note arguments of each violated instance
-    for params in axiom.cases(s):
-        if axiom.existential:
-            instances += 1
-            hits += 1
-            if not any(conclusion(interp, x, *params) for x in s.domain):
-                failed.append(params)
-            continue
-        for x in s.domain:
-            if hypothesis(interp, x, *params):
-                hits += 1
-                try:
-                    holds = conclusion(interp, x, *params)
-                except _Unresolved:
-                    skipped += 1
-                    continue
-                if not holds:
-                    failed.append((x, *params))
-            instances += 1
+class _OverNames:
+    """What a violation note reads, by name: the full-space and zero-space
+    symbols, and the symbol of a term over symbols, None if none."""
+
+    def __init__(self, s: FiniteStructure, interp: _OverStructure):
+        index, names = s._index, (*s._index.names, None)  # position -1 reads None
+        self.top, self.bottom = names[interp.top], names[interp.bottom]
+
+        def lookup(term: str):
+            return lambda *args: names[index.term(term)[tuple(index.position[a] for a in args)]]
+
+        self.meet, self.sasaki_and, self.sasaki_hook = map(lookup, ("meet", "sasaki_and", "sasaki_hook"))
+
+
+def _check_axiom(axiom, s: FiniteStructure, interp: _OverStructure, named: _OverNames) -> CheckResult:
+    """Count one axiom's instances, reading each side once for all of
+    them, over a column of positions per parameter (a row per case) and
+    the row of element positions.  The conclusion counts only where the
+    hypothesis holds, and is skipped where it verifies a term that no
+    symbol denotes.  An existential is one instance per case, with a
+    hypothesis that always holds.  Violations are in case, then domain
+    order."""
+    cases = list(axiom.cases(s))
+    if not cases:
+        return CheckResult(axiom.name, 0, 0, 0)
+    index, shape, x = s._index, (len(cases), len(s.domain)), np.arange(len(s.domain))
+    first = index.unitary_position if axiom.over_unitaries else index.position
+    params = [
+        np.array([role[a] for a in column], dtype=np.intp)[:, None]
+        for role, column in zip(chain([first], repeat(index.position)), zip(*cases))
+    ]
+    interp.unresolved = False
+    hypothesis = np.broadcast_to(axiom.hypothesis(interp, x, *params), shape)
+    held = skip = np.False_
+    if hypothesis.any():  # else the conclusion may read a term table no instance needs
+        interp.unresolved = False
+        held = axiom.conclusion(interp, x, *params)
+        skip = hypothesis & interp.unresolved
+    if axiom.existential:
+        failed = ~np.broadcast_to(held, shape).any(axis=1)
+        instances = hits = len(cases)
+        skipped, shown = 0, [cases[c] for c in np.flatnonzero(failed)[:_MAX_EXAMPLES]]
+    else:
+        failed = hypothesis & ~skip & ~held
+        hits, skipped = int(hypothesis.sum()), int(skip.sum())
+        instances = failed.size - skipped
+        rows, columns = np.unravel_index(np.flatnonzero(failed)[:_MAX_EXAMPLES], shape)
+        shown = [(s.domain[e], *cases[c]) for c, e in zip(rows, columns)]
     examples = tuple(
         # only an existential fails over an empty domain
-        axiom.note(interp, *args) if s.domain else "empty domain: no element can witness possibility"
-        for args in failed[:_MAX_EXAMPLES]
+        axiom.note(named, *args) if s.domain else "empty domain: no element can witness possibility"
+        for args in shown
     )
-    return CheckResult(axiom.name, instances, hits, len(failed), skipped, examples)
+    return CheckResult(axiom.name, instances, hits, int(failed.sum()), skipped, examples)
 
 
 def check_structure_axioms(s: FiniteStructure, figure: str = "base") -> CheckReport:
@@ -596,7 +624,8 @@ def check_structure_axioms(s: FiniteStructure, figure: str = "base") -> CheckRep
     """
     axioms = select_axioms(figure)
     interp = _OverStructure(s)
-    results = tuple(_check_axiom(a, s, interp) for a in axioms)
+    named = _OverNames(s, interp)
+    results = tuple(_check_axiom(a, s, interp, named) for a in axioms)
     return CheckReport({"figure": figure}, {"elements": results})
 
 
@@ -645,20 +674,18 @@ def kappa_of(s: FiniteStructure, elem: str) -> KappaResult:
     value = sub.top(s.dim)
     for p in members:
         value = sub.meet(value, s.subspaces[p])
-    member_symbol = next((p for p in members if all(s.leq(p, q) for q in members)), None)
+    positions = [s._index.position[p] for p in members]
+    below = s._index.below[positions][:, positions]
+    least = below.all(axis=1)
+    member_symbol = members[least.argmax()] if least.any() else None
     conflict = None
     if member_symbol is None:
-        minimal = [
-            p for p in members
-            if not any(q != p and s.leq(q, p) and not s.leq(p, q) for q in members)
-        ]
-        for i, p in enumerate(minimal):
-            for q in minimal[i + 1 :]:
-                if not (s.leq(p, q) and s.leq(q, p)):
-                    conflict = (p, q)
-                    break
-            if conflict:
-                break
+        minimal = np.flatnonzero(~(below & ~below.T).any(axis=0)).tolist()  # none strictly below
+        conflict = next(
+            ((members[i], members[j]) for k, i in enumerate(minimal) for j in minimal[k + 1 :]
+             if not (below[i, j] and below[j, i])),
+            None,
+        )
     return KappaResult(
         element=elem,
         members=tuple(members),
@@ -725,12 +752,13 @@ def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
     """
     kappa = {m: kappa_of(s, m) for m in s.domain}
     no_least = tuple(m for m in s.domain if kappa[m].no_least)
-    least = {m: k.member_symbol for m, k in kappa.items() if not k.no_least}
+    index = s._index
+    least = {m: index.position[k.member_symbol] for m, k in kappa.items() if not k.no_least}
+    related = _relation_table(s)[[k for k, m in enumerate(s.domain) if m in least]]
     rel_bad = [
-        f"({m}, {p}): {'related without containment' if s.related(m, p) else 'containment without relation'}"
-        for m, k in least.items()
-        for p in s.subspaces
-        if s.related(m, p) != s.leq(k, p)
+        f"({list(least)[i]}, {index.names[p]}): "
+        + ("related without containment" if related[i, p] else "containment without relation")
+        for i, p in np.argwhere(related != index.below[list(least.values())]).tolist()
     ]
 
     def mismatches(kind: str, tables: Mapping[str, Mapping[str, str]], term: str, args):
@@ -743,14 +771,17 @@ def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
                 if m not in least or table[m] not in least:
                     skipped += 1
                     continue
-                got, want = s._index.term(term)[args(name, least[m])], least[table[m]]
-                if got is None or not (s.leq(got, want) and s.leq(want, got)):
+                got, want = index.term(term)[args(name, least[m])], least[table[m]]
+                if got < 0 or not (index.below[got, want] and index.below[want, got]):
                     bad.append(f"{kind} {name} at {m}: table target {table[m]} has the wrong value")
         return tuple(bad), skipped
 
-    projector_bad, projector_skipped = mismatches("projector", s.projectors, "sasaki_and", lambda q, k: (k, q))
+    projector_bad, projector_skipped = mismatches(
+        "projector", s.projectors, "sasaki_and", lambda q, k: (k, index.position[q])
+    )
     unitary_bad, unitary_skipped = mismatches(
-        "unitary", {u: tu.table for u, tu in s.unitaries.items()}, "image", lambda u, k: (u, k)
+        "unitary", {u: tu.table for u, tu in s.unitaries.items()}, "image",
+        lambda u, k: (index.unitary_position[u], k),
     )
     return MorphismReport(
         kappa=kappa,

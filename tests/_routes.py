@@ -12,6 +12,9 @@ the tests check it against:
 - the strong-morphism check by per-pair kernel calls on the least
   members' values, against the lookups in the fragment index's tables
   that ``check_strong_morphism`` makes;
+- the structure axiom check one instance at a time, over names, against
+  ``check_structure_axioms``, which reads each axiom once over arrays of
+  all its instances;
 - filter closure, ray coverage, the two-ray floor and the
   incompatible-pair diagnostics, which read a finite structure's
   filters and least members, and ``saturate``, which closes a seed set
@@ -21,12 +24,14 @@ the tests check it against:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from pqm import subspace as sub
+from pqm.axioms import CheckReport, CheckResult, select_axioms
 from pqm.decide import decide_basic
 from pqm.normalize import BasicSentence
 from pqm.structures import FiniteStructure, KappaResult, MorphismReport, kappa_of
@@ -238,6 +243,84 @@ def strong_morphism_by_pairs(s: FiniteStructure) -> dict:
         kappa, no_least, tuple(relation), projector, unitary,
         len(no_least) * len(val) + skipped, any(v.rank > 0 for v in mapped.values()),
     ).to_json()
+
+
+class _Unresolved(Exception):
+    """A conclusion names a subspace that no fragment symbol denotes."""
+
+
+class _OneByOne:
+    """The axioms read over a finite structure one instance at a time,
+    where elements, symbols, projectors and unitaries are names.  A term
+    is the name of its symbol in the fragment index's table, or None;
+    verifying against None skips the instance."""
+
+    def __init__(self, s: FiniteStructure):
+        self.s = s
+        self.top, self.bottom = s.top_symbol(), s.bot_symbol()
+        index, names = s._index, (*s._index.names, None)
+
+        def lookup(term: str):
+            first = index.unitary_position if term in ("image", "preimage") else index.position
+            return lambda a, *rest: names[index.term(term)[(first[a], *(index.position[b] for b in rest))]]
+
+        for term in ("meet", "ortho", "sasaki_and", "sasaki_hook", "image", "preimage"):
+            setattr(self, term, lookup(term))
+
+    def verify(self, x: str, p: str | None) -> bool:
+        if p is None:
+            raise _Unresolved
+        return (x, p) in self.s.relation
+
+    def project(self, x: str, q: str) -> str:
+        return self.s.projectors[q][x]
+
+    def transform(self, u: str, x: str) -> str:
+        return self.s.unitaries[u].table[x]
+
+    @staticmethod
+    def both(a: bool, b) -> bool:
+        return a and b()
+
+    no = staticmethod(operator.not_)
+
+
+def structure_axioms_by_instances(s: FiniteStructure, figure: str) -> CheckReport:
+    """The report of ``check_structure_axioms``, by a loop over each
+    axiom's cases and the domain: the conclusion is read only where the
+    hypothesis holds.  An existential is one instance over the domain,
+    and its hypothesis always holds."""
+    interp = _OneByOne(s)
+    results = []
+    for axiom in select_axioms(figure):
+        hypothesis, conclusion = axiom.hypothesis, axiom.conclusion
+        instances = hits = skipped = 0
+        failed = []  # the note arguments of each violated instance
+        for params in axiom.cases(s):
+            if axiom.existential:
+                instances += 1
+                hits += 1
+                if not any(conclusion(interp, x, *params) for x in s.domain):
+                    failed.append(params)
+                continue
+            for x in s.domain:
+                if hypothesis(interp, x, *params):
+                    hits += 1
+                    try:
+                        holds = conclusion(interp, x, *params)
+                    except _Unresolved:
+                        skipped += 1
+                        continue
+                    if not holds:
+                        failed.append((x, *params))
+                instances += 1
+        examples = tuple(
+            # only an existential fails over an empty domain
+            axiom.note(interp, *args) if s.domain else "empty domain: no element can witness possibility"
+            for args in failed[:5]
+        )
+        results.append(CheckResult(axiom.name, instances, hits, len(failed), skipped, examples))
+    return CheckReport({"figure": figure}, {"elements": tuple(results)})
 
 
 def check_ray_coverage(s: FiniteStructure) -> dict[str, bool]:

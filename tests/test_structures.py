@@ -3,11 +3,13 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pqm.axioms
 import pqm.subspace
 from pqm.lang import MAX_DIM
 from pqm.structures import (
@@ -45,7 +47,7 @@ from pqm.subspace import (
 from _corpus import boolean_fragment, build_corpus, build_mutants, image_structure, mixed_fragment
 from _routes import (
     check_incompatible_pairs, check_ray_coverage, check_two_ray_floor, filter_of,
-    projectors_commute, saturate, strong_morphism_by_pairs,
+    projectors_commute, saturate, strong_morphism_by_pairs, structure_axioms_by_instances,
 )
 from test_fuzz import structure_json
 
@@ -450,6 +452,18 @@ def _kernel_term(term, s, args):
     return apply_unitary(op if term == "image" else op.adjoint(), v[args[1]])
 
 
+def _term_symbols(s, term):
+    """A term table of the index keyed by the names of its arguments,
+    with the name of each value's symbol, or None."""
+    index = s._index
+    axes = [list(s.unitaries) if term in ("image", "preimage") and k == 0 else index.names
+            for k in range(index.term(term).ndim)]
+    return {
+        tuple(axis[k] for axis, k in zip(axes, at)): index.names[found] if found >= 0 else None
+        for at, found in np.ndenumerate(index.term(term))
+    }
+
+
 def _assert_tables_match_the_kernel(s, terms):
     """Every table of ``terms`` the index holds, and its ``leq`` and
     ``compatible`` tables, against the kernel route followed by the
@@ -458,7 +472,7 @@ def _assert_tables_match_the_kernel(s, terms):
     index = s._index
     assert set(index._terms) == set(terms)
     for term in terms:
-        for args, symbol in index.term(term).items():
+        for args, symbol in _term_symbols(s, term).items():
             assert symbol == _scan_symbol_of(s, _kernel_term(term, s, args)), (term, args)
     split = []
     for p, pv in s.subspaces.items():
@@ -521,10 +535,11 @@ def test_tables_match_the_kernel_on_degenerate_fragments(dim):
     assert _assert_tables_match_the_kernel(s, terms) == []
     assert eq(s.subspaces["plane"], s.subspaces["noisy"])
     assert s.compatible("plane", "noisy") and s.compatible("noisy", "plane")
-    assert s._index.term("meet")["plane", "noisy"] == "plane"
-    assert s._index.term("meet")["noisy", "top"] == "plane"
-    assert s._index.term("meet")["plane", "other"] == "ray"
-    assert s._index.term("meet")["chain", "plane"] == "plane"
+    meets = _term_symbols(s, "meet")
+    assert meets["plane", "noisy"] == "plane"
+    assert meets["noisy", "top"] == "plane"
+    assert meets["plane", "other"] == "ray"
+    assert meets["chain", "plane"] == "plane"
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +600,70 @@ def test_morphism_matches_the_pairs_near_the_threshold(s):
     _assert_morphism_matches_the_pairs(s)
 
 
+# ---------------------------------------------------------------------------
+# The axiom check against the per-instance route it replaces
+
+
+def _shared_name_structure_json(table):
+    """Two rays of the plane, and two unitaries: the identity, and a swap
+    of the rays under the name of the first ray's symbol, whose table is
+    ``table``."""
+    swap = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    domain = ["m0", "m1", "m2"]
+    e1, e2 = E1[:2], E2[:2]
+    return {
+        "dim": 2, "domain": domain,
+        "subspaces": {"top": _basis_json(e1, e2), "bot": [], "a": _basis_json(e1), "b": _basis_json(e2)},
+        "projectors": {},
+        "unitaries": {
+            "id": {"matrix": identity, "table": {m: m for m in domain}},
+            "a": {"matrix": swap, "table": table},
+        },
+        "relation": [["m0", "top"], ["m0", "a"], ["m1", "top"], ["m1", "b"], ["m2", "top"]],
+    }
+
+
+def _assert_axioms_match_the_instances(s):
+    """The same report, notes included, and the same term tables built,
+    each route on its own copy of ``s``."""
+    for figure in ("base", "all"):
+        fast, slow = (FiniteStructure(s.dim, s.domain, s.subspaces, s.projectors, s.unitaries, s.relation)
+                      for _ in range(2))
+        expected = structure_axioms_by_instances(slow, figure).to_json()
+        assert check_structure_axioms(fast, figure).to_json() == expected
+        assert set(fast._index._terms) == set(slow._index._terms)
+
+
+def test_axioms_match_the_instances(samples_dir):
+    """The corpus and its mutants, the committed sample, the hand-made
+    structures, an empty domain, a structure with no projector and no
+    unitary (so no cases for their axioms), and a unitary that shares
+    its name with a symbol, with its right table and with a wrong one."""
+    corpus = build_corpus()
+    structures = [s for _, s, _ in corpus] + [m for _, m in build_mutants(corpus)]
+    structures.append(load_structure(str(samples_dir / "model3.json")))
+    structures += [parse_structure_json(f()) for f in (
+        tiny_structure_json, lowering_structure_json, unresolved_projection_json,
+        lambda: dict(tiny_structure_json(), domain=[], relation=[]),
+        lambda: dict(lowering_structure_json(), projectors={}),
+        lambda: _shared_name_structure_json({"m0": "m1", "m1": "m0", "m2": "m2"}),
+        lambda: _shared_name_structure_json({"m0": "m0", "m1": "m0", "m2": "m1"}),
+    )]
+    for s in structures:
+        _assert_axioms_match_the_instances(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure_json())
+def test_axioms_match_the_instances_on_fuzzed_structures(data):
+    try:
+        s = parse_structure_json(data)
+    except StructureValidationError:
+        return  # the draw is malformed on purpose; the fuzz tests read it
+    _assert_axioms_match_the_instances(s)
+
+
 @pytest.mark.parametrize("budget", [1, 100])
 def test_chunked_tables_give_the_same_reports(monkeypatch, budget):
     """A stack split into one-item or few-item chunks gives the reports
@@ -606,16 +685,19 @@ def test_chunked_tables_give_the_same_reports(monkeypatch, budget):
 
 
 def test_characterization_work_is_pinned(monkeypatch):
-    """SVD calls and per-pair containment tests of one characterization of
-    a Boolean image structure at dims 4 and 5; a batched call counts once.
-    The linear lookup scan made 2,227 SVDs and 5,192 ``leq`` calls at
-    dim 4, the per-pair fragment index 1,442 and 2,276 there and 5,788
-    and 8,644 at dim 5, and the stacked tables with the De Morgan meet
-    216 and 697 SVDs.  The residual meet takes one SVD where that meet
-    took three, in the tables and in the meet fold of ``kappa_of``, and
-    none where the fold's value already lies in the next member: 45 and
-    95.  The morphism check then read the index's tables instead of
-    spanning the least members' projections and images: 43 and 90."""
+    """SVD calls, per-pair containment tests and reads of each axiom's
+    hypothesis and conclusion in one characterization of a Boolean image
+    structure at dims 4 and 5; a batched call counts once.  The linear
+    lookup scan made 2,227 SVDs and 5,192 ``leq`` calls at dim 4, the
+    per-pair fragment index 1,442 and 2,276 there and 5,788 and 8,644
+    at dim 5, and the stacked tables with the De Morgan meet 216 and 697
+    SVDs.  The residual meet takes one SVD where that meet took three,
+    in the tables and in the meet fold of ``kappa_of``, and none where
+    the fold's value already lies in the next member: 45 and 95.  The
+    morphism check then read the index's tables instead of spanning the
+    least members' projections and images: 43 and 90.  The axiom check
+    read each side once per case and element; it reads it once over
+    arrays of all of them."""
     counts = Counter()
 
     def counted(name, fn):
@@ -626,9 +708,17 @@ def test_characterization_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(pqm.subspace.np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(pqm.subspace, "leq", counted("leq", pqm.subspace.leq))
+    monkeypatch.setattr(pqm.axioms, "AXIOMS", tuple(
+        replace(a, hypothesis=counted((a.name, "hypothesis"), a.hypothesis),
+                conclusion=counted((a.name, "conclusion"), a.conclusion))
+        for a in pqm.axioms.AXIOMS
+    ))
     for dim, svds in [(4, 43), (5, 90)]:
         s, _ = image_structure(*boolean_fragment(np.random.default_rng(dim), dim))
         counts.clear()
-        assert check_characterization(s).verdict == "model"
+        report = check_characterization(s)
+        assert report.verdict == "model" and report.axioms.to_json()["figure"] == "base"
         assert counts["svd"] <= svds, dim
         assert counts["leq"] == 0, dim
+        sides = {name: n for name, n in counts.items() if isinstance(name, tuple)}
+        assert sides and max(sides.values()) == 1, (dim, sides)
