@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -166,9 +166,11 @@ class AxiomDef:
     ``hypothesis``, ``conclusion`` and ``note`` take an interpretation
     and the instance's arguments: the element x, then the parameters.
     ``draw(rng, dim, domain)`` samples the arguments over subspaces.
-    ``cases(s)`` yields the parameter tuples of a finite structure
-    ``s`` in checking order, each taken with every domain element as x:
-    symbol names, but the first names a unitary if ``over_unitaries``.
+    ``cases(s)`` gives the cases of a finite structure ``s`` in checking
+    order, each taken with every domain element as x: an int array with
+    a row per case and a column per parameter, of symbol positions in
+    declared order, but of unitary positions in the first column if
+    ``over_unitaries``.
     ``note`` describes a violated instance over a structure, where every
     argument is a name.  An existential axiom asks for some x whose
     conclusion holds; its note takes the parameters only.
@@ -179,7 +181,7 @@ class AxiomDef:
     in_revised: bool
     existential: bool
     draw: Callable[..., tuple]
-    cases: Callable[..., Iterable[tuple]]
+    cases: Callable[..., np.ndarray]
     hypothesis: Callable[..., bool]
     conclusion: Callable[..., bool]
     note: Callable[..., str]
@@ -257,26 +259,54 @@ def _draw_unitary(bias):
     return draw
 
 
+# The cases of a finite structure, read off its fragment index's tables:
+# np.argwhere and np.nonzero list positions in row-major order, so each
+# array keeps the order of the loops named in its docstring.
+
+
 def _no_parameters(s):
-    return [()]
+    return np.zeros((1, 0), dtype=np.intp)
 
 
-def _unordered_pairs(s):
-    syms = list(s.subspaces)
-    return [(p, q) for i, p in enumerate(syms) for q in syms[i + 1 :]]
+def _unordered_pairs(s, among=None):
+    """(p, q) for p, then q after p in declared order, where ``among``
+    holds if given."""
+    if among is None:
+        among = np.ones((len(s.subspaces),) * 2, dtype=bool)
+    return np.argwhere(np.triu(among, 1))
+
+
+def _projector_positions(s):
+    return np.array([s._index.position[q] for q in s.projectors], dtype=np.intp)
 
 
 def _onto_projectors(s):
-    return ((p, q) for q in s.projectors for p in s.subspaces)
+    """(p, q) for each projector q, then each symbol p."""
+    q, n = _projector_positions(s), len(s.subspaces)
+    return np.column_stack([np.tile(np.arange(n), len(q)), np.repeat(q, n)])
 
 
 def _under_unitaries(s):
-    return ((u, p) for u in s.unitaries for p in s.subspaces)
+    """(u, p) for each unitary u, then each symbol p."""
+    u, n = np.arange(len(s.unitaries)), len(s.subspaces)
+    return np.column_stack([np.repeat(u, n), np.tile(np.arange(n), len(u))])
+
+
+def _distinct_below(s):
+    """(p, q) for each symbol p, then each other symbol q with p <= q."""
+    below = s._index.below
+    return np.argwhere(below & ~np.eye(len(below), dtype=bool))
+
+
+def _projectors_below(s):
+    """(p, q) for each projector p, then each projector q with p <= q."""
+    q = _projector_positions(s)
+    return q[np.argwhere(s._index.below[np.ix_(q, q)])]
 
 
 _MEET_COMPATIBLE = AxiomDef(
     "meet-compatible", True, False, False, _draw_compatible_pair,
-    lambda s: ((p, q) for p, q in _unordered_pairs(s) if s.compatible(p, q)),
+    lambda s: _unordered_pairs(s, s._index.compatible),
     hypothesis=lambda I, x, p, q: I.both(I.verify(x, p), lambda: I.verify(x, q)),
     conclusion=lambda I, x, p, q: I.verify(x, I.meet(p, q)),
     note=lambda I, x, p, q: f"{x} verifies {p} and {q} but not their meet {I.meet(p, q)}",
@@ -297,7 +327,7 @@ AXIOMS: tuple[AxiomDef, ...] = (
     ),
     AxiomDef(
         "monotone", True, True, False, _draw_monotone,
-        lambda s: ((p, q) for p in s.subspaces for q in s.subspaces if p != q and s.leq(p, q)),
+        _distinct_below,
         hypothesis=lambda I, x, p, q: I.verify(x, p),
         conclusion=lambda I, x, p, q: I.verify(x, q),
         note=lambda I, x, p, q: f"{x} verifies {p} <= {q} but not {q}",
@@ -316,14 +346,14 @@ AXIOMS: tuple[AxiomDef, ...] = (
     ),
     AxiomDef(
         "project-chain", True, False, False, _draw_project_chain,
-        lambda s: ((p, q) for p in s.projectors for q in s.projectors if s.leq(p, q)),
+        _projectors_below,
         hypothesis=lambda I, x, p, q: I.verify(I.project(I.project(x, q), p), I.bottom),
         conclusion=lambda I, x, p, q: I.verify(I.project(x, p), I.bottom),
         note=lambda I, x, p, q: f"{x}: impossible through {q} then {p}, possible through {p}",
     ),
     AxiomDef(
         "project-bottom", True, False, False, _draw_project_bottom,
-        lambda s: ((q,) for q in s.projectors),
+        lambda s: _projector_positions(s)[:, None],
         hypothesis=lambda I, x, q: I.verify(I.project(x, q), I.bottom),
         conclusion=lambda I, x, q: I.verify(x, I.ortho(q)),
         note=lambda I, x, q: f"{x} impossible through {q} but does not verify its complement",

@@ -59,7 +59,6 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -108,14 +107,20 @@ class _FragmentIndex:
 
     The symbols are held as one zero-padded ``(S, dim, dim)`` stack of
     bases in declared order (see ``pqm.subspace.stacked``).  Each kind of
-    question is one stacked computation over all its argument tuples,
-    split into chunks of bounded size:
+    question is one stacked computation over the argument tuples that
+    need the kernel, split into chunks of bounded size:
 
-    * ``leq`` and ``compatible`` over all ordered symbol pairs;
-    * each lattice term the axioms name over all its argument tuples:
-      ``ortho`` over the symbols, ``meet``, ``sasaki_and`` and
-      ``sasaki_hook`` over the ordered symbol pairs, and ``image`` and
-      ``preimage`` over the declared unitaries and the symbols.
+    * ``leq`` over all ordered symbol pairs;
+    * ``compatible``, ``meet`` and ``sasaki_and`` over the symbol pairs
+      that ``leq`` does not order, each unordered pair once for the
+      symmetric ``compatible`` and ``meet``, which are mirrored.  An
+      ordered pair is compatible, and its meet and Sasaki conjunction
+      are the smaller symbol, as in ``sub.meet``: read as the first
+      symbol equal to it, since a fragment may name one subspace twice;
+    * the other lattice terms the axioms name over all their argument
+      tuples: ``ortho`` over the symbols, ``sasaki_hook`` over the
+      ordered symbol pairs, and ``image`` and ``preimage`` over the
+      declared unitaries and the symbols.
 
     ``meet`` and ``compatible`` take the residual cut of ``sub.meet`` and
     ``sub.compatible`` over the pairs grouped by the first symbol's rank.
@@ -128,7 +133,8 @@ class _FragmentIndex:
     largest sine of the principal angles is the same in both directions.
     Each symbol's complement is the ``sub.ortho`` of its value, computed
     once.  The tables are arrays over the positions of the symbols and
-    unitaries in declared order (``position`` and ``unitary_position``).
+    unitaries in declared order (``position`` and ``unitary_position``),
+    and the relation table over the elements (``element``) too.
     ``FiniteStructure.symbol_of`` resolves a stack of one, and the rest
     of a structure check is lookups in these tables.
     """
@@ -140,6 +146,7 @@ class _FragmentIndex:
         self.names = tuple(s.subspaces)
         self._values = s.subspaces
         self._unitaries = {name: tu.op for name, tu in s.unitaries.items()}
+        self._relation = s.relation
         self.ranks = np.array([v.rank for v in s.subspaces.values()], dtype=np.intp)
         self.bases = sub.stacked([v.basis for v in s.subspaces.values()], s.dim)
         self._buckets = {}  # rank -> (positions in declared order, (S_r, dim, rank) bases)
@@ -148,6 +155,7 @@ class _FragmentIndex:
             self._buckets[rank] = (positions, self.bases[positions, :, :rank])
         self.position = {name: k for k, name in enumerate(self.names)}
         self.unitary_position = {name: k for k, name in enumerate(self._unitaries)}
+        self.element = {m: k for k, m in enumerate(s.domain)}
         self._terms: dict[str, np.ndarray] = {}
 
     # -- symbol lookup
@@ -175,6 +183,14 @@ class _FragmentIndex:
         return self.bases @ self.bases.conj().swapaxes(-1, -2)
 
     @cached_property
+    def relation(self) -> np.ndarray:
+        """The (elements, symbols) bool table of the relation."""
+        table = np.zeros((len(self.element), len(self.names)), dtype=bool)
+        for m, p in self._relation:
+            table[self.element[m], self.position[p]] = True
+        return table
+
+    @cached_property
     def below(self) -> np.ndarray:
         """The (S, S) table of ``sub.leq``."""
         return sub.stacked_leq_table(self.bases, self.bases)
@@ -190,13 +206,24 @@ class _FragmentIndex:
                 yield rows, rank, stacked_fn(p, self.bases[second[rows]])
 
     @cached_property
+    def _first_equal(self) -> np.ndarray:
+        """The position of the first symbol equal to each symbol."""
+        return self.resolve(self.bases, self.ranks)
+
+    def _unordered(self, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the symbol pairs that ``below`` does not order,
+        only those with i < j if ``symmetric``."""
+        unordered = ~(self.below | self.below.T)
+        return np.nonzero(np.triu(unordered, 1) if symmetric else unordered)
+
+    @cached_property
     def compatible(self) -> np.ndarray:
         """The (S, S) table of ``sub.compatible``."""
-        first, second = np.divmod(np.arange(len(self.names) ** 2), len(self.names))
-        fits = np.empty(len(first), dtype=bool)
+        first, second = self._unordered(symmetric=True)
+        fits = np.ones((len(self.names),) * 2, dtype=bool)
         for rows, _, fit in self._pairwise(sub.stacked_compatible, first, second):
-            fits[rows] = fit
-        return fits.reshape(len(self.names), -1)
+            fits[first[rows], second[rows]] = fits[second[rows], first[rows]] = fit
+        return fits
 
     def _term_values(self, term: str, first: np.ndarray, second: np.ndarray):
         """The values of a term at the argument positions ``first`` (and
@@ -223,21 +250,31 @@ class _FragmentIndex:
             raise sub.InternalInvariantError("unitary image changed rank")
         return values, ranks
 
+    def _resolved(self, term: str, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """The position of the symbol of a term at each argument pair, or -1."""
+        found = np.empty(len(first), dtype=np.intp)
+        for chunk in sub.stack_chunks(len(first), 2 * self.dim * self.dim):
+            found[chunk] = self.resolve(*self._term_values(term, first[chunk], second[chunk]))
+        return found
+
     def term(self, term: str) -> np.ndarray:
         """The position of the symbol of a lattice term at every argument
         tuple, -1 where no symbol denotes its value: an int array with an
         axis per argument, over the unitaries for the first argument of
         ``image`` and ``preimage`` and over the symbols otherwise."""
         if term not in self._terms:
-            first_axis = len(self._unitaries) if term in ("image", "preimage") else len(self.names)
-            shape = (len(self.names),) if term == "ortho" else (first_axis, len(self.names))
-            positions = np.unravel_index(np.arange(np.prod(shape, dtype=np.intp)), shape)
-            first, second = positions[0], positions[-1]
-            found = np.empty(len(first), dtype=np.intp)
-            for chunk in sub.stack_chunks(len(first), 2 * self.dim * self.dim):
-                values = self._term_values(term, first[chunk], second[chunk])
-                found[chunk] = self.resolve(*values)
-            self._terms[term] = found.reshape(shape)
+            if term in ("meet", "sasaki_and"):  # at p <= q both are p, at q <= p both are q
+                table = np.where(self.below, self._first_equal[:, None], self._first_equal)
+                first, second = self._unordered(symmetric=term == "meet")
+                table[first, second] = self._resolved(term, first, second)
+                if term == "meet":
+                    table[second, first] = table[first, second]
+            else:
+                first_axis = len(self._unitaries) if term in ("image", "preimage") else len(self.names)
+                shape = (len(self.names),) if term == "ortho" else (first_axis, len(self.names))
+                positions = np.unravel_index(np.arange(np.prod(shape, dtype=np.intp)), shape)
+                table = self._resolved(term, positions[0], positions[-1]).reshape(shape)
+            self._terms[term] = table
         return self._terms[term]
 
 
@@ -325,6 +362,27 @@ def _vector(obj, dim: int, where: str, issues: list[str]) -> np.ndarray:
     return np.array([_complex_entry(e, f"{where}[{k}]", issues) for k, e in enumerate(obj)])
 
 
+def _vectors(obj: list, dim: int, where: str, issues: list[str]) -> np.ndarray:
+    """A list of vectors as complex rows.  A list of ``[re, im]`` pairs
+    of finite ints and floats, all of the right length, is read in one
+    numpy call, whose view of each pair as a complex number keeps the
+    sign of a zero; any other goes entry by entry, which says what is
+    wrong."""
+    try:
+        pairs = np.array(obj, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    # numpy reads bools and numeric strings as numbers too, so the types
+    # are checked as well: once the shape holds, the vectors and pairs are
+    # sequences and what they hold are scalars
+    if (
+        pairs is not None and pairs.shape == (len(obj), dim, 2) and np.isfinite(pairs).all()
+        and {type(x) for v in obj for pair in v for x in (v, pair, *pair)} <= {list, tuple, int, float}
+    ):
+        return pairs.view(np.complex128)[..., 0]
+    return np.array([_vector(v, dim, f"{where}[{k}]", issues) for k, v in enumerate(obj)])
+
+
 def _check_table(table, domain: tuple[str, ...], where: str, issues: list[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     if not isinstance(table, dict):
@@ -384,9 +442,8 @@ def parse_structure_json(data) -> FiniteStructure:
         if not isinstance(vecs, list):
             issues.append(f"{where}: expected a list of spanning vectors")
             continue
-        rows = [_vector(v, dim, f"{where}[{k}]", issues) for k, v in enumerate(vecs)]
         try:
-            subspaces[name] = sub.span_of(rows, dim)
+            subspaces[name] = sub.span_of(_vectors(vecs, dim, where, issues), dim)
         except ValueError as exc:
             issues.append(f"{where}: {exc}")
     if isinstance(data.get("subspaces"), dict):  # a missing or non-object one is reported
@@ -421,7 +478,7 @@ def parse_structure_json(data) -> FiniteStructure:
             issues.append(f"{where}.matrix: expected {dim} rows")
             continue
         known = len(issues)
-        mat = np.array([_vector(r, dim, f"{where}.matrix[{k}]", issues) for k, r in enumerate(rows_obj)])
+        mat = _vectors(rows_obj, dim, f"{where}.matrix", issues)
         entries_ok = len(issues) == known
         table = _check_table(entry["table"], dom, f"{where}.table", issues)
         if not entries_ok:
@@ -501,15 +558,6 @@ def structure_to_json(s: FiniteStructure) -> dict:
 _MAX_EXAMPLES = 5
 
 
-def _relation_table(s: FiniteStructure) -> np.ndarray:
-    """The relation as an (elements, symbols) bool table."""
-    element = {m: k for k, m in enumerate(s.domain)}
-    table = np.zeros((len(s.domain), len(s.subspaces)), dtype=bool)
-    for m, p in s.relation:
-        table[element[m], s._index.position[p]] = True
-    return table
-
-
 class _OverStructure:
     """The axioms read over a finite structure, every instance at once:
     elements, symbols and unitaries are positions in declared order, in
@@ -521,9 +569,9 @@ class _OverStructure:
     and zero-space symbols resolve on construction."""
 
     def __init__(self, s: FiniteStructure):
-        index, element = s._index, {m: k for k, m in enumerate(s.domain)}
+        index, element = s._index, s._index.element
         self.top, self.bottom = index.position[s.top_symbol()], index.position[s.bot_symbol()]
-        self._relation = np.pad(_relation_table(s), ((0, 0), (0, 1)))  # position -1 reads False
+        self._relation = np.pad(index.relation, ((0, 0), (0, 1)))  # position -1 reads False
         self._projectors = np.zeros((len(s.subspaces), len(s.domain)), dtype=np.intp)
         for q, table in s.projectors.items():
             self._projectors[index.position[q]] = [element[table[m]] for m in s.domain]
@@ -576,15 +624,18 @@ def _check_axiom(axiom, s: FiniteStructure, interp: _OverStructure, named: _Over
     symbol denotes.  An existential is one instance per case, with a
     hypothesis that always holds.  Violations are in case, then domain
     order."""
-    cases = list(axiom.cases(s))
-    if not cases:
+    cases = axiom.cases(s)
+    if not len(cases):
         return CheckResult(axiom.name, 0, 0, 0)
-    index, shape, x = s._index, (len(cases), len(s.domain)), np.arange(len(s.domain))
-    first = index.unitary_position if axiom.over_unitaries else index.position
-    params = [
-        np.array([role[a] for a in column], dtype=np.intp)[:, None]
-        for role, column in zip(chain([first], repeat(index.position)), zip(*cases))
-    ]
+    shape, x = (len(cases), len(s.domain)), np.arange(len(s.domain))
+    params = [column[:, None] for column in cases.T]
+    axes = [s._index.names] * len(params)
+    if axiom.over_unitaries:
+        axes[0] = tuple(s.unitaries)
+
+    def case_names(c: int) -> tuple[str, ...]:
+        return tuple(axis[k] for axis, k in zip(axes, cases[c]))
+
     interp.unresolved = False
     hypothesis = np.broadcast_to(axiom.hypothesis(interp, x, *params), shape)
     held = skip = np.False_
@@ -595,13 +646,13 @@ def _check_axiom(axiom, s: FiniteStructure, interp: _OverStructure, named: _Over
     if axiom.existential:
         failed = ~np.broadcast_to(held, shape).any(axis=1)
         instances = hits = len(cases)
-        skipped, shown = 0, [cases[c] for c in np.flatnonzero(failed)[:_MAX_EXAMPLES]]
+        skipped, shown = 0, [case_names(c) for c in np.flatnonzero(failed)[:_MAX_EXAMPLES]]
     else:
         failed = hypothesis & ~skip & ~held
         hits, skipped = int(hypothesis.sum()), int(skip.sum())
         instances = failed.size - skipped
         rows, columns = np.unravel_index(np.flatnonzero(failed)[:_MAX_EXAMPLES], shape)
-        shown = [(s.domain[e], *cases[c]) for c, e in zip(rows, columns)]
+        shown = [(s.domain[e], *case_names(c)) for c, e in zip(rows, columns)]
     examples = tuple(
         # only an existential fails over an empty domain
         axiom.note(named, *args) if s.domain else "empty domain: no element can witness possibility"
@@ -668,14 +719,15 @@ def kappa_of(s: FiniteStructure, elem: str) -> KappaResult:
     space.  Without a least member the result names two distinct
     minimal members as the conflict.  Raises ValueError on an element
     outside the domain."""
-    if elem not in s.domain:
+    index = s._index
+    if elem not in index.element:
         raise ValueError(f"unknown element {elem!r}")
-    members = [p for p in s.subspaces if s.related(elem, p)]
+    positions = np.flatnonzero(index.relation[index.element[elem]])
+    members = [index.names[k] for k in positions]
     value = sub.top(s.dim)
     for p in members:
         value = sub.meet(value, s.subspaces[p])
-    positions = [s._index.position[p] for p in members]
-    below = s._index.below[positions][:, positions]
+    below = index.below[positions][:, positions]
     least = below.all(axis=1)
     member_symbol = members[least.argmax()] if least.any() else None
     conflict = None
@@ -754,7 +806,7 @@ def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
     no_least = tuple(m for m in s.domain if kappa[m].no_least)
     index = s._index
     least = {m: index.position[k.member_symbol] for m, k in kappa.items() if not k.no_least}
-    related = _relation_table(s)[[k for k, m in enumerate(s.domain) if m in least]]
+    related = index.relation[[index.element[m] for m in least]]
     rel_bad = [
         f"({list(least)[i]}, {index.names[p]}): "
         + ("related without containment" if related[i, p] else "containment without relation")

@@ -16,6 +16,8 @@ from pqm.structures import (
     FiniteStructure,
     StructureValidationError,
     TableUnitary,
+    _vector,
+    _vectors,
     check_characterization,
     check_strong_morphism,
     check_structure_axioms,
@@ -46,10 +48,10 @@ from pqm.subspace import (
 
 from _corpus import boolean_fragment, build_corpus, build_mutants, image_structure, mixed_fragment
 from _routes import (
-    check_incompatible_pairs, check_ray_coverage, check_two_ray_floor, filter_of,
+    check_incompatible_pairs, check_ray_coverage, check_two_ray_floor, filter_of, fragment_tables_by_all_pairs,
     projectors_commute, saturate, strong_morphism_by_pairs, structure_axioms_by_instances,
 )
-from test_fuzz import structure_json
+from test_fuzz import HOSTILE_VALUES, structure_json
 
 E1 = np.array([1, 0, 0], dtype=complex)
 E2 = np.array([0, 1, 0], dtype=complex)
@@ -113,6 +115,38 @@ def test_structure_dim_out_of_range_is_rejected(dim):
     with pytest.raises(StructureValidationError) as exc:
         parse_structure_json(data)
     assert any(i.startswith(f"dim: expected an integer from 1 to {MAX_DIM}") for i in exc.value.issues)
+
+
+@st.composite
+def vector_list(draw):
+    """A list of vectors of [re, im] pairs of ints and floats, signed
+    zeros among them, with one node replaced by a hostile value half the
+    time."""
+    dim, n = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70),
+                       st.sampled_from([0.0, -0.0, 0, 1]))
+    vecs = [[[draw(number), draw(number)] for _ in range(dim)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        k, j, part = draw(st.integers(0, n - 1)), draw(st.integers(0, dim - 1)), draw(st.integers(0, 2))
+        value = draw(st.sampled_from(HOSTILE_VALUES))
+        if part == 2:
+            vecs[k][j] = value
+        else:
+            vecs[k][j][part] = value
+    return dim, vecs
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_list())
+def test_vector_lists_read_as_entry_by_entry(drawn):
+    """The one-call read of a vector list gives the bytes and the issues
+    of reading it entry by entry."""
+    dim, vecs = drawn
+    fast, slow = [], []
+    got = _vectors(vecs, dim, "x", fast)
+    expected = np.array([_vector(v, dim, f"x[{k}]", slow) for k, v in enumerate(vecs)], dtype=complex)
+    assert fast == slow
+    assert np.asarray(got, dtype=complex).tobytes() == expected.tobytes()
 
 
 def test_load_reports_json_position(tmp_path):
@@ -251,6 +285,29 @@ def test_axiom_report_names_violations():
     bad = {r.name: r for r in report.results if r.violations}
     assert "verify-top" in bad
     assert bad["verify-top"].examples
+
+
+@pytest.mark.parametrize("extra, shown", [(0, ["top", "p", "q"]), (4, ["top", "p", "q", "r0", "r1"])])
+def test_existential_lists_each_failed_case_up_to_five(monkeypatch, extra, shown):
+    """An existential with a case per symbol, "some element misses p",
+    fails for every symbol that each element verifies: three in the tiny
+    structure, seven with four more related rays.  The report names them
+    in case order, up to five."""
+    everywhere = replace(
+        next(a for a in pqm.axioms.AXIOMS if a.existential),
+        cases=lambda s: np.arange(len(s.subspaces))[:, None],
+        hypothesis=lambda I, x, p: True,
+        conclusion=lambda I, x, p: I.no(I.verify(x, p)),
+        note=lambda I, p: f"every element verifies {p}",
+    )
+    monkeypatch.setattr(pqm.axioms, "AXIOMS", (everywhere,))
+    data = tiny_structure_json()
+    for k in range(extra):
+        data["subspaces"][f"r{k}"] = _basis_json(E1)
+        data["relation"].append(["m", f"r{k}"])
+    result = check_structure_axioms(parse_structure_json(data), "base").results[0]
+    assert (result.instances, result.violations) == (4 + extra, 3 + extra)
+    assert result.examples == tuple(f"every element verifies {p}" for p in shown)
 
 
 def test_two_ray_floor():
@@ -601,6 +658,66 @@ def test_morphism_matches_the_pairs_near_the_threshold(s):
 
 
 # ---------------------------------------------------------------------------
+# The index's meet, sasaki_and and compatible tables against all pairs
+
+
+def _copy(s):
+    return FiniteStructure(s.dim, s.domain, s.subspaces, s.projectors, s.unitaries, s.relation)
+
+
+def _assert_tables_match_all_pairs(s):
+    """The index's tables equal those of every ordered pair through the
+    kernel, each route on its own copy of ``s``."""
+    expected, index = fragment_tables_by_all_pairs(_copy(s)), _copy(s)._index
+    for term in ("meet", "sasaki_and"):
+        np.testing.assert_array_equal(index.term(term), expected[term], err_msg=term)
+    np.testing.assert_array_equal(index.compatible, expected["compatible"], err_msg="compatible")
+
+
+def test_tables_match_all_pairs(samples_dir):
+    corpus = build_corpus()
+    structures = [s for _, s, _ in corpus] + [m for _, m in build_mutants(corpus)]
+    structures.append(load_structure(str(samples_dir / "model3.json")))
+    for s in structures:
+        _assert_tables_match_all_pairs(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure_json())
+def test_tables_match_all_pairs_on_fuzzed_structures(data):
+    try:
+        s = parse_structure_json(data)
+    except StructureValidationError:
+        return  # the draw is malformed on purpose; the fuzz tests read it
+    _assert_tables_match_all_pairs(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_tolerance_structure())
+def test_tables_match_all_pairs_near_the_threshold(s):
+    _assert_tables_match_all_pairs(s)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_ordered_pairs_read_the_first_equal_symbol(dim):
+    """A ray under two names, ``first`` declared before ``second``: every
+    pair with ``second`` that ``leq`` orders reads ``first`` for its meet
+    and its Sasaki conjunction, as the kernel route does."""
+    rng = np.random.default_rng([53, dim])
+    ray = random_subspace(rng, dim, rank=1)
+    plane = span_of([ray.basis[:, 0], rng.standard_normal(dim)], dim)
+    values = {"top": top(dim), "bot": bottom(dim), "first": ray, "plane": plane, "second": ray,
+              "other": random_subspace(rng, dim, rank=1)}
+    s = FiniteStructure(dim, (), values, {}, {}, frozenset())
+    _assert_tables_match_all_pairs(s)
+    meets, conjunctions = _term_symbols(s, "meet"), _term_symbols(s, "sasaki_and")
+    for other in ("top", "plane", "second", "first"):
+        assert meets["second", other] == meets[other, "second"] == "first"
+        assert conjunctions["second", other] == conjunctions[other, "second"] == "first"
+    assert meets["bot", "second"] == meets["second", "bot"] == "bot"
+
+
+# ---------------------------------------------------------------------------
 # The axiom check against the per-instance route it replaces
 
 
@@ -685,10 +802,11 @@ def test_chunked_tables_give_the_same_reports(monkeypatch, budget):
 
 
 def test_characterization_work_is_pinned(monkeypatch):
-    """SVD calls, per-pair containment tests and reads of each axiom's
-    hypothesis and conclusion in one characterization of a Boolean image
-    structure at dims 4 and 5; a batched call counts once.  The linear
-    lookup scan made 2,227 SVDs and 5,192 ``leq`` calls at dim 4, the
+    """SVD calls, the matrices they take, per-pair containment tests and
+    reads of each axiom's hypothesis and conclusion in one
+    characterization of a Boolean image structure at dims 4 and 5; a
+    batched call counts once, and each matrix of its stack counts.  The
+    linear lookup scan made 2,227 SVDs and 5,192 ``leq`` calls at dim 4, the
     per-pair fragment index 1,442 and 2,276 there and 5,788 and 8,644
     at dim 5, and the stacked tables with the De Morgan meet 216 and 697
     SVDs.  The residual meet takes one SVD where that meet took three,
@@ -697,7 +815,11 @@ def test_characterization_work_is_pinned(monkeypatch):
     morphism check then read the index's tables instead of spanning the
     least members' projections and images: 43 and 90.  The axiom check
     read each side once per case and element; it reads it once over
-    arrays of all of them."""
+    arrays of all of them.  The term tables took 1,068 and 4,188
+    matrices, one per ordered symbol pair; they then read each pair that
+    ``leq`` orders off that table, and take each unordered pair once
+    for the symmetric ``meet`` and ``compatible``: 40 SVDs of 367
+    matrices, and 79 of 1,613."""
     counts = Counter()
 
     def counted(name, fn):
@@ -706,19 +828,24 @@ def test_characterization_work_is_pinned(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pqm.subspace.np.linalg, "svd", counted("svd", np.linalg.svd))
+    def svd(a, *args, taken=np.linalg.svd, **kwargs):
+        counts["matrices"] += int(np.prod(np.shape(a)[:-2]))
+        return taken(a, *args, **kwargs)
+
+    monkeypatch.setattr(pqm.subspace.np.linalg, "svd", counted("svd", svd))
     monkeypatch.setattr(pqm.subspace, "leq", counted("leq", pqm.subspace.leq))
     monkeypatch.setattr(pqm.axioms, "AXIOMS", tuple(
         replace(a, hypothesis=counted((a.name, "hypothesis"), a.hypothesis),
                 conclusion=counted((a.name, "conclusion"), a.conclusion))
         for a in pqm.axioms.AXIOMS
     ))
-    for dim, svds in [(4, 43), (5, 90)]:
+    for dim, svds, matrices in [(4, 40, 367), (5, 79, 1613)]:
         s, _ = image_structure(*boolean_fragment(np.random.default_rng(dim), dim))
         counts.clear()
         report = check_characterization(s)
         assert report.verdict == "model" and report.axioms.to_json()["figure"] == "base"
         assert counts["svd"] <= svds, dim
+        assert counts["matrices"] <= matrices, dim
         assert counts["leq"] == 0, dim
         sides = {name: n for name, n in counts.items() if isinstance(name, tuple)}
         assert sides and max(sides.values()) == 1, (dim, sides)

@@ -145,6 +145,25 @@ def test_containment_threshold_sits_at_eq_tol():
     assert not leq(p, ray_at_residual(2.0 * EQ_TOL))
 
 
+@pytest.mark.parametrize("sine, equal", [(1e-7, False), (1e-9, True)])
+def test_equality_threshold_in_absolute_terms(sine, equal):
+    """Two rays at a sine of 1e-7 are distinct and at 1e-9 equal, in
+    both directions and for their meet: a pin in numbers, not in
+    multiples of ``EQ_TOL``, so that it holds the threshold still."""
+    p = Subspace(3, np.array([[1.0], [0.0], [0.0]]))
+    q = Subspace(3, np.array([[np.sqrt(1.0 - sine * sine)], [sine], [0.0]]))
+    assert leq(p, q) == leq(q, p) == eq(p, q) == equal
+    assert meet(p, q).rank == meet(q, p).rank == int(equal)
+
+
+@pytest.mark.parametrize("largest", [1.0, 1e3])
+def test_rank_cut_in_absolute_terms(largest):
+    """A span whose smaller singular value is 1e-9 of the larger one
+    (and of 1) keeps both: a pin in numbers, not in multiples of
+    ``RANK_TOL``."""
+    assert span_of([[largest, 0, 0], [0, 1e-9 * largest, 0]], 3).rank == 2
+
+
 @pytest.mark.parametrize("largest", [0.5, 3.0])
 def test_rank_cut_sits_at_rank_tol(largest):
     cut = RANK_TOL * max(1.0, largest)
