@@ -1,6 +1,8 @@
 """Normalizer: atom reduction, quantifier elimination, truth preservation."""
 
+import hashlib
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -21,7 +23,7 @@ from pqm.normalize import (
     normalize,
     reduce_atom,
 )
-from pqm.decide import evaluate
+from pqm.decide import evaluate, verdict_to_json
 from pqm.sampling import random_ray
 from pqm.subspace import bottom, leq, subspace_to_json
 
@@ -65,6 +67,49 @@ def test_normalize_produces_single_variable_leaves():
     for basic in combo_basics(combo):
         assert isinstance(basic, BasicSentence)
         assert all(s.dim == 3 for s in basic.positives + basic.negatives)
+
+
+# sha256 of the node tables, size and verdict of each normal form, for
+# random_sentence draws at dims 3 and 6 (seeds 0-399, rng [seed, dim])
+# and the seed-645 sentence.  Recorded before the closed pieces of the
+# mixed tree became Leaf and BNot nodes; every byte must stay.
+NORMAL_FORMS_SHA256 = "57e1bc43a092780bbef2661a9250ac297ce7ab1a3d31245d0b61734ea8fa1e80"
+
+
+def _pinned_draws():
+    for dim in (3, 6):
+        for seed in range(400):
+            rng = np.random.default_rng([seed, dim])
+            problem = random_problem(rng, dim)
+            yield random_sentence(rng, problem), problem
+    yield deep_disjunction()
+
+
+def test_normal_forms_are_pinned():
+    digest = hashlib.sha256()
+    for sentence, problem in _pinned_draws():
+        combo = normalize(sentence, problem)  # none of these draws passes the budget
+        record = [combo_to_json(combo), combo_size(combo), verdict_to_json(evaluate(combo, problem.dim))]
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == NORMAL_FORMS_SHA256
+
+
+def test_node_budget_is_charged_exactly(monkeypatch):
+    # pqm.normalize names the function once the package is imported
+    module = sys.modules["pqm.normalize"]
+    sentence, problem = deep_disjunction()
+    monkeypatch.setattr(module, "DNF_NODE_LIMIT", 7_230)
+    assert combo_size(normalize(sentence, problem)) > 50_000
+    monkeypatch.setattr(module, "DNF_NODE_LIMIT", 7_229)
+    with pytest.raises(NormalizationLimitError, match="exceeds 7229 nodes"):
+        normalize(sentence, problem)
+
+
+def test_seed_1124_passes_the_default_budget():
+    rng = np.random.default_rng(1124)
+    problem = random_problem(rng, 3)
+    with pytest.raises(NormalizationLimitError, match="exceeds 1000000 nodes"):
+        normalize(random_sentence(rng, problem, max_depth=4, max_quants=3), problem)
 
 
 @given(seeds)
