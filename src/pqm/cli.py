@@ -357,8 +357,7 @@ def _cmd_kappa(args) -> int:
                 conflict = f" (minimal pair {r.conflict[0]}, {r.conflict[1]})" if r.conflict else ""
                 print(f"{m}: no least filter member{conflict}")
             else:
-                shown = r.member_symbol if r.member_symbol else f"rank-{r.value.rank} subspace"
-                print(f"{m}: {shown}")
+                print(f"{m}: {r.member_symbol}")
     return 0 if ok else 1
 
 

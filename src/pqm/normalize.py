@@ -10,7 +10,11 @@ rewrites every atom onto a bare variable (peeling projections through
 the Sasaki hook and unitaries through their adjoints), then eliminates
 quantifiers innermost-first by distributing to disjunctive normal form
 and folding the literals of the bound variable into a basic sentence.
-Universal quantifiers go through the negated existential.
+Universal quantifiers go through the negated existential.  A basic
+sentence is a Leaf from the start, and its negation the BNot of that
+Leaf, so what is left once the last quantifier is gone is already the
+Boolean combination, up to folding its flat conjunctions and
+disjunctions into binary nodes.
 
 The atom rewrites are equivalences of the subspace model (adjunction of
 the Sasaki operations, unitarity), so normalization preserves truth
@@ -107,19 +111,13 @@ def reduce_atom(atom: Atom, problem: Problem) -> tuple[str, Subspace]:
 
 # ---------------------------------------------------------------------------
 # Mixed trees: negation-normal combinations of variable literals and
-# already-closed Boolean pieces.
+# already-closed pieces, each a Leaf or the BNot of one.
 
 
 @dataclass(frozen=True)
 class _Lit:
     var: str
     space: Subspace
-    positive: bool
-
-
-@dataclass(frozen=True)
-class _Closed:
-    combo: BoolCombo
     positive: bool
 
 
@@ -133,35 +131,24 @@ class _MOr:
     items: tuple
 
 
-def _mk_and(items) -> object:
+def _flat(node, items) -> object:
+    """``node(items)`` for ``_MAnd`` or ``_MOr``, nested ``node``s spliced in."""
     flat = []
     for it in items:
-        if isinstance(it, _MAnd):
+        if isinstance(it, node):
             flat.extend(it.items)
         else:
             flat.append(it)
-    if len(flat) == 1:
-        return flat[0]
-    return _MAnd(tuple(flat))
-
-
-def _mk_or(items) -> object:
-    flat = []
-    for it in items:
-        if isinstance(it, _MOr):
-            flat.extend(it.items)
-        else:
-            flat.append(it)
-    if len(flat) == 1:
-        return flat[0]
-    return _MOr(tuple(flat))
+    return flat[0] if len(flat) == 1 else node(tuple(flat))
 
 
 def _negate(m) -> object:
     if isinstance(m, _Lit):
         return _Lit(m.var, m.space, not m.positive)
-    if isinstance(m, _Closed):
-        return _Closed(m.combo, not m.positive)
+    if isinstance(m, Leaf):
+        return BNot(m)
+    if isinstance(m, BNot):
+        return m.arg
     if isinstance(m, _MAnd):
         return _MOr(tuple(_negate(x) for x in m.items))
     if isinstance(m, _MOr):
@@ -170,7 +157,7 @@ def _negate(m) -> object:
 
 
 class _Run:
-    """One normalize call: the DNF node budget and the sharing tables.
+    """One normalize call: the DNF node count and the sharing tables.
 
     Equal atoms reduce once, to one Subspace object (Iff and Implies
     expansion copy subtrees), and conjunctions with the same literal
@@ -179,18 +166,17 @@ class _Run:
     literals, which the stored leaf keeps alive.
     """
 
-    def __init__(self, problem: Problem, limit: int):
+    def __init__(self, problem: Problem):
         self.problem = problem
-        self.limit = limit
         self.count = 0
         self.atoms: dict[Atom, tuple[str, Subspace]] = {}
         self.leaves: dict[tuple, Leaf] = {}
 
     def charge(self, n: int) -> None:
         self.count += n
-        if self.count > self.limit:
+        if self.count > DNF_NODE_LIMIT:
             raise NormalizationLimitError(
-                f"normal form exceeds {self.limit} nodes; sentence out of scope"
+                f"normal form exceeds {DNF_NODE_LIMIT} nodes; sentence out of scope"
             )
 
     def atom(self, atom: Atom) -> tuple[str, Subspace]:
@@ -207,7 +193,7 @@ class _Run:
 
 def _dnf(m, run: _Run) -> list[tuple]:
     """Disjunctive normal form of a mixed tree, as a list of conjunctions."""
-    if isinstance(m, (_Lit, _Closed)):
+    if isinstance(m, (_Lit, Leaf, BNot)):
         run.charge(1)
         return [(m,)]
     if isinstance(m, _MOr):
@@ -236,12 +222,12 @@ def _eliminate_exists(var: str, m, run: _Run) -> object:
                 tuple(l.space for l in var_lits if l.positive),
                 tuple(l.space for l in var_lits if not l.positive),
             )
-            rest.append(_Closed(leaf, True))
+            rest.append(leaf)
         # A disjunct with no literals of the bound variable is unchanged:
         # exists y . psi is equivalent to psi when y does not occur
         # (domains are nonempty).
-        out.append(_mk_and(rest))
-    return _mk_or(out)
+        out.append(_flat(_MAnd, rest))
+    return _flat(_MOr, out)
 
 
 def _elim(f: Formula, neg: bool, run: _Run):
@@ -255,10 +241,10 @@ def _elim(f: Formula, neg: bool, run: _Run):
         return _elim(f.arg, not neg, run)
     if isinstance(f, And):
         parts = (_elim(f.left, neg, run), _elim(f.right, neg, run))
-        return _mk_or(parts) if neg else _mk_and(parts)
+        return _flat(_MOr if neg else _MAnd, parts)
     if isinstance(f, Or):
         parts = (_elim(f.left, neg, run), _elim(f.right, neg, run))
-        return _mk_and(parts) if neg else _mk_or(parts)
+        return _flat(_MAnd if neg else _MOr, parts)
     if isinstance(f, Implies):
         return _elim(Or(Not(f.left), f.right), neg, run)
     if isinstance(f, Iff):
@@ -280,8 +266,8 @@ def _to_combo(m) -> BoolCombo:
         raise InternalInvariantError(
             f"literal on variable {m.var!r} survived elimination; sentence is not closed"
         )
-    if isinstance(m, _Closed):
-        return m.combo if m.positive else BNot(m.combo)
+    if isinstance(m, (Leaf, BNot)):
+        return m
     if isinstance(m, _MAnd):
         return _fold_balanced([_to_combo(item) for item in m.items], BAnd)
     if isinstance(m, _MOr):
@@ -303,7 +289,7 @@ def normalize(sentence: Formula, problem: Problem) -> BoolCombo:
     problem's definitions.  A leaf that recurs with the same literals is
     one shared Leaf object.  Raises NormalizationLimitError past the DNF
     node budget."""
-    return _to_combo(_elim(sentence, False, _Run(problem, DNF_NODE_LIMIT)))
+    return _to_combo(_elim(sentence, False, _Run(problem)))
 
 
 def combo_size(c: BoolCombo) -> int:

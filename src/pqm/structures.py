@@ -134,7 +134,8 @@ class _FragmentIndex:
     Each symbol's complement is the ``sub.ortho`` of its value, computed
     once.  The tables are arrays over the positions of the symbols and
     unitaries in declared order (``position`` and ``unitary_position``),
-    and the relation table over the elements (``element``) too.
+    and the relation and the tables' targets over the elements
+    (``element``) too.
     ``FiniteStructure.symbol_of`` resolves a stack of one, and the rest
     of a structure check is lookups in these tables.
     """
@@ -147,6 +148,7 @@ class _FragmentIndex:
         self._values = s.subspaces
         self._unitaries = {name: tu.op for name, tu in s.unitaries.items()}
         self._relation = s.relation
+        self._tables = s.domain, s.projectors, s.unitaries
         self.ranks = np.array([v.rank for v in s.subspaces.values()], dtype=np.intp)
         self.bases = sub.stacked([v.basis for v in s.subspaces.values()], s.dim)
         self._buckets = {}  # rank -> (positions in declared order, (S_r, dim, rank) bases)
@@ -189,6 +191,19 @@ class _FragmentIndex:
         for m, p in self._relation:
             table[self.element[m], self.position[p]] = True
         return table
+
+    @cached_property
+    def targets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the elements that the tables send each element
+        to: the projector tables' as an (S, elements) array, with a row of
+        0 for a symbol without a table, and the unitary tables'."""
+        domain, projectors, unitaries = self._tables
+        projections = np.zeros((len(self.names), len(domain)), dtype=np.intp)
+        for q, table in projectors.items():
+            projections[self.position[q]] = [self.element[table[m]] for m in domain]
+        transforms = np.array([[self.element[tu.table[m]] for m in domain] for tu in unitaries.values()],
+                              dtype=np.intp).reshape(len(unitaries), len(domain))
+        return projections, transforms
 
     @cached_property
     def below(self) -> np.ndarray:
@@ -569,14 +584,10 @@ class _OverStructure:
     and zero-space symbols resolve on construction."""
 
     def __init__(self, s: FiniteStructure):
-        index, element = s._index, s._index.element
+        index = s._index
         self.top, self.bottom = index.position[s.top_symbol()], index.position[s.bot_symbol()]
         self._relation = np.pad(index.relation, ((0, 0), (0, 1)))  # position -1 reads False
-        self._projectors = np.zeros((len(s.subspaces), len(s.domain)), dtype=np.intp)
-        for q, table in s.projectors.items():
-            self._projectors[index.position[q]] = [element[table[m]] for m in s.domain]
-        self._transforms = np.array([[element[tu.table[m]] for m in s.domain] for tu in s.unitaries.values()],
-                                    dtype=np.intp).reshape(len(s.unitaries), len(s.domain))
+        self._projectors, self._transforms = index.targets
 
         # closures over the index, not over self: a bound method set on
         # the instance would make each interpretation a reference cycle,
@@ -796,7 +807,7 @@ def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
     send some element to a nonzero subspace.
 
     An element's least member is a symbol, so each condition is a lookup
-    in the fragment index's tables: (1) in ``leq`` at the pair of the
+    in the fragment index's tables, over arrays of element positions: (1) in ``leq`` at the pair of the
     least member and the symbol, (2) and (3) in the ``sasaki_and`` and
     ``image`` terms at the least member, whose symbol must denote the
     same subspace as the table target's least member (``leq`` both ways;
@@ -805,35 +816,37 @@ def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
     kappa = {m: kappa_of(s, m) for m in s.domain}
     no_least = tuple(m for m in s.domain if kappa[m].no_least)
     index = s._index
-    least = {m: index.position[k.member_symbol] for m, k in kappa.items() if not k.no_least}
-    related = index.relation[[index.element[m] for m in least]]
+    least = np.array([-1 if k.no_least else index.position[k.member_symbol] for k in kappa.values()],
+                     dtype=np.intp)  # by element, -1 for one without a least member
+    has = np.flatnonzero(least >= 0)
+    related = index.relation[has]
     rel_bad = [
-        f"({list(least)[i]}, {index.names[p]}): "
+        f"({s.domain[has[i]]}, {index.names[p]}): "
         + ("related without containment" if related[i, p] else "containment without relation")
-        for i, p in np.argwhere(related != index.below[list(least.values())]).tolist()
+        for i, p in np.argwhere(related != index.below[least[has]]).tolist()
     ]
 
-    def mismatches(kind: str, tables: Mapping[str, Mapping[str, str]], term: str, args):
-        """The sites whose term at the source's least member does not
+    def mismatches(kind: str, names: list[str], targets: np.ndarray, term: str, args: tuple):
+        """The sites of a (table, element) array of target positions where
+        the term at ``args``, over the source's least member, does not
         denote the target's, in table and domain order, and the number of
         sites not evaluated."""
-        bad, skipped = [], 0
-        for name, table in tables.items():
-            for m in s.domain:
-                if m not in least or table[m] not in least:
-                    skipped += 1
-                    continue
-                got, want = index.term(term)[args(name, least[m])], least[table[m]]
-                if got < 0 or not (index.below[got, want] and index.below[want, got]):
-                    bad.append(f"{kind} {name} at {m}: table target {table[m]} has the wrong value")
-        return tuple(bad), skipped
+        want = least[targets]
+        evaluated = (least >= 0) & (want >= 0)
+        got = index.term(term)[args] if evaluated.any() else want  # no site reads the term table
+        bad = evaluated & ((got < 0) | ~(index.below[got, want] & index.below[want, got]))
+        return tuple(
+            f"{kind} {names[t]} at {s.domain[e]}: table target {s.domain[targets[t, e]]} has the wrong value"
+            for t, e in np.argwhere(bad).tolist()
+        ), int(evaluated.size - evaluated.sum())
 
+    projections, transforms = index.targets
+    projected = np.array([index.position[q] for q in s.projectors], dtype=np.intp)
     projector_bad, projector_skipped = mismatches(
-        "projector", s.projectors, "sasaki_and", lambda q, k: (k, index.position[q])
+        "projector", list(s.projectors), projections[projected], "sasaki_and", (least, projected[:, None])
     )
     unitary_bad, unitary_skipped = mismatches(
-        "unitary", {u: tu.table for u, tu in s.unitaries.items()}, "image",
-        lambda u, k: (index.unitary_position[u], k),
+        "unitary", list(s.unitaries), transforms, "image", (np.arange(len(s.unitaries))[:, None], least)
     )
     return MorphismReport(
         kappa=kappa,
@@ -842,7 +855,7 @@ def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
         projector_violations=projector_bad,
         unitary_violations=unitary_bad,
         not_evaluated=len(no_least) * len(s.subspaces) + projector_skipped + unitary_skipped,
-        nontrivial=any(kappa[m].value.rank > 0 for m in least),
+        nontrivial=any(kappa[s.domain[e]].value.rank > 0 for e in has),
     )
 
 

@@ -110,6 +110,16 @@ def test_kappa_flags_missing_least_member(tmp_path, capsys):
     assert "no least filter member" in out
 
 
+def test_kappa_prints_a_least_member_named_by_the_empty_string(tmp_path, capsys):
+    f = tmp_path / "empty_name.json"
+    f.write_text(json.dumps({"dim": 1, "domain": ["m"], "subspaces": {"": [[[1, 0]]], "bot": []},
+                             "relation": [["m", ""]]}))
+    code, out, _ = run(capsys, "kappa", str(f))
+    assert (code, out) == (0, "m: \n")
+    code, out, _ = run(capsys, "kappa", "--emit", "json", str(f))
+    assert json.loads(out)["elements"]["m"]["symbol"] == ""
+
+
 def test_kappa_single_element_and_unknown_element(tmp_path, capsys):
     f = tmp_path / "gap.json"
     f.write_text(json.dumps(tiny_structure_json()))
