@@ -833,7 +833,7 @@ def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
         sites not evaluated."""
         want = least[targets]
         evaluated = (least >= 0) & (want >= 0)
-        got = index.term(term)[args] if evaluated.any() else want  # no site reads the term table
+        got = index.term(term)[args] if evaluated.any() else want  # builds no table that no site reads
         bad = evaluated & ((got < 0) | ~(index.below[got, want] & index.below[want, got]))
         return tuple(
             f"{kind} {names[t]} at {s.domain[e]}: table target {s.domain[targets[t, e]]} has the wrong value"

@@ -105,6 +105,23 @@ def test_node_budget_is_charged_exactly(monkeypatch):
         normalize(sentence, problem)
 
 
+@pytest.mark.parametrize("op, node", [("&", BAnd), ("|", BOr)])
+def test_nested_nodes_of_one_kind_are_spliced(monkeypatch, op, node):
+    """A conjunction of conjunctions is one flat node, and so is a
+    disjunction of disjunctions: above the quantifiers it folds balanced,
+    and in a quantifier's body DNF charges it once."""
+    head = "dim 3\nlet p = span{(1,0,0)}\nlet q = span{(0,1,0)}\nlet r = span{(0,0,1)}\nassert "
+    pr = parse_problem(head + f"((exists x . [x : p]) {op} (exists x . [x : q])) {op} (exists x . [x : r])\n")
+    combo = normalize(pr.sentence, pr)
+    assert isinstance(combo, node) and isinstance(combo.left, Leaf) and isinstance(combo.right, node)
+    pr = parse_problem(head + f"exists x . (([x : p] {op} [x : q]) {op} [x : r])\n")
+    monkeypatch.setattr(sys.modules["pqm.normalize"], "DNF_NODE_LIMIT", {"&": 12, "|": 9}[op])
+    normalize(pr.sentence, pr)
+    monkeypatch.setattr(sys.modules["pqm.normalize"], "DNF_NODE_LIMIT", {"&": 11, "|": 8}[op])
+    with pytest.raises(NormalizationLimitError):
+        normalize(pr.sentence, pr)
+
+
 def test_seed_1124_passes_the_default_budget():
     rng = np.random.default_rng(1124)
     problem = random_problem(rng, 3)
