@@ -146,9 +146,9 @@ class _FragmentIndex:
         self.dim = s.dim
         self.names = tuple(s.subspaces)
         self._values = s.subspaces
-        self._unitaries = {name: tu.op for name, tu in s.unitaries.items()}
+        self._unitaries = s.unitaries
         self._relation = s.relation
-        self._tables = s.domain, s.projectors, s.unitaries
+        self._projectors = s.projectors
         self.ranks = np.array([v.rank for v in s.subspaces.values()], dtype=np.intp)
         self.bases = sub.stacked([v.basis for v in s.subspaces.values()], s.dim)
         self._buckets = {}  # rank -> (positions in declared order, (S_r, dim, rank) bases)
@@ -197,13 +197,12 @@ class _FragmentIndex:
         """The positions of the elements that the tables send each element
         to: the projector tables' as an (S, elements) array, with a row of
         0 for a symbol without a table, and the unitary tables'."""
-        domain, projectors, unitaries = self._tables
-        projections = np.zeros((len(self.names), len(domain)), dtype=np.intp)
-        for q, table in projectors.items():
-            projections[self.position[q]] = [self.element[table[m]] for m in domain]
-        transforms = np.array([[self.element[tu.table[m]] for m in domain] for tu in unitaries.values()],
-                              dtype=np.intp).reshape(len(unitaries), len(domain))
-        return projections, transforms
+        element = self.element  # in domain order
+        projections = np.zeros((len(self.names), len(element)), dtype=np.intp)
+        for q, table in self._projectors.items():
+            projections[self.position[q]] = [element[table[m]] for m in element]
+        transforms = [[element[u.table[m]] for m in element] for u in self._unitaries.values()]
+        return projections, np.array(transforms, dtype=np.intp).reshape(len(transforms), len(element))
 
     @cached_property
     def below(self) -> np.ndarray:
@@ -257,7 +256,7 @@ class _FragmentIndex:
         if term == "sasaki_hook":  # q' v (p ^ q)
             meets, _ = self._term_values("meet", first, second)
             return sub.stacked_span(np.concatenate([c[second], meets], axis=-1))
-        ops = np.stack([u.matrix for u in self._unitaries.values()])
+        ops = np.stack([tu.op.matrix for tu in self._unitaries.values()])
         if term == "preimage":
             ops = ops.conj().swapaxes(-1, -2)
         values, ranks = sub.stacked_span(ops[first] @ b[second])
@@ -807,7 +806,7 @@ def check_strong_morphism(s: FiniteStructure) -> MorphismReport:
     send some element to a nonzero subspace.
 
     An element's least member is a symbol, so each condition is a lookup
-    in the fragment index's tables, over arrays of element positions: (1) in ``leq`` at the pair of the
+    in the fragment index's tables: (1) in ``leq`` at the pair of the
     least member and the symbol, (2) and (3) in the ``sasaki_and`` and
     ``image`` terms at the least member, whose symbol must denote the
     same subspace as the table target's least member (``leq`` both ways;

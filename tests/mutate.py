@@ -1,6 +1,6 @@
 """Mutation runner: each mutant of ``tests/_mutants.py`` against its file's tests.
 
-    python tests/mutate.py --out MUTATION.json [--only NAME ...] [--timeout SECONDS]
+    python tests/mutate.py --out MUTATION.json
 
 Every run, the baseline ones included, gets a fresh copy of the tree (the
 files git tracks or would track, as they stand in the working tree) in a
@@ -8,7 +8,7 @@ temporary directory, and one pytest process at a time, with hypothesis
 seeded.  First each test subset runs unmutated; the tests that fail there
 fail whatever the mutant, so they are deselected in the mutant runs.
 Then each mutant runs with ``-x``: it is killed when any test fails or
-errors, or when the run passes the timeout, and survives otherwise.
+errors, or when the run passes ``TIMEOUT`` seconds, and survives otherwise.
 
 The report lists each mutant's result and the score, the killed mutants
 over all mutants but the survivors marked equivalent.  The exit status is
@@ -35,6 +35,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from _mutants import MUTANTS, SUBSETS  # noqa: E402
 
 HYPOTHESIS_SEED = 0
+TIMEOUT = 600.0  # seconds per pytest run
 
 
 def _tree_files() -> list[str]:
@@ -45,7 +46,7 @@ def _tree_files() -> list[str]:
     return [f for f in listed.split("\0") if f and (ROOT / f).is_file()]
 
 
-def _run(files: list[str], tests: tuple[str, ...], deselect: list[str], timeout: float,
+def _run(files: list[str], tests: tuple[str, ...], deselect: list[str],
          mutant=None) -> tuple[int | None, list[str], float]:
     """pytest's exit status (None past the timeout), the ids of the tests
     that failed or errored, and the seconds taken, on a fresh copy of the
@@ -65,7 +66,7 @@ def _run(files: list[str], tests: tuple[str, ...], deselect: list[str], timeout:
         env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         start = time.perf_counter()
         try:
-            done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=timeout)
+            done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return None, [], time.perf_counter() - start
         failed = [
@@ -78,21 +79,17 @@ def _run(files: list[str], tests: tuple[str, ...], deselect: list[str], timeout:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="where to write the JSON report")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per pytest run")
     args = parser.parse_args(argv)
 
-    mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
-    unknown = set(args.only or ()) - {m.name for m in mutants}
-    stale = [m.name for m in mutants if (ROOT / m.file).read_text().count(m.old) != 1]
-    if unknown or stale:
-        print(f"error: unknown mutants {sorted(unknown)}, text not found once {stale}", file=sys.stderr)
+    stale = [m.name for m in MUTANTS if (ROOT / m.file).read_text().count(m.old) != 1]
+    if stale:
+        print(f"error: text not found exactly once: {stale}", file=sys.stderr)
         return 2
     files = _tree_files()
 
     baseline: dict[tuple[str, ...], dict] = {}
-    for tests in dict.fromkeys(SUBSETS[m.file] for m in mutants):
-        status, failed, seconds = _run(files, tests, [], args.timeout)
+    for tests in dict.fromkeys(SUBSETS[m.file] for m in MUTANTS):
+        status, failed, seconds = _run(files, tests, [])
         if status not in (0, 1):
             print(f"error: the unmutated run of {' '.join(tests)} gave pytest status {status}", file=sys.stderr)
             return 2
@@ -100,9 +97,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"baseline {' '.join(tests)}: {len(failed)} failed, {seconds:.0f} s", flush=True)
 
     results = []
-    for m in mutants:
+    for m in MUTANTS:
         tests = SUBSETS[m.file]
-        status, failed, seconds = _run(files, tests, baseline[tests]["failed"], args.timeout, m)
+        status, failed, seconds = _run(files, tests, baseline[tests]["failed"], m)
         result = "survived" if status == 0 else "killed"
         results.append({
             "name": m.name, "file": m.file, "expected": m.expected, "result": result,

@@ -122,7 +122,7 @@ def test_nested_nodes_of_one_kind_are_spliced(monkeypatch, op, node):
         normalize(pr.sentence, pr)
 
 
-def test_seed_1124_passes_the_default_budget():
+def test_seed_1124_exceeds_the_default_budget():
     rng = np.random.default_rng(1124)
     problem = random_problem(rng, 3)
     with pytest.raises(NormalizationLimitError, match="exceeds 1000000 nodes"):
