@@ -69,11 +69,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _positive(text: str) -> int:
+def _non_negative(text: str, least: int = 0) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}")
     return value
+
+
+def _positive(text: str) -> int:
+    return _non_negative(text, 1)
 
 
 def _dimension(text: str) -> int:
@@ -91,91 +95,89 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_emit(p):
+    def leaf(group, name, run, help):
+        p = group.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--emit", choices=("text", "json"), default="text",
                        help="output format (default text)")
+        return p
 
-    p = commands.add_parser("decide", help="decide a sentence file")
-    p.set_defaults(run=_cmd_decide)
+    p = leaf(commands, "decide", _cmd_decide, "decide a sentence file")
     p.add_argument("file")
     p.add_argument("--emit-normal-form", action="store_true",
                    help="include the quantifier-free normal form")
     p.add_argument("--trace", action="store_true",
                    help="include the per-branch decision trace")
-    add_emit(p)
 
-    p = commands.add_parser(
-        "circuit",
-        help="run a circuit file (exit 0 if some state survives, 1 if impossible)",
-    )
-    p.set_defaults(run=_cmd_circuit)
+    p = leaf(commands, "circuit", _cmd_circuit,
+             "run a circuit file (exit 0 if some state survives, 1 if impossible)")
     p.add_argument("file")
     p.add_argument("--trace", action="store_true",
                    help="include the state after every step")
-    add_emit(p)
 
-    p = commands.add_parser("check-axioms", help="randomized axiom suite in the subspace and ray models")
-    p.set_defaults(run=_cmd_check_axioms)
+    p = leaf(commands, "check-axioms", _cmd_check_axioms,
+             "randomized axiom suite in the subspace and ray models")
     p.add_argument("--dim", type=_dimension, required=True)
     p.add_argument("--samples", type=_positive, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--figure", choices=("base", "revised", "all"), default="all")
-    add_emit(p)
 
-    p = commands.add_parser("check-rules", help="randomized circuit-rule suite")
-    p.set_defaults(run=_cmd_check_rules)
+    p = leaf(commands, "check-rules", _cmd_check_rules, "randomized circuit-rule suite")
     p.add_argument("--dim", type=_dimension, required=True)
     p.add_argument("--samples", type=_positive, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--derived-axioms", action="store_true",
                    help="also check the base axioms through sampled projective semantics")
     p.add_argument("--derived-samples", type=_positive, default=200)
-    add_emit(p)
 
-    p = commands.add_parser("model-check", help="check a finite structure for modelhood")
-    p.set_defaults(run=_cmd_model_check)
+    p = leaf(commands, "model-check", _cmd_model_check, "check a finite structure for modelhood")
     p.add_argument("file")
-    add_emit(p)
 
-    p = commands.add_parser("kappa", help="least filter members of a structure's elements")
-    p.set_defaults(run=_cmd_kappa)
+    p = leaf(commands, "kappa", _cmd_kappa, "least filter members of a structure's elements")
     p.add_argument("file")
     p.add_argument("--element", help="restrict to one domain element")
-    add_emit(p)
 
     p = commands.add_parser("oracle", help="closed-form constructions")
     oracles = p.add_subparsers(dest="oracle", required=True)
 
-    q = oracles.add_parser("f-steps", help="step-map chain from a to 1")
-    q.set_defaults(run=_oracle_f_steps)
+    q = leaf(oracles, "f-steps", _oracle_f_steps, "step-map chain from a to 1")
     q.add_argument("a", type=float)
-    add_emit(q)
 
-    q = oracles.add_parser("ellipse", help="two-ray probe orthogonality at (x, y)")
-    q.set_defaults(run=_oracle_ellipse)
+    q = leaf(oracles, "ellipse", _oracle_ellipse, "two-ray probe orthogonality at (x, y)")
     q.add_argument("a", type=float)
     q.add_argument("x", type=float)
     q.add_argument("y", type=float)
     q.add_argument("--tol", type=float, default=1e-9)
-    add_emit(q)
 
-    q = oracles.add_parser("incompat", help="mediator subspace for an incompatible pair")
-    q.set_defaults(run=_oracle_incompat)
+    q = leaf(oracles, "incompat", _oracle_incompat, "mediator subspace for an incompatible pair")
     q.add_argument("file", help="definitions file declaring the two subspaces")
     q.add_argument("first")
     q.add_argument("second")
-    add_emit(q)
 
-    q = oracles.add_parser("collapse", help="iterate a ray pair to orthogonality")
-    q.set_defaults(run=_oracle_collapse)
+    q = leaf(oracles, "collapse", _oracle_collapse, "iterate a ray pair to orthogonality")
     q.add_argument("a", type=float)
-    add_emit(q)
 
     return parser
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps({"schema": 2, **payload}, sort_keys=True, indent=2))
+def _print_json(args, payload: dict) -> None:
+    """Writes the envelope every ``--emit json`` run prints: the payload
+    with ``schema``, the subcommand as ``command`` and, for an oracle, its
+    name as ``oracle``."""
+    head = {"schema": 2, "command": args.command}
+    if args.command == "oracle":
+        head["oracle"] = args.oracle
+    print(json.dumps({**head, **payload}, sort_keys=True, indent=2))
+
+
+def _law_line(head: str, r) -> None:
+    extra = " (informational)" if r.informational else ""
+    print(f"{head} instances={r.instances} hits={r.hypothesis_hits} violations={r.violations}{extra}")
+
+
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _vector_text(s: Subspace) -> str:
@@ -187,23 +189,21 @@ def _vector_text(s: Subspace) -> str:
 
 
 def _cmd_decide(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    problem = parse_problem(text)
+    problem = parse_problem(_read(args.file))
     for diag in validate(problem):
         print(f"{diag.severity}: {diag.message}", file=sys.stderr)
     combo = normalize(problem.sentence, problem)
     verdict = evaluate(combo, problem.dim)
 
     if args.emit == "json":
-        payload = {"command": "decide", "truth": verdict.truth, "witness": None}
+        payload = {"truth": verdict.truth, "witness": None}
         if verdict.witness is not None:
             payload["witness"] = subspace_to_json(verdict.witness)
         if args.emit_normal_form:
             payload["normal_form"] = combo_to_json(combo)
         if args.trace:
             payload["leaves"] = verdict_to_json(verdict)["leaves"]
-        _print_json(payload)
+        _print_json(args, payload)
     else:
         print("true" if verdict.truth else "false")
         if verdict.witness is not None:
@@ -221,9 +221,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_circuit(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    cp = parse_circuit_file(text)
+    cp = parse_circuit_file(_read(args.file))
     circ, input_space = build_circuit(cp)
     states = run_circuit_trace(circ, input_space)
     final = final_state(states, input_space)
@@ -231,7 +229,6 @@ def _cmd_circuit(args) -> int:
 
     if args.emit == "json":
         payload = {
-            "command": "circuit",
             "input": subspace_to_json(input_space),
             "final": subspace_to_json(final),
             "impossible": impossible,
@@ -241,7 +238,7 @@ def _cmd_circuit(args) -> int:
                 {"kind": kind, "symbol": sym, "state": subspace_to_json(s)}
                 for (kind, sym), s in zip(cp.steps, states)
             ]
-        _print_json(payload)
+        _print_json(args, payload)
     else:
         if args.trace:
             for (kind, sym), s in zip(cp.steps, states):
@@ -254,15 +251,11 @@ def _cmd_circuit(args) -> int:
 def _cmd_check_axioms(args) -> int:
     report = check_axiom_suite(args.dim, samples=args.samples, seed=args.seed, figure=args.figure)
     if args.emit == "json":
-        _print_json({"command": "check-axioms", **report.to_json()})
+        _print_json(args, report.to_json())
     else:
         for label, results in report.by_domain.items():
             for r in results:
-                extra = " (informational)" if r.informational else ""
-                print(
-                    f"{label:10s} {r.name:18s} instances={r.instances} "
-                    f"hits={r.hypothesis_hits} violations={r.violations}{extra}"
-                )
+                _law_line(f"{label:10s} {r.name:18s}", r)
         print("OK" if report.ok else "FAIL")
     return 0 if report.ok else 1
 
@@ -276,26 +269,19 @@ def _cmd_check_rules(args) -> int:
         ok = ok and derived.ok
 
     if args.emit == "json":
-        payload = {"command": "check-rules", **report.to_json()}
+        payload = report.to_json()
         if derived is not None:
             payload["derived_axioms"] = derived.to_json()
             payload["ok"] = ok
             payload["total_violations"] += derived.total_violations
             payload["total_skipped"] += derived.total_skipped
-        _print_json(payload)
+        _print_json(args, payload)
     else:
         for r in report.results:
-            print(
-                f"{r.name:24s} instances={r.instances} "
-                f"hits={r.hypothesis_hits} violations={r.violations}"
-            )
+            _law_line(f"{r.name:24s}", r)
         if derived is not None:
             for r in derived.results:
-                extra = " (informational)" if r.informational else ""
-                print(
-                    f"derived {r.name:18s} instances={r.instances} "
-                    f"hits={r.hypothesis_hits} violations={r.violations}{extra}"
-                )
+                _law_line(f"derived {r.name:18s}", r)
         print("OK" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -304,7 +290,7 @@ def _cmd_model_check(args) -> int:
     structure = load_structure(args.file)
     report = check_characterization(structure)
     if args.emit == "json":
-        _print_json({"command": "model-check", **report.to_json()})
+        _print_json(args, report.to_json())
     else:
         print(f"verdict: {report.verdict}")
         for r in report.axioms.results:
@@ -342,15 +328,13 @@ def _cmd_kappa(args) -> int:
     ok = all(not r.no_least for r in results.values())
 
     if args.emit == "json":
-        payload = {
-            "command": "kappa",
+        _print_json(args, {
             "ok": ok,
             "elements": {
                 m: {**r.to_json(), "basis": subspace_to_json(r.value)["basis"]}
                 for m, r in results.items()
             },
-        }
-        _print_json(payload)
+        })
     else:
         for m, r in results.items():
             if r.no_least:
@@ -364,15 +348,7 @@ def _cmd_kappa(args) -> int:
 def _oracle_f_steps(args) -> int:
     chain = f_chain(args.a)
     if args.emit == "json":
-        _print_json(
-            {
-                "command": "oracle",
-                "oracle": "f-steps",
-                "a": args.a,
-                "steps": len(chain) - 1,
-                "chain": chain,
-            }
-        )
+        _print_json(args, {"a": args.a, "steps": len(chain) - 1, "chain": chain})
     else:
         print(f"steps: {len(chain) - 1}")
         print("chain: " + " -> ".join(f"{x:.12g}" for x in chain))
@@ -387,19 +363,15 @@ def _oracle_ellipse(args) -> int:
             file=sys.stderr,
         )
     if args.emit == "json":
-        _print_json(
-            {
-                "command": "oracle",
-                "oracle": "ellipse",
-                "a": w.a,
-                "x": w.x,
-                "y": w.y,
-                "inner": w.inner,
-                "residual": w.residual,
-                "orthogonal": w.orthogonal,
-                "on_ellipse": w.on_ellipse,
-            }
-        )
+        _print_json(args, {
+            "a": w.a,
+            "x": w.x,
+            "y": w.y,
+            "inner": w.inner,
+            "residual": w.residual,
+            "orthogonal": w.orthogonal,
+            "on_ellipse": w.on_ellipse,
+        })
     else:
         print(f"inner: {w.inner:.12g}")
         print(f"residual: {w.residual:.12g}")
@@ -408,9 +380,7 @@ def _oracle_ellipse(args) -> int:
 
 
 def _oracle_incompat(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    _, subspaces, _ = parse_definitions(text)
+    _, subspaces, _ = parse_definitions(_read(args.file))
     for name in (args.first, args.second):
         if name not in subspaces:
             raise UsageError(f"{name!r} is not defined in {args.file}")
@@ -420,16 +390,12 @@ def _oracle_incompat(args) -> int:
         print("compatible")
         return 1
     if args.emit == "json":
-        _print_json(
-            {
-                "command": "oracle",
-                "oracle": "incompat",
-                "eigenvalue": d.eigenvalue,
-                "u": _pairs_json(d.u),
-                "v": _pairs_json(d.v),
-                "mediator": subspace_to_json(d.c),
-            }
-        )
+        _print_json(args, {
+            "eigenvalue": d.eigenvalue,
+            "u": _pairs_json(d.u),
+            "v": _pairs_json(d.v),
+            "mediator": subspace_to_json(d.c),
+        })
     else:
         print(f"eigenvalue: {d.eigenvalue:.12g}")
         print(f"u: {_vector_text(d.u_span)}")
@@ -441,16 +407,12 @@ def _oracle_incompat(args) -> int:
 def _oracle_collapse(args) -> int:
     t = two_ray_collapse(args.a)
     if args.emit == "json":
-        _print_json(
-            {
-                "command": "oracle",
-                "oracle": "collapse",
-                "a": t.a,
-                "rounds": t.rounds,
-                "parameters": list(t.parameters),
-                "final_meet_rank": t.final_meet_rank,
-            }
-        )
+        _print_json(args, {
+            "a": t.a,
+            "rounds": t.rounds,
+            "parameters": list(t.parameters),
+            "final_meet_rank": t.final_meet_rank,
+        })
     else:
         print(f"rounds: {t.rounds}")
         print("parameters: " + " -> ".join(f"{x:.12g}" for x in t.parameters))
