@@ -387,7 +387,10 @@ def _oracle_incompat(args) -> int:
     try:
         d = incompat_decompose(subspaces[args.first], subspaces[args.second])
     except CompatibleInputError:
-        print("compatible")
+        if args.emit == "json":
+            _print_json(args, {"compatible": True})
+        else:
+            print("compatible")
         return 1
     if args.emit == "json":
         _print_json(args, {

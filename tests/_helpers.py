@@ -94,6 +94,24 @@ def random_sentence(rng: np.random.Generator, problem: Problem,
     return formula(depth=max_depth, scope=(), quants=max_quants)
 
 
+def closed_combination(rng: np.random.Generator, problem: Problem) -> Formula:
+    """Two or three ``random_sentence`` draws joined by ``~``, ``&``, ``|``,
+    ``->`` and ``<->``, so that a Boolean combination sits above the
+    quantifiers; each draw opens with a quantifier."""
+
+    def part() -> Formula:
+        f = random_sentence(rng, problem)
+        return Not(f) if rng.random() < 0.3 else f
+
+    f = part()
+    for _ in range(int(rng.integers(1, 3))):
+        ctor = (And, Or, Implies, Iff)[int(rng.integers(0, 4))]
+        f = ctor(f, part()) if rng.random() < 0.5 else ctor(part(), f)
+        if rng.random() < 0.2:
+            f = Not(f)
+    return f
+
+
 def deep_disjunction() -> tuple[Formula, Problem]:
     """The seed-645 sentence: its normal form has 41,472 leaf
     occurrences but only 10 distinct leaves."""

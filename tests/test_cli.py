@@ -204,6 +204,14 @@ def test_out_of_range_dim_option_is_rejected(capsys, command, dim):
     assert "argument --dim" in err
 
 
+@pytest.mark.parametrize("command", ["check-axioms", "check-rules"])
+def test_negative_seed_is_rejected(capsys, command):
+    code, out, err = run(capsys, command, "--dim", "2", "--seed=-1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: pqm {command}: argument --seed: must be at least 0\n"
+
+
 def test_corrupt_structure_json_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text("{not json")
@@ -501,20 +509,16 @@ SAMPLE_OUTPUTS_SHA256 = {
     "kappa": "64f5138af7f5304203fb08965b2c103a8d2b705ab93dc6af00eab5b0f83fffff",
     "check-axioms": "293a71b61af234ca23e367cc13c34f8da4f7365464afe1aa805971bd77977d7d",
     "check-rules": "cc094e4622fc425df83ecf924244dd028f46c8538c3f7846921d08c8b9f3c69d",
-    "oracle": "c3ffad4ebad635655b1501442816eebc74559db9e60d8423aa8d4b0cf9477415",
+    "oracle": "0a1936ba1140942e0d911c88b9658dd08e104e83e29313c0b22dc44ae4485e2a",
 }
 
 
-def test_sample_outputs_are_pinned(samples_dir, tmp_path, capsys):
-    """The sha256 of the exit code, stdout and stderr of each run, in text
-    and in JSON, of each subcommand's argv set over ``samples/``.  JSON
-    output holds subspace bases as LAPACK returns them, so another LAPACK
-    build may change the digests.  A deliberate change of output records
-    new digests here and says so in CHANGES.md."""
+def _sample_runs(samples_dir, tmp_path) -> dict[str, list[list[str]]]:
+    """Each subcommand's argv set over ``samples/``."""
     defs = tmp_path / "defs.pqm"
     defs.write_text("dim 3\nlet r1 = span{(1,0,0)}\nlet r2 = span{(1,1,0)}\nlet r3 = span{(0,1,0)}\n")
     path, suite = lambda name: str(samples_dir / name), ["--dim", "2", "--samples", "20"]
-    runs = {
+    return {
         "decide": [["decide", *f, path(p)] for p in ("bell.pqm", "contradiction.pqm")
                    for f in ([], ["--trace"], ["--emit-normal-form"], ["--trace", "--emit-normal-form"])],
         "circuit": [["circuit", *f, path(c)] for f in ([], ["--trace"])
@@ -527,6 +531,26 @@ def test_sample_outputs_are_pinned(samples_dir, tmp_path, capsys):
             "f-steps 0.5", "ellipse 0.6 0.6 0.0", "ellipse 0.6 0.59 0.0", "collapse 0.5")]
         + [["oracle", "incompat", str(defs), "r1", r] for r in ("r2", "r3")],
     }
+
+
+def test_sample_outputs_are_pinned(samples_dir, tmp_path, capsys):
+    """The sha256 of the exit code, stdout and stderr of each run, in text
+    and in JSON, of each subcommand's argv set over ``samples/``.  JSON
+    output holds subspace bases as LAPACK returns them, so another LAPACK
+    build may change the digests.  A deliberate change of output records
+    new digests here and says so in CHANGES.md."""
     emit = ([], ["--emit", "json"])
-    outputs = {c: repr([run(capsys, *a, *e) for a in argvs for e in emit]) for c, argvs in runs.items()}
+    outputs = {c: repr([run(capsys, *a, *e) for a in argvs for e in emit])
+               for c, argvs in _sample_runs(samples_dir, tmp_path).items()}
     assert {c: hashlib.sha256(o.encode()).hexdigest() for c, o in outputs.items()} == SAMPLE_OUTPUTS_SHA256
+
+
+def test_every_sample_run_emits_one_json_envelope(samples_dir, tmp_path, capsys):
+    for command, argvs in _sample_runs(samples_dir, tmp_path).items():
+        for argv in argvs:
+            _, out, _ = run(capsys, *argv, "--emit", "json")
+            payload = json.loads(out)  # one object, nothing after it
+            assert isinstance(payload, dict), argv
+            assert (payload["schema"], payload["command"]) == (2, command), argv
+            if command == "oracle":
+                assert payload["oracle"] == argv[1], argv

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
-from pqm.lang import Atom, Exists, Formula, Iff, Not, Problem, Var, parse_problem
+from pqm.lang import And, Atom, Exists, Forall, Formula, Iff, Implies, Not, Or, Problem, Var, parse_problem
 from pqm.normalize import (
     BAnd,
     BNot,
@@ -28,6 +28,7 @@ from pqm.sampling import random_ray
 from pqm.subspace import bottom, leq, subspace_to_json
 
 from _helpers import (
+    closed_combination,
     combo_basics,
     deep_disjunction,
     eval_term,
@@ -127,6 +128,35 @@ def test_seed_1124_exceeds_the_default_budget():
     problem = random_problem(rng, 3)
     with pytest.raises(NormalizationLimitError, match="exceeds 1000000 nodes"):
         normalize(random_sentence(rng, problem, max_depth=4, max_quants=3), problem)
+
+
+def _truth_from_parts(f: Formula, problem: Problem) -> bool:
+    """The connectives above the quantifiers applied to the verdict of
+    each closed part, decided on its own."""
+    if isinstance(f, (Exists, Forall)):
+        return evaluate(normalize(f, problem), problem.dim).truth
+    if isinstance(f, Not):
+        return not _truth_from_parts(f.arg, problem)
+    a, b = _truth_from_parts(f.left, problem), _truth_from_parts(f.right, problem)
+    return {And: a and b, Or: a or b, Implies: not a or b, Iff: a == b}[type(f)]
+
+
+def test_boolean_combinations_of_closed_sentences_decide_by_their_parts():
+    """A closed combination's normal form is the combination of its
+    parts' normal forms, so its verdict is exactly theirs, combined."""
+    over_budget = 0
+    for dim in (3, 6):
+        for seed in range(200):
+            rng = np.random.default_rng([seed, dim, 23])
+            problem = random_problem(rng, dim)
+            sentence = closed_combination(rng, problem)
+            try:
+                truth = evaluate(normalize(sentence, problem), dim).truth
+            except NormalizationLimitError:
+                over_budget += 1
+                continue
+            assert truth == _truth_from_parts(sentence, problem), (dim, seed)
+    assert over_budget == 2
 
 
 @given(seeds)
