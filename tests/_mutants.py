@@ -31,6 +31,9 @@ SUBSETS: dict[str, tuple[str, ...]] = {
     "src/pqm/subspace.py": (*_KERNEL_AND_CHECKS, "tests/test_normalize.py"),
     "src/pqm/structures.py": _KERNEL_AND_CHECKS,
     "src/pqm/normalize.py": ("tests/test_normalize.py", "tests/test_decide.py"),
+    "src/pqm/decide.py": ("tests/test_decide.py", "tests/test_normalize.py"),
+    "src/pqm/lang.py": ("tests/test_lang.py", "tests/test_lexer.py", "tests/test_cli.py"),
+    "src/pqm/cli.py": ("tests/test_cli.py",),
 }
 
 MUTANTS: tuple[Mutant, ...] = (
@@ -104,5 +107,51 @@ MUTANTS: tuple[Mutant, ...] = (
         "dnf-literals-free", "src/pqm/normalize.py",
         "    if isinstance(m, (_Lit, Leaf, BNot)):\n        run.charge(1)\n",
         "    if isinstance(m, (_Lit, Leaf, BNot)):\n", "killed",
+    ),
+    # -- the decider
+    Mutant(
+        "containment-keyed-by-negative", "src/pqm/decide.py",
+        "_once(self.contains, (id(p_inf), id(q)), leq, p_inf, q)",
+        "_once(self.contains, id(q), leq, p_inf, q)", "killed",
+    ),
+    Mutant(
+        "meet-keyed-by-literal", "src/pqm/decide.py",
+        "_once(self.meets, (id(p_inf), id(p)), meet, p_inf, p)",
+        "_once(self.meets, id(p), meet, p_inf, p)", "killed",
+    ),
+    Mutant(
+        "disjunction-witness-from-the-right", "src/pqm/decide.py",
+        "lw if lt else (rw if rt else None)", "rw if rt else (lw if lt else None)", "killed",
+    ),
+    # -- the front end
+    Mutant(
+        "depth-bound-inclusive", "src/pqm/lang.py",
+        "if depth > MAX_FORMULA_DEPTH:", "if depth >= MAX_FORMULA_DEPTH:", "killed",
+    ),
+    Mutant(
+        "imaginary-part-sign-dropped", "src/pqm/lang.py",
+        "im[1] if op == \"+\" else -im[1]", "im[1]", "killed",
+    ),
+    Mutant(
+        "conjunction-right-operand-unwrapped", "src/pqm/lang.py",
+        "f\"{_pp(f.left, 4)} & {_pp(f.right, 5)}\"", "f\"{_pp(f.left, 4)} & {_pp(f.right, 4)}\"", "killed",
+    ),
+    Mutant(
+        "fractional-dimension-accepted", "src/pqm/lang.py",
+        " or dim_f != int(dim_f)", "", "killed",
+    ),
+    # -- the command line
+    Mutant(
+        "envelope-without-oracle", "src/pqm/cli.py",
+        "    if args.command == \"oracle\":\n        head[\"oracle\"] = args.oracle\n", "", "killed",
+    ),
+    Mutant(
+        "law-line-not-informational", "src/pqm/cli.py",
+        "extra = \" (informational)\" if r.informational else \"\"", "extra = \"\"", "killed",
+    ),
+    Mutant(
+        "seed-accepts-minus-one", "src/pqm/cli.py",
+        "def _non_negative(text: str, least: int = 0)", "def _non_negative(text: str, least: int = -1)",
+        "killed",
     ),
 )

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pqm.lang import (
     And,
@@ -88,6 +88,12 @@ def test_semantic_errors():
         )
 
 
+@pytest.mark.parametrize("dim", ["0", "2.5"])
+def test_dimension_must_be_a_positive_integer(dim):
+    with pytest.raises(ParseError, match=r"^1:5: dimension must be an integer from 1 to 1024$"):
+        parse_problem(f"dim {dim}\nassert exists x . [x : top]\n")
+
+
 def test_wrong_vector_length_rejected():
     with pytest.raises(FrontendError):
         parse_problem("dim 3\nlet p = span{(1,0)}\nassert exists x . [x : p]\n")
@@ -163,6 +169,10 @@ _formulas = st.recursive(
 
 
 @given(_formulas)
+@example(parse_formula("[x:p] & ([x:q] & [x:r])"))  # operands on the side that needs parentheses
+@example(parse_formula("[x:p] | ([x:q] | [x:r])"))
+@example(parse_formula("([x:p] -> [x:q]) -> [x:r]"))
+@example(parse_formula("([x:p] <-> [x:q]) <-> [x:r]"))
 @settings(max_examples=200, deadline=None)
 def test_pretty_print_parse_round_trip(f):
     assert parse_formula(pretty_print(f)) == f
