@@ -167,7 +167,7 @@ def _print_json(args, payload: dict) -> None:
     head = {"schema": 2, "command": args.command}
     if args.command == "oracle":
         head["oracle"] = args.oracle
-    print(json.dumps({**head, **payload}, sort_keys=True, indent=2))
+    print(json.dumps({**payload, **head}, sort_keys=True, indent=2))
 
 
 def _law_line(head: str, r) -> None:

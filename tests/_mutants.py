@@ -31,7 +31,7 @@ SUBSETS: dict[str, tuple[str, ...]] = {
     "src/pqm/subspace.py": (*_KERNEL_AND_CHECKS, "tests/test_normalize.py"),
     "src/pqm/structures.py": _KERNEL_AND_CHECKS,
     "src/pqm/normalize.py": ("tests/test_normalize.py", "tests/test_decide.py"),
-    "src/pqm/decide.py": ("tests/test_decide.py", "tests/test_normalize.py"),
+    "src/pqm/decide.py": ("tests/test_normalize.py", "tests/test_decide.py"),
     "src/pqm/lang.py": ("tests/test_lang.py", "tests/test_lexer.py", "tests/test_cli.py"),
     "src/pqm/cli.py": ("tests/test_cli.py",),
 }

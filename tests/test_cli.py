@@ -447,6 +447,9 @@ def test_oracle_incompat_paths(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", "incompat", str(f), "e1", "e2")
     assert code == 1
     assert out.splitlines() == ["compatible"]
+    code, out, _ = run(capsys, "oracle", "incompat", str(f), "e1", "e2", "--emit", "json")
+    assert code == 1
+    assert json.loads(out) == {"schema": 2, "command": "oracle", "oracle": "incompat", "compatible": True}
 
     code, _, err = run(capsys, "oracle", "incompat", str(f), "r1", "ghost")
     assert code == 2
