@@ -90,6 +90,12 @@ def test_boolean_evaluation():
     assert not evaluate(BAnd(true_leaf, false_leaf), 3).truth
     assert evaluate(BOr(false_leaf, true_leaf), 3).truth
     assert evaluate(BNot(false_leaf), 3).truth
+    # a disjunction's witness comes from its first true branch
+    along_e1 = Leaf(BasicSentence((_sp(E1),), (bottom(3),)))
+    along_e2 = Leaf(BasicSentence((_sp(E2),), (bottom(3),)))
+    assert eq(evaluate(BOr(along_e1, along_e2), 3).witness, _sp(E1))
+    assert eq(evaluate(BOr(along_e2, along_e1), 3).witness, _sp(E2))
+    assert eq(evaluate(BOr(false_leaf, along_e2), 3).witness, _sp(E2))
 
 
 @given(seeds)

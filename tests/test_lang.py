@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pqm.lang import (
+    MAX_DIM,
     And,
     Apply,
     Atom,
@@ -90,7 +91,7 @@ def test_semantic_errors():
 
 @pytest.mark.parametrize("dim", ["0", "2.5"])
 def test_dimension_must_be_a_positive_integer(dim):
-    with pytest.raises(ParseError, match=r"^1:5: dimension must be an integer from 1 to 1024$"):
+    with pytest.raises(ParseError, match=rf"^1:5: dimension must be an integer from 1 to {MAX_DIM}$"):
         parse_problem(f"dim {dim}\nassert exists x . [x : top]\n")
 
 
