@@ -70,7 +70,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _non_negative(text: str, least: int = 0) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < least:
         raise argparse.ArgumentTypeError(f"must be at least {least}")
     return value

@@ -24,7 +24,6 @@ spelled out in full in docs/grammar.md.
 
 from __future__ import annotations
 
-import cmath
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -203,7 +202,8 @@ class Diagnostic:
 #
 # A token is a tuple (kind, value, offset): kind is a keyword, IDENT,
 # NUMBER, IMAG, the operator's own text or EOF; offset indexes the text,
-# and becomes line:col only in an error message.
+# and becomes line:col only in an error message.  A '{' token read with
+# the block that follows it has that block as its value.
 
 _KEYWORDS = {
     "dim", "let", "span", "matrix", "assert",
@@ -213,14 +213,30 @@ _KEYWORDS = {
 
 # Whitespace and comments match no group and are skipped; a character no
 # other alternative takes falls through to BAD.
-_TOKEN_RE = re.compile(
-    r"""(?P<OP><->|->|[()\[\]{},:.=~&|+-])
+_TOKENS = r"""(?P<OP><->|->|[()\[\]{},:.=~&|+-])
     | [ \t\r\n]+ | \#[^\n]*
     | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)(?P<IMAG>i)?
     | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<BAD>.)""",
-    re.VERBOSE | re.DOTALL,
-)
+    | (?P<BAD>.)"""
+_TOKEN_RE = re.compile(_TOKENS, re.VERBOSE | re.DOTALL)
+
+# A definition block whose entries are all plain literals, ``a``, ``a+bi``
+# or ``a-bi`` with unsigned parts and an optional leading minus (the forms
+# the printers write), is read whole, as one '{' token that carries its
+# entries.  The parser takes a '{' only where a block starts, so a '{'
+# elsewhere is the same error whichever way it was read.  complex() reads
+# each part of such an entry as float() does, so the entries have the
+# bits the token route gives them, signed zeros included.
+_WS = r"[ \t\r\n]*"  # the lexer's whitespace, which is narrower than \s
+_NUM = r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+_ENTRY = rf"-?{_NUM}(?:[+-]{_NUM}i)?"
+_ROW = rf"\({_WS}{_ENTRY}(?:{_WS},{_WS}{_ENTRY})*{_WS}\)"
+_BLOCK = rf"\{{{_WS}(?:{_ROW}(?:{_WS},{_WS}{_ROW})*{_WS})?\}}"
+_BLOCK_TOKEN_RE = re.compile(rf"(?P<BLOCK>{_BLOCK}) | {_TOKENS}", re.VERBOSE | re.DOTALL)
+_BLOCK_TEXT = str.maketrans("{}),\t\r\ni", "       j")  # for complex(): i as j, and rows split at '('
+
+# A block as read: its entries in reading order, and each vector's length.
+_Block = tuple[np.ndarray, tuple[int, ...]]
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -228,10 +244,17 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _lex(text: str) -> list[tuple]:
+def _read_block(block: str) -> _Block:
+    rows = [*map(str.split, block.translate(_BLOCK_TEXT).split("(")[1:])]
+    return np.array([*map(complex, chain.from_iterable(rows))], dtype=np.complex128), tuple(map(len, rows))
+
+
+def _lex(text: str, blocks: bool = False) -> list[tuple]:
+    """The tokens of ``text``; with ``blocks``, each block of plain
+    literals is one ('{', _read_block(...), offset) token."""
     tokens = []
     append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
+    for m in (_BLOCK_TOKEN_RE if blocks else _TOKEN_RE).finditer(text):
         group = m.lastgroup
         if group == "OP":
             op = m[0]
@@ -248,6 +271,8 @@ def _lex(text: str) -> list[tuple]:
                 append(("IDENT", word, m.start()))
         elif group == "BAD":
             raise LexError(f"unexpected character {m[0]!r}", *_position(text, m.start()))
+        elif group == "BLOCK":
+            append(("{", _read_block(m[0]), m.start()))
         else:  # NUMBER, or IMAG when an ``i`` follows the number
             append((group, float(m["NUMBER"]), m.start()))
     append(("EOF", None, len(text)))
@@ -260,7 +285,7 @@ def _lex(text: str) -> list[tuple]:
 @dataclass
 class _RawFile:
     dim: int
-    lets: list[tuple[str, str, object]]  # (name, "span"|"matrix", vectors)
+    lets: list[tuple[str, str, _Block]]  # (name, "span"|"matrix", block)
     sentence: Formula | None
     circuit: list[tuple[str, str]] | None
     input_sym: str | None
@@ -283,7 +308,7 @@ MAX_DIM = 1024
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.toks = _lex(text)
+        self.toks = _lex(text, blocks=True)
         self.pos = 0
         self.open = 0  # constructs entered and not yet closed
 
@@ -314,8 +339,9 @@ class _Parser:
 
     # -- vectors
     #
-    # Literals are most of a definition's tokens, so this reads the token
-    # list directly; ``scalar`` in docs/grammar.md is the loop body.
+    # The lexer reads a block of plain literals whole; ``vector`` reads
+    # the literals of any other block a token at a time, and its loop body
+    # is ``scalar`` in docs/grammar.md.
 
     def vector(self) -> list[complex]:
         self.expect("(")
@@ -346,15 +372,17 @@ class _Parser:
         self.expect(")")
         return entries
 
-    def vector_block(self) -> list[list[complex]]:
-        self.expect("{")
+    def vector_block(self) -> _Block:
+        brace = self.expect("{")
+        if isinstance(brace[1], tuple):  # read in bulk
+            return brace[1]
         vecs: list[list[complex]] = []
         if self.peek()[0] != "}":
             vecs.append(self.vector())
             while self.accept(","):
                 vecs.append(self.vector())
         self.expect("}")
-        return vecs
+        return np.array([*chain.from_iterable(vecs)], dtype=np.complex128), tuple(map(len, vecs))
 
     # -- formulas
     #
@@ -471,7 +499,7 @@ class _Parser:
         # the range test comes first: int() of an overflowed literal raises
         if not 1 <= dim_f <= MAX_DIM or dim_f != int(dim_f):
             raise self.error(f"dimension must be an integer from 1 to {MAX_DIM}", num)
-        lets: list[tuple[str, str, object]] = []
+        lets: list[tuple[str, str, _Block]] = []
         sentence: Formula | None = None
         circuit: list[tuple[str, str]] | None = None
         input_sym: str | None = None
@@ -534,24 +562,21 @@ def _build_definitions(raw: _RawFile) -> tuple[dict[str, Subspace], dict[str, Un
     dim = raw.dim
     subspaces: dict[str, Subspace] = {"top": top(dim), "bot": bottom(dim)}
     unitaries: dict[str, UnitaryOp] = {}
-    for name, kind, vectors in raw.lets:
+    for name, kind, (entries, lengths) in raw.lets:
         if name in subspaces or name in unitaries:
             raise SemanticError(f"duplicate definition of {name!r}")
         # a literal past the float range lexes as infinity
-        if not all(map(cmath.isfinite, chain.from_iterable(vectors))):
+        if not np.isfinite(entries).all():
             raise SemanticError(f"in {name!r}: entries must be finite numbers")
         if kind == "span":
-            for v in vectors:
-                if len(v) != dim:
-                    raise SemanticError(
-                        f"in {name!r}: vector of length {len(v)} in dimension {dim}"
-                    )
-            subspaces[name] = span_of(vectors, dim)
+            for n in lengths:
+                if n != dim:
+                    raise SemanticError(f"in {name!r}: vector of length {n} in dimension {dim}")
+            subspaces[name] = span_of(entries.reshape(len(lengths), dim), dim)
         else:
-            rows = vectors
-            if len(rows) != dim or any(len(r) != dim for r in rows):
+            if len(lengths) != dim or any(n != dim for n in lengths):
                 raise SemanticError(f"in {name!r}: matrix must be {dim}x{dim}")
-            m = np.array(rows, dtype=np.complex128)
+            m = entries.reshape(dim, dim)
             try:
                 unitaries[name] = UnitaryOp(dim, m)  # checks unitarity
             except ValueError:  # the shape is right, so the matrix is not unitary

@@ -217,22 +217,26 @@ def _span_from_matrix(a: np.ndarray, dim: int) -> Subspace:
 
 
 def span_of(vectors: Iterable[Sequence[complex]], dim: int) -> Subspace:
-    """Orthonormalized span of a finite family of vectors in C^dim.
+    """Orthonormalized span of a finite family of vectors in C^dim, given
+    as a sequence of vectors or as the rows of a 2-D array.
 
     Accepts dependent, repeated and zero vectors; the empty family gives
     the bottom subspace.  Raises ValueError on a non-finite entry or a
     dimension below 1.
     """
     _check_dim(dim)
-    cols = []
-    for v in vectors:
-        arr = np.asarray(v, dtype=np.complex128).reshape(-1)
-        if arr.shape != (dim,):
-            raise DimensionMismatchError(f"vector of length {arr.size} in ambient dimension {dim}")
-        cols.append(arr)
-    if not cols:
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2 and vectors.shape[1] == dim:
+        a = np.asarray(vectors, dtype=np.complex128).T
+    else:
+        cols = []
+        for v in vectors:
+            arr = np.asarray(v, dtype=np.complex128).reshape(-1)
+            if arr.shape != (dim,):
+                raise DimensionMismatchError(f"vector of length {arr.size} in ambient dimension {dim}")
+            cols.append(arr)
+        a = np.column_stack(cols) if cols else np.zeros((dim, 0))
+    if not a.shape[1]:
         return bottom(dim)
-    a = np.column_stack(cols)
     if not np.isfinite(a).all():
         raise ValueError("vector entries must be finite")
     return Subspace(dim, _span_from_matrix(a, dim).basis)

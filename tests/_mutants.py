@@ -140,6 +140,26 @@ MUTANTS: tuple[Mutant, ...] = (
         "fractional-dimension-accepted", "src/pqm/lang.py",
         " or dim_f != int(dim_f)", "", "killed",
     ),
+    Mutant(
+        "bulk-imaginary-sign-dropped", "src/pqm/lang.py",
+        "[*map(complex, chain.from_iterable(rows))]",
+        "[complex(z.real, abs(z.imag)) for z in map(complex, chain.from_iterable(rows))]", "killed",
+    ),
+    Mutant(
+        "bulk-real-entry-imaginary-zero-negated", "src/pqm/lang.py",
+        "[*map(complex, chain.from_iterable(rows))]",
+        "[complex(e) if \"j\" in e else complex(float(e), -0.0) for e in chain.from_iterable(rows)]",
+        "killed",
+    ),
+    Mutant(
+        "bulk-whitespace-widened", "src/pqm/lang.py",
+        "_WS = r\"[ \\t\\r\\n]*\"", "_WS = r\"\\s*\"", "killed",
+    ),
+    Mutant(
+        "bulk-accepts-bare-imaginary", "src/pqm/lang.py",
+        "(?:[+-]{_NUM}i)?\"", "(?:[+-]{_NUM}i|i)?\"", "equivalent",
+        "complex(\"-bj\") has the real part +0.0 that the token route gives -bi (only the expression -(bj) has -0.0)",
+    ),
     # -- the command line
     Mutant(
         "envelope-without-oracle", "src/pqm/cli.py",

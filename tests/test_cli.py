@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from pqm import cli
@@ -210,6 +211,37 @@ def test_negative_seed_is_rejected(capsys, command):
     assert code == 2
     assert out == ""
     assert err == f"error: pqm {command}: argument --seed: must be at least 0\n"
+
+
+@pytest.mark.parametrize("option", ["--seed", "--samples", "--dim"])
+def test_non_integer_option_is_one_diagnostic(capsys, option):
+    argv = ["--dim", "x"] if option == "--dim" else ["--dim", "2", option, "x"]
+    code, out, err = run(capsys, "check-rules", *argv)
+    assert code == 2
+    assert out == ""
+    # the message names the option, not the Python function that reads it
+    assert err == f"error: pqm check-rules: argument {option}: expected an integer, got 'x'\n"
+
+
+def test_decide_at_dim_256(tmp_path, capsys):
+    """decide end to end near the top of its dim range: two rank-128 spans,
+    p and q = U^H p, and a unitary U, so that the sentence holds by
+    construction."""
+    dim = 256
+    rng = np.random.default_rng(256)
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    p = rng.normal(size=(dim // 2, dim)) + 1j * rng.normal(size=(dim // 2, dim))
+    q = p @ u.conj()  # row k is U^H applied to row k of p
+
+    def block(rows: np.ndarray) -> str:
+        return ", ".join("(" + ", ".join(map("{0.real!r}{0.imag:+}i".format, r)) + ")" for r in rows.tolist())
+
+    f = tmp_path / "dim256.pqm"
+    f.write_text(
+        f"dim {dim}\nlet p = span{{{block(p)}}}\nlet q = span{{{block(q)}}}\n"
+        f"let U = matrix{{{block(u)}}}\nassert forall x . [U(x) : p] <-> [x : q]\n"
+    )
+    assert run(capsys, "decide", str(f)) == (0, "true\n", "")
 
 
 def test_corrupt_structure_json_is_a_usage_error(tmp_path, capsys):

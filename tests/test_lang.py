@@ -1,5 +1,8 @@
 """Front-end: lexing, parsing, validation, pretty-printing."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +24,8 @@ from pqm.lang import (
     Proj,
     SemanticError,
     Var,
+    _lex,
+    _Parser,
     parse_circuit_file,
     parse_definitions,
     parse_formula,
@@ -177,3 +182,142 @@ _formulas = st.recursive(
 @settings(max_examples=200, deadline=None)
 def test_pretty_print_parse_round_trip(f):
     assert parse_formula(pretty_print(f)) == f
+
+
+# -- blocks of plain literals, read whole, against the token route
+#
+# The lexer reads a span{...} or matrix{...} block of plain literals as
+# one token; a comment inside the block sends it down the token route,
+# which reads it a literal at a time.  The comment goes just before the
+# newline that opens the block, so every token keeps its line:col.
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def _definitions(dim: int, span: str, matrix: str, token_route: bool) -> str:
+    mark = " # token route" if token_route else ""
+    return f"dim {dim}\nlet p = span{{{mark}\n{span}}}\nlet U = matrix{{{mark}\n{matrix}}}\n"
+
+
+def _read(text: str):
+    """The raw blocks and the definitions built from them, as bytes; or
+    the first diagnostic's class and message, line:col included."""
+    try:
+        raw = _Parser(text).raw_file()
+    except FrontendError as e:
+        return type(e), str(e)
+    blocks = [(name, kind, entries.tobytes(), lengths) for name, kind, (entries, lengths) in raw.lets]
+    try:
+        _, subspaces, unitaries = parse_definitions(text)
+    except FrontendError as e:
+        return blocks, type(e), str(e)
+    return (
+        blocks,
+        {k: (s.basis.shape, s.basis.tobytes()) for k, s in subspaces.items()},
+        {k: u.matrix.tobytes() for k, u in unitaries.items()},
+    )
+
+
+def _bulk_blocks(text: str) -> int:
+    """How many blocks of ``text`` the lexer reads whole."""
+    try:
+        tokens = _lex(text, blocks=True)
+    except LexError:
+        return 0
+    return sum(isinstance(t[1], tuple) for t in tokens)
+
+
+_numbers = st.one_of(
+    st.floats(min_value=0, max_value=1e300).map(repr),
+    st.sampled_from(["0", "7", "007", "1e-05", "2.5E-4", "1E+3", "1e400", "1e-400"]),
+)
+_signs = st.sampled_from(["", "-"])
+_plain = st.one_of(
+    st.tuples(_signs, _numbers).map("".join),
+    st.tuples(_signs, _numbers, st.sampled_from("+-"), _numbers).map(lambda t: "".join(t) + "i"),
+)
+# valid, but read by the token route only
+_other = st.sampled_from(["0.3i", "-0.3i", "-0i", "i", "-i", "2+i", "2-i", "1 -2i", "- 1", "1e5i"])
+_malformed = st.sampled_from(["1.", ".5", "2 i", "--1", "+1", "1e+", "1ex", "nan"])
+_entries = st.one_of(*[_plain] * 12, _other, _malformed)
+_spaces = st.sampled_from(["", " ", "  ", "\t", "\n", " \n\t", "\r\n"])
+
+
+def _separated(draw, rows: list[str]) -> str:
+    """``rows`` joined by commas with whitespace drawn around each."""
+    return "".join((draw(_spaces) + "," + draw(_spaces) if k else "") + r for k, r in enumerate(rows))
+
+
+@st.composite
+def _block_bodies(draw, dim: int) -> str:
+    rows = []
+    for _ in range(draw(st.integers(0, dim + 1))):
+        width = dim if draw(st.integers(0, 3)) else draw(st.integers(1, dim + 1))
+        entries = [draw(_entries) for _ in range(width)]
+        row = "(" + "".join(e + draw(st.sampled_from(["", " "])) + "," for e in entries)[:-1] + ")"
+        rows.append(draw(st.sampled_from([row] * 12 + ["(1,)", "()"])))
+    return _separated(draw, rows) + draw(_spaces)
+
+
+@st.composite
+def _unitary_bodies(draw, dim: int) -> str:
+    """A diagonal unitary with random phases, written as the printers write."""
+    rows = []
+    for k in range(dim):
+        t = draw(st.floats(-4, 4))
+        entries = [draw(st.sampled_from(["0", "-0", "0+0i", "0-0.0i", "-0.0-0i"])) for _ in range(dim)]
+        entries[k] = f"{math.cos(t)!r}{math.sin(t):+}i"
+        rows.append("(" + ", ".join(entries) + ")")
+    return _separated(draw, rows)
+
+
+@st.composite
+def _definition_bodies(draw) -> tuple[int, str, str]:
+    dim = draw(st.integers(1, 3))
+    return dim, draw(_block_bodies(dim)), draw(st.one_of(_block_bodies(dim), _unitary_bodies(dim)))
+
+
+@given(_definition_bodies())
+@example((2, "(0.5, -0.5), (0.5+0.25i, 0.5-0.25i)", "(1, 0), (0, 1)"))
+@example((2, "(0.5, 0.5)", "(0.6+0.8i, 0), (0, 0.8-0.6i)"))
+@example((2, "(-0, 0-0.0i), (-0-0i, 0+0i)", "(0-0.0i, -1), (1, -0)"))
+@example((2, "(1e-05, 2.5E-4), (1e400, 1)", "(1, 0), (0, 1e-05)"))
+@example((2, "(0.3i, 1), (-0.3i, 1)", "(1, -0.3i), (0.3i, 1)"))  # bi and -bi
+@example((2, "(i, -i), (2+i, 2-i)", "(1, 0), (0, 1)"))
+@example((3, "(1, 0, 0),\t(0, 1, 0)\n,\n(0, 0, 1) ", "(0, 1, 0) , (1, 0, 0),  (0, 0, 1)"))
+@example((2, "(1, 0), # a comment\n(0, 1)", "(1, 0), (0, 1)"))
+@example((2, "(1, 0), (1)", "(1, 0), (0, 1, 0)"))  # ragged rows
+@example((2, "", "(1, 0), (0, 1)"))  # an empty span
+@example((1, "(1.)", "(1)"))
+@example((1, "(.5)", "(1)"))
+@example((1, "(2 i)", "(1)"))
+@example((1, "(--1)", "(1)"))
+@example((1, "(1,)", "(1)"))
+@example((2, "(1, 0),\x0b(0, 1)", "(1, 0),\x0c(0, 1)"))  # whitespace the lexer rejects
+@settings(max_examples=300, deadline=None)
+def test_bulk_and_token_routes_agree(case):
+    dim, span, matrix = case
+    token_route = _definitions(dim, span, matrix, token_route=True)
+    assert _bulk_blocks(token_route) == 0
+    assert _read(_definitions(dim, span, matrix, token_route=False)) == _read(token_route)
+
+
+@pytest.mark.parametrize("block", [
+    "{(0.5, -0.5)}",
+    "{(0.5+0.25i, -0.5-0.25i)}",
+    "{(-0, 0-0.0i), (1e-05, 2.5E-4)}",
+    "{\t(1, 0),\r\n (1e400-1e400i, 7) }",
+    "{}",
+])
+def test_plain_literals_are_read_whole(block):
+    assert _bulk_blocks(f"dim 2\nlet p = span{block}\n") == 1
+
+
+def test_printed_and_sample_blocks_are_read_whole():
+    for path in SAMPLES.glob("*.pqm"):
+        text = path.read_text()
+        assert _bulk_blocks(text) == text.count("{"), path.name
+    pr = parse_problem(GOOD)
+    # entries as the CLI prints a witness
+    rows = [", ".join(f"{z.real:.10g}{z.imag:+.10g}i" for z in row) for row in pr.unitaries["U"].matrix]
+    assert _bulk_blocks("dim 3\nlet V = matrix{" + ", ".join(f"({r})" for r in rows) + "}\n") == 1
