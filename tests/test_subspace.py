@@ -13,6 +13,7 @@ from pqm.sampling import (
     random_subspace_within,
     random_unitary,
 )
+import pqm.subspace as kernel
 from pqm.subspace import (
     EQ_TOL,
     RANK_TOL,
@@ -20,6 +21,7 @@ from pqm.subspace import (
     DimensionMismatchError,
     Subspace,
     UnitaryOp,
+    _span_from_matrix,
     apply_unitary,
     bottom,
     compatible,
@@ -33,6 +35,11 @@ from pqm.subspace import (
     sasaki_and,
     sasaki_hook,
     span_of,
+    stacked,
+    stacked_compatible,
+    stacked_leq_table,
+    stacked_meet,
+    stacked_span,
     subspace_to_json,
     top,
     unitary_deviation,
@@ -57,6 +64,35 @@ def test_span_drops_dependent_vectors():
 def test_span_of_nothing_is_bottom():
     assert span_of([], 3).rank == 0
     assert eq(span_of([np.zeros(3)], 3), bottom(3))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [[[1, 0]], [[1, 0, 0], [1, 0]], np.ones((2, 4)), np.ones((2, 2, 2))],
+    ids=["short-vector", "ragged", "wide-array", "3d-array"],
+)
+def test_span_of_rejects_a_family_of_the_wrong_shape(family):
+    with pytest.raises(DimensionMismatchError):
+        span_of(family, 3)
+
+
+@pytest.mark.parametrize(
+    "family", [lambda: np.zeros((0, 3)), lambda: iter(())], ids=["empty-array", "empty-generator"],
+)
+def test_span_of_an_empty_family_is_the_zero_space(family):
+    s = span_of(family(), 3)
+    assert s.dim == 3 and s.rank == 0
+
+
+def test_span_of_reads_every_family_alike():
+    """The rows of an array, a list or tuple of vectors, nested lists and
+    a generator give the same basis, byte for byte."""
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    expected = span_of(list(rows), 4).basis
+    for family in (rows, tuple(rows), [list(v) for v in rows], (v for v in rows)):
+        got = span_of(family, 4).basis
+        assert got.tobytes() == expected.tobytes() and got.strides == expected.strides
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
@@ -401,3 +437,135 @@ def test_subspace_json_round_trip(rng):
     back = span_of([[complex(re, im) for re, im in vec] for vec in obj["basis"]], obj["dim"])
     assert back.rank == obj["rank"]
     assert eq(p, back)
+
+
+# ---------------------------------------------------------------------------
+# The stacked kernel against the per-pair operations
+
+
+def _kernel_family(seed, dim):
+    """Subspaces of C^dim in generic and degenerate position, the zero
+    space and the whole space among them."""
+    rng = np.random.default_rng([seed, dim])
+    spaces = [bottom(dim), top(dim)]
+    spaces += [random_subspace(rng, dim, rank=r) for r in range(dim + 1)]
+    for p, q, _ in _degenerate_pairs(rng, dim):
+        spaces.append(p)
+    return spaces
+
+
+def _stack_of(spaces, dim):
+    return stacked([s.basis for s in spaces], dim)
+
+
+def _by_rank(spaces):
+    """The spaces of each rank, as an unpadded (n, dim, rank) stack."""
+    for rank in sorted({s.rank for s in spaces}):
+        group = [s for s in spaces if s.rank == rank]
+        yield group, np.stack([s.basis for s in group])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_leq_table_matches_leq(seed, dim):
+    spaces = _kernel_family(seed, dim)
+    padded = _stack_of(spaces, dim)
+    table = stacked_leq_table(padded, padded)
+    assert table.tolist() == [[leq(p, q) for q in spaces] for p in spaces]
+    # one rank on each side, unpadded, as a symbol lookup asks it
+    for ps, p_stack in _by_rank(spaces):
+        for qs, q_stack in _by_rank(spaces):
+            assert stacked_leq_table(p_stack, q_stack).tolist() == [[leq(p, q) for q in qs] for p in ps]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_meet_and_compatible_match_the_pair_forms(seed, dim):
+    spaces = _kernel_family(seed, dim)
+    for ps, p_stack in _by_rank(spaces):
+        pairs = [(i, q) for i in range(len(ps)) for q in spaces]
+        p_rows = p_stack[[i for i, _ in pairs]]
+        q_rows = _stack_of([q for _, q in pairs], dim)  # zero-padded
+        meets, ranks = stacked_meet(p_rows, q_rows)
+        fits = stacked_compatible(p_rows, q_rows)
+        for (i, q), m, r, fit in zip(pairs, meets, ranks, fits):
+            expected = meet(ps[i], q)
+            assert r == expected.rank and not m[:, r:].any()
+            assert eq(Subspace(dim, m[:, :r]), expected)
+            assert fit == compatible(ps[i], q)
+
+
+def _span_inputs(seed, dim):
+    """(dim, dim + 1) matrices: zero, generic, of lower rank, and one whose
+    second singular value lies above RANK_TOL times the largest (0.5) but
+    below the absolute floor RANK_TOL, so it is cut."""
+    rng = np.random.default_rng([seed, dim])
+    gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
+    low = gauss(dim, max(dim - 1, 1)) @ gauss(max(dim - 1, 1), dim + 1)
+    floor = np.zeros((dim, dim + 1), dtype=complex)
+    floor[0, 0] = 0.5
+    if dim > 1:
+        floor[1, 1] = 0.6 * RANK_TOL
+    return [np.zeros((dim, dim + 1)), gauss(dim, dim + 1), low, floor]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_span_matches_span_from_matrix(seed, dim):
+    mats = _span_inputs(seed, dim)
+    spans, ranks = stacked_span(np.stack(mats))
+    for a, s, r in zip(mats, spans, ranks):
+        expected = _span_from_matrix(a, dim)
+        assert r == expected.rank and not s[:, r:].any()
+        assert eq(Subspace(dim, s[:, :r]), expected)
+    assert ranks[-1] == 1  # the floor cuts the second column
+
+
+@pytest.mark.parametrize("entries", [1, 40])
+def test_stacked_forms_are_the_same_in_small_chunks(monkeypatch, entries):
+    dim = 3
+    spaces = _kernel_family(5, dim)
+    padded = _stack_of(spaces, dim)
+    (_, rays), mats = list(_by_rank(spaces))[1], np.stack(_span_inputs(5, dim) * 3)
+    q_rows = padded[: len(rays)]
+
+    def run():
+        return (stacked_leq_table(padded, padded), *stacked_meet(rays, q_rows),
+                stacked_compatible(rays, q_rows), *stacked_span(mats))
+
+    whole = run()
+    monkeypatch.setattr(kernel, "_STACK_ENTRIES", entries)
+    assert len(list(kernel.stack_chunks(len(padded), len(padded) * dim * dim))) == len(padded)
+    for got, want in zip(run(), whole):
+        assert np.array_equal(got, want)
+
+
+def _tilted_plane(sine):
+    """A checked orthonormal basis of a plane of C^3 tilted off span(e1,
+    e2) by ``sine``, the tilt spread evenly over both columns."""
+    w = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
+    u = np.array([np.sqrt(1 - sine**2) / np.sqrt(2)] * 2 + [sine])
+    return Subspace(3, np.column_stack([w + u, w - u]) / np.sqrt(2))
+
+
+E = np.eye(4)
+
+
+@pytest.mark.parametrize(
+    "p, q, contained",
+    [
+        (span_of([E[0] + 8e-9 * E[2], E[1] + 8e-9 * E[3]], 4), span_of([E[0], E[1]], 4), True),
+        (_tilted_plane(1.2e-8), span_of(np.eye(3)[:2], 3), False),
+    ],
+    ids=["sines-8e-9", "tilt-1.2e-8"],
+)
+def test_leq_table_decides_the_column_norm_band(p, q, contained):
+    """Each column's residual is below EQ_TOL and their Frobenius norm is
+    above it, so only the largest sine decides: 8e-9 is contained, 1.2e-8
+    is not."""
+    resid = p.basis - q.basis @ (q.basis.conj().T @ p.basis)
+    assert np.linalg.norm(resid, axis=0).max() < EQ_TOL < np.linalg.norm(resid)
+    assert leq(p, q) == contained
+    assert stacked_leq_table(p.basis[None], q.basis[None]).tolist() == [[contained]]
+    pair = _stack_of([p, q], p.dim)
+    assert stacked_leq_table(pair, pair).tolist() == [[True, contained], [leq(q, p), True]]
