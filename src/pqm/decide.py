@@ -4,11 +4,12 @@ A basic sentence  exists x . /\\ [x:p_i] & /\\ ~[x:q_j]  is true exactly
 when the meet of the positives is contained in no negative: a finite
 union of strict subspaces can never cover a complex subspace, so a
 witness ray avoiding every negative exists precisely then.  Boolean
-combinations are decided leafwise: each distinct leaf is decided once
-per call, and its repeated occurrences share one LeafVerdict, while the
-trace still lists every occurrence.  Every verdict carries a full trace
-and, where the shape admits one, a concrete witness ray that re-checks
-against the literals it came from.
+combinations, whose leaves are BasicSentence objects, are decided
+leafwise: each distinct leaf is decided once per call, and its repeated
+occurrences share one LeafVerdict, while the trace still lists every
+occurrence.  Every verdict carries a full trace and, where the shape
+admits one, a concrete witness ray that re-checks against the literals
+it came from.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .axioms import (
     SubspaceElements,
     run_axiom_suite,
 )
-from .normalize import BAnd, BNot, BOr, BasicSentence, BoolCombo, Leaf
+from .normalize import BAnd, BNot, BOr, BasicSentence, BoolCombo
 from .subspace import (
     InternalInvariantError,
     Subspace,
@@ -142,8 +143,8 @@ def _evaluate_node(
     that calls itself: that would be a reference cycle, which would keep
     the decider's tables and every verdict alive until the cycle
     collector ran."""
-    if isinstance(c, Leaf):
-        v = decide_leaf(c.basic)
+    if isinstance(c, BasicSentence):
+        v = decide_leaf(c)
         leaves.append(v)
         return v.truth, v.witness
     if isinstance(c, BNot):

@@ -11,10 +11,10 @@ the Sasaki hook and unitaries through their adjoints), then eliminates
 quantifiers innermost-first by distributing to disjunctive normal form
 and folding the literals of the bound variable into a basic sentence.
 Universal quantifiers go through the negated existential.  A basic
-sentence is a Leaf from the start, and its negation the BNot of that
-Leaf, so what is left once the last quantifier is gone is already the
-Boolean combination, up to folding its flat conjunctions and
-disjunctions into binary nodes.
+sentence is a leaf of the Boolean combination from the start, and its
+negation the BNot of it, so what is left once the last quantifier is
+gone is already the Boolean combination, up to folding its flat
+conjunctions and disjunctions into binary nodes.
 
 The atom rewrites are equivalences of the subspace model (adjunction of
 the Sasaki operations, unitarity), so normalization preserves truth
@@ -35,7 +35,6 @@ __all__ = [
     "NormalizationLimitError",
     "BasicSentence",
     "BoolCombo",
-    "Leaf",
     "BNot",
     "BAnd",
     "BOr",
@@ -55,21 +54,17 @@ class NormalizationLimitError(RuntimeError):
     """Raised when quantifier elimination would exceed DNF_NODE_LIMIT nodes."""
 
 
-@dataclass(frozen=True)
-class BasicSentence:
-    """exists x . /\\ [x:p_i] & /\\ ~[x:q_j] with concrete subspaces."""
-
-    positives: tuple[Subspace, ...]
-    negatives: tuple[Subspace, ...]
-
-
 class BoolCombo:
     """Quantifier-free Boolean combination of basic sentences."""
 
 
 @dataclass(frozen=True)
-class Leaf(BoolCombo):
-    basic: BasicSentence
+class BasicSentence(BoolCombo):
+    """exists x . /\\ [x:p_i] & /\\ ~[x:q_j] with concrete subspaces: the
+    leaf of a Boolean combination."""
+
+    positives: tuple[Subspace, ...]
+    negatives: tuple[Subspace, ...]
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,7 @@ def reduce_atom(atom: Atom, problem: Problem) -> tuple[str, Subspace]:
 
 # ---------------------------------------------------------------------------
 # Mixed trees: negation-normal combinations of variable literals and
-# already-closed pieces, each a Leaf or the BNot of one.
+# already-closed pieces, each a BasicSentence or the BNot of one.
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,7 @@ def _flat(node, items) -> object:
 def _negate(m) -> object:
     if isinstance(m, _Lit):
         return _Lit(m.var, m.space, not m.positive)
-    if isinstance(m, Leaf):
+    if isinstance(m, BasicSentence):
         return BNot(m)
     if isinstance(m, BNot):
         return m.arg
@@ -161,16 +156,16 @@ class _Run:
 
     Equal atoms reduce once, to one Subspace object (Iff and Implies
     expansion copy subtrees), and conjunctions with the same literal
-    objects in the same order become one Leaf, so the decider can tell
-    repeated leaves by identity.  A leaf is keyed by the ids of its
-    literals, which the stored leaf keeps alive.
+    objects in the same order become one BasicSentence, so the decider
+    can tell repeated leaves by identity.  A leaf is keyed by the ids of
+    its literals, which the stored leaf keeps alive.
     """
 
     def __init__(self, problem: Problem):
         self.problem = problem
         self.count = 0
         self.atoms: dict[Atom, tuple[str, Subspace]] = {}
-        self.leaves: dict[tuple, Leaf] = {}
+        self.leaves: dict[tuple, BasicSentence] = {}
 
     def charge(self, n: int) -> None:
         self.count += n
@@ -184,16 +179,16 @@ class _Run:
             self.atoms[atom] = reduce_atom(atom, self.problem)
         return self.atoms[atom]
 
-    def leaf(self, positives: tuple[Subspace, ...], negatives: tuple[Subspace, ...]) -> Leaf:
+    def leaf(self, positives: tuple[Subspace, ...], negatives: tuple[Subspace, ...]) -> BasicSentence:
         key = (tuple(map(id, positives)), tuple(map(id, negatives)))
         if key not in self.leaves:
-            self.leaves[key] = Leaf(BasicSentence(positives, negatives))
+            self.leaves[key] = BasicSentence(positives, negatives)
         return self.leaves[key]
 
 
 def _dnf(m, run: _Run) -> list[tuple]:
     """Disjunctive normal form of a mixed tree, as a list of conjunctions."""
-    if isinstance(m, (_Lit, Leaf, BNot)):
+    if isinstance(m, (_Lit, BasicSentence, BNot)):
         run.charge(1)
         return [(m,)]
     if isinstance(m, _MOr):
@@ -266,7 +261,7 @@ def _to_combo(m) -> BoolCombo:
         raise InternalInvariantError(
             f"literal on variable {m.var!r} survived elimination; sentence is not closed"
         )
-    if isinstance(m, (Leaf, BNot)):
+    if isinstance(m, (BasicSentence, BNot)):
         return m
     if isinstance(m, _MAnd):
         return _fold_balanced([_to_combo(item) for item in m.items], BAnd)
@@ -287,13 +282,13 @@ def _fold_balanced(items: list[BoolCombo], ctor) -> BoolCombo:
 def normalize(sentence: Formula, problem: Problem) -> BoolCombo:
     """Quantifier-free normal form of a closed sentence over the
     problem's definitions.  A leaf that recurs with the same literals is
-    one shared Leaf object.  Raises NormalizationLimitError past the DNF
+    one shared BasicSentence object.  Raises NormalizationLimitError past the DNF
     node budget."""
     return _to_combo(_elim(sentence, False, _Run(problem)))
 
 
 def combo_size(c: BoolCombo) -> int:
-    if isinstance(c, Leaf):
+    if isinstance(c, BasicSentence):
         return 1
     if isinstance(c, BNot):
         return 1 + combo_size(c.arg)
@@ -330,7 +325,6 @@ class _JsonTables:
 
     def __init__(self) -> None:
         self.subspaces: dict[int, int] = {}
-        self.leaves: dict[int, int] = {}
         self.subspace_json: list[dict] = []
         self.leaf_json: list[dict] = []
         self.nodes: dict[tuple, int] = {}
@@ -345,15 +339,12 @@ class _JsonTables:
     def node(self, c: BoolCombo) -> int:
         if id(c) in self.walked:
             return self.walked[id(c)]
-        if isinstance(c, Leaf):
-            b = c.basic
-            if id(b) not in self.leaves:
-                self.leaves[id(b)] = len(self.leaf_json)
-                self.leaf_json.append({
-                    "positives": [self.space(p) for p in b.positives],
-                    "negatives": [self.space(q) for q in b.negatives],
-                })
-            key: tuple = ("leaf", self.leaves[id(b)])
+        if isinstance(c, BasicSentence):
+            key: tuple = ("leaf", len(self.leaf_json))
+            self.leaf_json.append({
+                "positives": [self.space(p) for p in c.positives],
+                "negatives": [self.space(q) for q in c.negatives],
+            })
         elif isinstance(c, BNot):
             key = ("not", self.node(c.arg))
         elif isinstance(c, BAnd):
@@ -377,8 +368,8 @@ def combo_to_formula(c: BoolCombo) -> tuple[Formula, dict[str, Subspace]]:
 
 def _formula_node(c: BoolCombo, defs: dict[str, Subspace]) -> Formula:
     """One node of ``combo_to_formula``; not a closure, as ``_JsonTables`` explains."""
-    if isinstance(c, Leaf):
-        return _leaf_formula(c.basic, defs)
+    if isinstance(c, BasicSentence):
+        return _leaf_formula(c, defs)
     if isinstance(c, BNot):
         return Not(_formula_node(c.arg, defs))
     if isinstance(c, BAnd):

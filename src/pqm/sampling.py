@@ -79,7 +79,7 @@ def random_subspace_within(rng: np.random.Generator, p: Subspace, rank: int | No
     if rank == 0 or p.rank == 0:
         return bottom(p.dim)
     coeffs = _complex_gaussian(rng, (p.rank, rank))
-    return span_of(list((p.basis @ coeffs).T), p.dim)
+    return span_of((p.basis @ coeffs).T, p.dim)
 
 
 def random_ray_within(rng: np.random.Generator, p: Subspace) -> Subspace:

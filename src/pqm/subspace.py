@@ -27,10 +27,9 @@ near 0.  All three cut them at ``EQ_TOL``, so ``leq(p, q)`` holds
 exactly when ``meet(p, q)`` keeps p's rank.
 
 The stacked forms (:func:`stacked_span`, :func:`stacked_meet`,
-:func:`stacked_compatible`, :func:`stacked_leq`,
-:func:`stacked_leq_table`) take the same rank cut, residual cut and
-residual test over a whole stack of bases in a few numpy calls, for
-callers that ask one question of many subspaces.
+:func:`stacked_compatible`, :func:`stacked_leq_table`) take the same
+rank cut, residual cut and residual test over a whole stack of bases in
+a few numpy calls, for callers that ask one question of many subspaces.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ __all__ = [
     "stacked_span",
     "stacked_meet",
     "stacked_compatible",
-    "stacked_leq",
     "stacked_leq_table",
 ]
 
@@ -204,42 +202,44 @@ def bottom(dim: int) -> Subspace:
     return Subspace._trusted(dim, np.zeros((dim, 0), dtype=np.complex128))
 
 
-def _span_from_matrix(a: np.ndarray, dim: int) -> Subspace:
-    if a.shape[1] == 0:
-        return bottom(dim)
+def _span_basis(a: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the span of a's columns, of which it has
+    at least one."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     # The cut has an absolute floor of RANK_TOL: columns that are
     # numerically zero (e.g. projections of orthogonal vectors) must not
     # resurface as rank through a purely relative threshold.
     cut = RANK_TOL * max(1.0, float(s[0]))
-    r = int(np.count_nonzero(s > cut))
-    return Subspace._trusted(dim, u[:, :r])
+    return u[:, : int(np.count_nonzero(s > cut))]
+
+
+def _span_from_matrix(a: np.ndarray, dim: int) -> Subspace:
+    if a.shape[1] == 0:
+        return bottom(dim)
+    return Subspace._trusted(dim, _span_basis(a))
 
 
 def span_of(vectors: Iterable[Sequence[complex]], dim: int) -> Subspace:
     """Orthonormalized span of a finite family of vectors in C^dim, given
-    as a sequence of vectors or as the rows of a 2-D array.
+    as any iterable of vectors or as the rows of a 2-D array.
 
     Accepts dependent, repeated and zero vectors; the empty family gives
-    the bottom subspace.  Raises ValueError on a non-finite entry or a
-    dimension below 1.
+    the bottom subspace.  Raises DimensionMismatchError unless the family
+    reads as an (n, dim) array of numbers, and ValueError on a non-finite
+    entry or a dimension below 1.
     """
     _check_dim(dim)
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2 and vectors.shape[1] == dim:
-        a = np.asarray(vectors, dtype=np.complex128).T
-    else:
-        cols = []
-        for v in vectors:
-            arr = np.asarray(v, dtype=np.complex128).reshape(-1)
-            if arr.shape != (dim,):
-                raise DimensionMismatchError(f"vector of length {arr.size} in ambient dimension {dim}")
-            cols.append(arr)
-        a = np.column_stack(cols) if cols else np.zeros((dim, 0))
-    if not a.shape[1]:
+    try:  # an array is read as it is, any other iterable listed first
+        a = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors), dtype=np.complex128)
+    except ValueError as exc:  # a ragged family, or an entry that is not a number
+        raise DimensionMismatchError(f"vectors must form an (n, {dim}) array: {exc}") from exc
+    if not len(a):
         return bottom(dim)
+    if a.ndim != 2 or a.shape[1] != dim:
+        raise DimensionMismatchError(f"vectors must form an (n, {dim}) array, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("vector entries must be finite")
-    return Subspace(dim, _span_from_matrix(a, dim).basis)
+    return Subspace(dim, _span_basis(a.T))
 
 
 def _same_dim(p: Subspace, q: Subspace) -> None:
@@ -307,16 +307,6 @@ def leq(p: Subspace, q: Subspace) -> bool:
 def _squared_columns(resid: np.ndarray) -> np.ndarray:
     """The squared norm of each column of a residual or of a stack of them."""
     return np.square(np.abs(resid)).sum(axis=-2)
-
-
-def _residual_below(resid: np.ndarray) -> np.ndarray:
-    """:func:`leq`'s test of a residual, per matrix of a stack."""
-    columns = _squared_columns(resid)
-    out = columns.sum(axis=-1) < EQ_TOL**2
-    band = ~out & (columns.max(axis=-1, initial=0.0) < EQ_TOL**2)
-    if band.any():
-        out[band] = np.linalg.svd(resid[band], compute_uv=False)[:, 0] < EQ_TOL
-    return out
 
 
 def eq(p: Subspace, q: Subspace) -> bool:
@@ -453,36 +443,26 @@ def stacked_compatible(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def stacked_leq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`leq` of p[i] in q[i] for each i, over stacks (n, dim, k) and
-    (n, dim, m), whose columns must be orthonormal or zero.  A zero p[i]
-    (the zero space) is below every q[i], and a zero q[i] is above only
-    the zero space."""
-    n, dim, k = p.shape
-    out = np.empty(n, dtype=bool)
-    for chunk in stack_chunks(n, dim * max(k, q.shape[-1])):
-        out[chunk] = _residual_below(_residual(p[chunk], q[chunk]))
-    return out
-
-
 def stacked_leq_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The (n, m) table of :func:`stacked_leq` over every pair of p[i] in
-    q[j], for stacks (n, dim, k) and (m, dim, l).  The columns of a chunk
-    of p sit side by side, so each q[j] meets them in one matrix product;
-    only the pairs whose column norms leave :func:`leq` undecided are
-    taken again, pair by pair."""
+    """The (n, m) table of :func:`leq` over every pair of p[i] in q[j],
+    for stacks (n, dim, k) and (m, dim, l) whose columns are orthonormal
+    or zero: a zero p[i] is below every q[j], and a zero q[j] above only
+    the zero space.  The columns of a chunk of p sit side by side, so each
+    q[j] meets them in one matrix product; the pairs whose column norms
+    leave containment undecided take one SVD of their residuals."""
     n, dim, k = p.shape
     if k == 0:
         return np.ones((n, len(q)), dtype=bool)
     out = np.empty((n, len(q)), dtype=bool)
     for chunk in stack_chunks(n, len(q) * dim * k):
-        pc = p[chunk]
-        cols = pc.transpose(1, 0, 2).reshape(dim, -1)
-        columns = _squared_columns(_residual(cols, q)).reshape(len(q), -1, k)
+        cols = p[chunk].transpose(1, 0, 2).reshape(dim, -1)
+        resid = _residual(cols, q)
+        columns = _squared_columns(resid).reshape(len(q), -1, k)
         below = columns.sum(axis=-1) < EQ_TOL**2
         j, i = np.nonzero(~below & (columns.max(axis=-1) < EQ_TOL**2))
         if j.size:
-            below[j, i] = stacked_leq(pc[i], q[j])
+            band = resid.reshape(len(q), dim, -1, k)[j, :, i]  # (pairs, dim, k)
+            below[j, i] = np.linalg.svd(band, compute_uv=False)[:, 0] < EQ_TOL
         out[chunk] = below.T
     return out
 

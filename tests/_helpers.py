@@ -26,7 +26,7 @@ from pqm.lang import (
     Term,
     Var,
 )
-from pqm.normalize import BAnd, BNot, BOr, BasicSentence, BoolCombo, Leaf
+from pqm.normalize import BAnd, BNot, BOr, BasicSentence, BoolCombo
 from pqm.sampling import random_ray, random_ray_within, random_subspace, random_unitary
 from pqm.subspace import (
     Subspace,
@@ -122,8 +122,8 @@ def deep_disjunction() -> tuple[Formula, Problem]:
 
 def combo_basics(c: BoolCombo):
     """The basic sentence of every leaf occurrence, left to right."""
-    if isinstance(c, Leaf):
-        yield c.basic
+    if isinstance(c, BasicSentence):
+        yield c
     elif isinstance(c, BNot):
         yield from combo_basics(c.arg)
     elif isinstance(c, (BAnd, BOr)):

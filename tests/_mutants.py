@@ -79,6 +79,30 @@ MUTANTS: tuple[Mutant, ...] = (
         "rank-tol-raised-hundredfold", "src/pqm/subspace.py",
         "RANK_TOL = 1e-10 ", "RANK_TOL = 1e-8 ", "killed",
     ),
+    Mutant(
+        "span-of-finiteness-unchecked", "src/pqm/subspace.py",
+        "    if not np.isfinite(a).all():\n        raise ValueError(\"vector entries must be finite\")\n", "",
+        "killed",
+    ),
+    # -- the stacked kernel
+    Mutant(
+        "stacked-rank-cut-without-absolute-floor", "src/pqm/subspace.py",
+        "cut = RANK_TOL * np.maximum(1.0, s[:, 0])", "cut = RANK_TOL * s[:, 0]", "killed",
+    ),
+    Mutant(
+        "stacked-meet-cut-inclusive", "src/pqm/subspace.py",
+        "rank[chunk] = np.count_nonzero(sin < EQ_TOL, axis=-1)",
+        "rank[chunk] = np.count_nonzero(sin <= EQ_TOL, axis=-1)",
+        "equivalent", "a computed sine lands exactly on EQ_TOL with probability zero",
+    ),
+    Mutant(
+        "leq-table-band-always-contained", "src/pqm/subspace.py",
+        "below[j, i] = np.linalg.svd(band, compute_uv=False)[:, 0] < EQ_TOL", "below[j, i] = True", "killed",
+    ),
+    Mutant(
+        "leq-table-band-never-contained", "src/pqm/subspace.py",
+        "below[j, i] = np.linalg.svd(band, compute_uv=False)[:, 0] < EQ_TOL", "below[j, i] = False", "killed",
+    ),
     # -- the structure check
     Mutant(
         "skip-mask-dropped", "src/pqm/structures.py",
@@ -105,8 +129,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "dnf-literals-free", "src/pqm/normalize.py",
-        "    if isinstance(m, (_Lit, Leaf, BNot)):\n        run.charge(1)\n",
-        "    if isinstance(m, (_Lit, Leaf, BNot)):\n", "killed",
+        "    if isinstance(m, (_Lit, BasicSentence, BNot)):\n        run.charge(1)\n",
+        "    if isinstance(m, (_Lit, BasicSentence, BNot)):\n", "killed",
     ),
     # -- the decider
     Mutant(

@@ -17,7 +17,6 @@ from pqm.normalize import (
     BNot,
     BOr,
     BasicSentence,
-    Leaf,
     NormalizationLimitError,
     combo_to_json,
     normalize,
@@ -80,19 +79,19 @@ def test_dimension_mismatch():
 
 def test_everything_verifies_top():
     # ~ exists x . ~[x : top]
-    combo = BNot(Leaf(BasicSentence((), (top(3),))))
+    combo = BNot(BasicSentence((), (top(3),)))
     assert evaluate(combo, 3).truth
 
 
 def test_boolean_evaluation():
-    true_leaf = Leaf(BasicSentence((), (bottom(3),)))
-    false_leaf = Leaf(BasicSentence((top(3),), (top(3),)))
+    true_leaf = BasicSentence((), (bottom(3),))
+    false_leaf = BasicSentence((top(3),), (top(3),))
     assert not evaluate(BAnd(true_leaf, false_leaf), 3).truth
     assert evaluate(BOr(false_leaf, true_leaf), 3).truth
     assert evaluate(BNot(false_leaf), 3).truth
     # a disjunction's witness comes from its first true branch
-    along_e1 = Leaf(BasicSentence((_sp(E1),), (bottom(3),)))
-    along_e2 = Leaf(BasicSentence((_sp(E2),), (bottom(3),)))
+    along_e1 = BasicSentence((_sp(E1),), (bottom(3),))
+    along_e2 = BasicSentence((_sp(E2),), (bottom(3),))
     assert eq(evaluate(BOr(along_e1, along_e2), 3).witness, _sp(E1))
     assert eq(evaluate(BOr(along_e2, along_e1), 3).witness, _sp(E2))
     assert eq(evaluate(BOr(false_leaf, along_e2), 3).witness, _sp(E2))

@@ -15,7 +15,6 @@ from pqm.normalize import (
     BNot,
     BOr,
     BasicSentence,
-    Leaf,
     NormalizationLimitError,
     combo_size,
     combo_to_formula,
@@ -73,7 +72,8 @@ def test_normalize_produces_single_variable_leaves():
 # sha256 of the node tables, size and verdict of each normal form, for
 # random_sentence draws at dims 3 and 6 (seeds 0-399, rng [seed, dim])
 # and the seed-645 sentence.  Recorded before the closed pieces of the
-# mixed tree became Leaf and BNot nodes; every byte must stay.
+# mixed tree became combo nodes, and kept when BasicSentence became the
+# leaf node; every byte must stay.
 NORMAL_FORMS_SHA256 = "57e1bc43a092780bbef2661a9250ac297ce7ab1a3d31245d0b61734ea8fa1e80"
 
 
@@ -114,7 +114,7 @@ def test_nested_nodes_of_one_kind_are_spliced(monkeypatch, op, node):
     head = "dim 3\nlet p = span{(1,0,0)}\nlet q = span{(0,1,0)}\nlet r = span{(0,0,1)}\nassert "
     pr = parse_problem(head + f"((exists x . [x : p]) {op} (exists x . [x : q])) {op} (exists x . [x : r])\n")
     combo = normalize(pr.sentence, pr)
-    assert isinstance(combo, node) and isinstance(combo.left, Leaf) and isinstance(combo.right, node)
+    assert isinstance(combo, node) and isinstance(combo.left, BasicSentence) and isinstance(combo.right, node)
     pr = parse_problem(head + f"exists x . (([x : p] {op} [x : q]) {op} [x : r])\n")
     monkeypatch.setattr(sys.modules["pqm.normalize"], "DNF_NODE_LIMIT", {"&": 12, "|": 9}[op])
     normalize(pr.sentence, pr)
@@ -208,11 +208,11 @@ def test_normalize_shares_atoms_and_leaves():
 def _nested(c, memo):
     """The normal form as the nested tree that JSON schema 1 emitted."""
     if id(c) not in memo:
-        if isinstance(c, Leaf):
+        if isinstance(c, BasicSentence):
             memo[id(c)] = {
                 "type": "basic",
-                "positives": [subspace_to_json(p) for p in c.basic.positives],
-                "negatives": [subspace_to_json(q) for q in c.basic.negatives],
+                "positives": [subspace_to_json(p) for p in c.positives],
+                "negatives": [subspace_to_json(q) for q in c.negatives],
             }
         elif isinstance(c, BNot):
             memo[id(c)] = {"type": "not", "arg": _nested(c.arg, memo)}
