@@ -229,8 +229,9 @@ def span_of(vectors: Iterable[Sequence[complex]], dim: int) -> Subspace:
     entry or a dimension below 1.
     """
     _check_dim(dim)
-    try:  # an array is read as it is, any other iterable listed first
-        a = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors), dtype=np.complex128)
+    rows = vectors if isinstance(vectors, np.ndarray) else list(vectors)  # a generator too
+    try:
+        a = np.asarray(rows, dtype=np.complex128)
     except ValueError as exc:  # a ragged family, or an entry that is not a number
         raise DimensionMismatchError(f"vectors must form an (n, {dim}) array: {exc}") from exc
     if not len(a):

@@ -526,8 +526,9 @@ def test_stacked_forms_are_the_same_in_small_chunks(monkeypatch, entries):
     dim = 3
     spaces = _kernel_family(5, dim)
     padded = _stack_of(spaces, dim)
-    (_, rays), mats = list(_by_rank(spaces))[1], np.stack(_span_inputs(5, dim) * 3)
+    rays = np.stack([s.basis for s in spaces if s.rank == 1])
     q_rows = padded[: len(rays)]
+    mats = np.stack(_span_inputs(5, dim) * 3)
 
     def run():
         return (stacked_leq_table(padded, padded), *stacked_meet(rays, q_rows),
