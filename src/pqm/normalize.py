@@ -282,8 +282,8 @@ def _fold_balanced(items: list[BoolCombo], ctor) -> BoolCombo:
 def normalize(sentence: Formula, problem: Problem) -> BoolCombo:
     """Quantifier-free normal form of a closed sentence over the
     problem's definitions.  A leaf that recurs with the same literals is
-    one shared BasicSentence object.  Raises NormalizationLimitError past the DNF
-    node budget."""
+    one shared BasicSentence object.  Raises NormalizationLimitError past
+    the DNF node budget."""
     return _to_combo(_elim(sentence, False, _Run(problem)))
 
 
