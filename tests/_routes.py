@@ -9,6 +9,9 @@ the tests check it against:
   image that ``sasaki_and`` computes;
 - the projector commutator, against the lattice test ``compatible``;
 - a one-sided Monte-Carlo check over rays, against the decider;
+- the samplers as full Haar unitaries sliced to their leading columns
+  and as spans through ``span_of``, against ``pqm.sampling``, which
+  factors only the columns it keeps and spans kernel results unchecked;
 - the fragment index's ``meet``, ``sasaki_and`` and ``compatible``
   tables with every ordered symbol pair sent through the stacked kernel,
   against the index, which reads the pairs that its ``leq`` table
@@ -69,6 +72,48 @@ def projectors_commute(p: Subspace, q: Subspace) -> bool:
     _same_dim(p, q)
     pp, pq = p.projector(), q.projector()
     return float(np.abs(pp @ pq - pq @ pp).max()) < EQ_TOL
+
+
+# ---------------------------------------------------------------------------
+# Sampler routes: the same draws from the generator, in the same order
+
+
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_subspace_by_full_haar(rng: np.random.Generator, dim: int, rank: int | None = None) -> Subspace:
+    """``random_subspace`` as the leading ``rank`` columns of a Haar
+    unitary: QR of the whole (dim, dim) Gaussian, phase-corrected."""
+    if rank is None:
+        rank = int(rng.integers(0, dim + 1))
+    if rank == 0:
+        return sub.bottom(dim)
+    q, r = np.linalg.qr(_complex_gaussian(rng, (dim, dim)))
+    d = np.diagonal(r)
+    return Subspace._trusted(dim, (q * (d / np.abs(d)))[:, :rank])
+
+
+def random_ray_by_span_of(rng: np.random.Generator, dim: int) -> Subspace:
+    """``random_ray`` through ``span_of``."""
+    return sub.span_of([_complex_gaussian(rng, dim)], dim)
+
+
+def random_subspace_within_by_span_of(rng: np.random.Generator, p: Subspace,
+                                      rank: int | None = None) -> Subspace:
+    """``random_subspace_within`` through ``span_of``."""
+    if rank is None:
+        rank = int(rng.integers(0, p.rank + 1))
+    if rank == 0 or p.rank == 0:
+        return sub.bottom(p.dim)
+    return sub.span_of((p.basis @ _complex_gaussian(rng, (p.rank, rank))).T, p.dim)
+
+
+def random_ray_within_by_span_of(rng: np.random.Generator, p: Subspace) -> Subspace:
+    """``random_ray_within`` through ``span_of``."""
+    if p.rank == 0:
+        return sub.bottom(p.dim)
+    return random_subspace_within_by_span_of(rng, p, rank=1)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,14 @@ def test_random_suite_reads_both_sides_of_every_instance():
     assert int(sem.rng.integers(2**62)) == 1754940360808966105
 
 
+@pytest.mark.parametrize("dim, informational", [(2, {"meet"}), (3, set())])
+def test_only_the_meet_axiom_is_informational_and_only_below_dim_three(dim, informational):
+    # an informational result's violations do not count against ok
+    for results in check_axiom_suite(dim, samples=2, seed=0).by_domain.values():
+        assert {r.name for r in results if r.informational} == informational
+    assert not any(r.informational for r in check_axioms_from_rules(dim, samples=2, seed=0).results)
+
+
 def test_figures_select_axioms():
     assert [a.name for a in select_axioms("all")] == [a.name for a in AXIOMS]
     assert all(a.in_base for a in select_axioms("base"))

@@ -170,6 +170,36 @@ def test_build_circuit_from_file():
     assert eq(final, span_of([np.array([0, 1])], 2))
 
 
+# (instances, hypothesis_hits, violations) per rule of check_rule_suite
+# at (dim, samples, seed).  They pin the draw order of every rule and the
+# flags its circuits give on every state.
+RULE_COUNTS = {
+    (3, 60, 0): {
+        "orthogonal-wipe": (138, 138, 0),
+        "coarse-then-fine": (132, 132, 0),
+        "coarse-then-fine-then-any": (143, 143, 0),
+        "unitary-conjugation": (135, 135, 0),
+        "unitary-preserves-impossibility": (127, 127, 0),
+        "orthogonal-pair-join": (196, 89, 0),
+    },
+    (8, 30, 1): {
+        "orthogonal-wipe": (66, 66, 0),
+        "coarse-then-fine": (70, 70, 0),
+        "coarse-then-fine-then-any": (64, 64, 0),
+        "unitary-conjugation": (69, 69, 0),
+        "unitary-preserves-impossibility": (70, 70, 0),
+        "orthogonal-pair-join": (95, 40, 0),
+    },
+}
+
+
+@pytest.mark.parametrize("dim, samples, seed", RULE_COUNTS)
+def test_rule_suite_counts_are_pinned(dim, samples, seed):
+    report = check_rule_suite(dim, samples=samples, seed=seed)
+    counts = {r.name: (r.instances, r.hypothesis_hits, r.violations) for r in report.results}
+    assert counts == RULE_COUNTS[dim, samples, seed]
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_rule_suite_clean_small(dim):
     report = check_rule_suite(dim, samples=60, seed=0)
