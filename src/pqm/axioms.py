@@ -114,17 +114,19 @@ class SampledSemantics:
     sampling, and a false one is missed only when every drawn ray is
     orthogonal to s within ``EQ_TOL``, so suites under this semantics
     are one-sided in the safe direction.
+
+    The zero s and the full p verify without a draw, so the generator
+    moves only for the statements that sampling decides, and neither
+    takes the complement's SVD.
     """
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
 
     def verify(self, s: Subspace, p: Subspace) -> bool:
+        if s.rank == 0 or p.rank == p.dim:
+            return True
         comp = sub.ortho(p)
-        if comp.rank == 0:
-            return True
-        if s.rank == 0:
-            return True
         # Projecting s onto a ray phi gives the zero space exactly when
         # phi is orthogonal to s, i.e. the basis residual s* phi vanishes.
         shape = (comp.rank, RAYS_PER_CHECK)
@@ -233,11 +235,10 @@ def _draw_project_chain(rng, dim, domain):
     elif seed_space.rank > 0:
         w = random_ray_within(rng, seed_space)
         comp_q = sub.ortho(q)
-        vec = w.basis[:, 0].copy()
+        vec = w.basis
         if comp_q.rank > 0 and rng.random() < 0.5:
-            z = random_ray_within(rng, comp_q)
-            vec = vec + z.basis[:, 0]
-        x = sub.span_of([vec], dim)
+            vec = vec + random_ray_within(rng, comp_q).basis
+        x = sub._span_from_matrix(vec, dim)
     else:
         x = domain.inside(rng, sub.ortho(q))
     return x, p, q

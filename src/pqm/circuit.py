@@ -17,6 +17,7 @@ reading mentions.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,69 +99,43 @@ def build_circuit(cp: CircuitProblem) -> tuple[Circuit, Subspace]:
 
 # ---------------------------------------------------------------------------
 # Rule suite
+#
+# A rule maker draws one instance of its rule: the circuits, as step
+# tuples, and a subspace to bias states into, or None.  A rule's law maps
+# the impossibility flags of its circuits on one state, in order, to the
+# hypothesis and the conclusion.
 
 
 def _rule_orthogonal_wipe(rng, dim):
     """Projecting onto p then onto anything inside p-orthogonal kills the state."""
     p = random_subspace(rng, dim)
     q = random_subspace_within(rng, sub.ortho(p))
-    c = Circuit(dim, (p, q))
-
-    def check(s):
-        return True, is_impossible(c, s)
-
-    return check, None
+    return ((p, q),), None
 
 
 def _rule_coarse_then_fine(rng, dim):
     """With q inside p, projecting onto p first changes nothing."""
     p = random_subspace(rng, dim)
     q = random_subspace_within(rng, p)
-    both = Circuit(dim, (p, q))
-    fine = Circuit(dim, (q,))
-
-    def check(s):
-        return True, is_impossible(both, s) == is_impossible(fine, s)
-
-    return check, None
+    return ((p, q), (q,)), None
 
 
 def _rule_coarse_then_fine_then_any(rng, dim):
     p = random_subspace(rng, dim)
     q = random_subspace_within(rng, p)
     r = random_subspace(rng, dim)
-    long = Circuit(dim, (p, q, r))
-    short = Circuit(dim, (q, r))
-
-    def check(s):
-        return True, is_impossible(long, s) == is_impossible(short, s)
-
-    return check, None
+    return ((p, q, r), (q, r)), None
 
 
 def _rule_unitary_conjugation(rng, dim):
     """Projection commutes with a unitary change of frame."""
     p = random_subspace(rng, dim)
     u = random_unitary(rng, dim)
-    q = sub.apply_unitary(u, p)
-    direct = Circuit(dim, (p,))
-    conjugated = Circuit(dim, (u, q))
-
-    def check(s):
-        return True, is_impossible(direct, s) == is_impossible(conjugated, s)
-
-    return check, None
+    return ((p,), (u, sub.apply_unitary(u, p))), None
 
 
 def _rule_unitary_preserves_impossibility(rng, dim):
-    u = random_unitary(rng, dim)
-    through = Circuit(dim, (u,))
-    empty = Circuit(dim, ())
-
-    def check(s):
-        return True, is_impossible(empty, s) == is_impossible(through, s)
-
-    return check, None
+    return ((), (random_unitary(rng, dim),)), None
 
 
 def _rule_orthogonal_pair_join(rng, dim):
@@ -168,56 +143,108 @@ def _rule_orthogonal_pair_join(rng, dim):
     psi1 = random_ray(rng, dim)
     psi2 = random_ray_within(rng, sub.ortho(psi1))
     joined = sub.join(psi1, psi2)
+    return ((psi1,), (psi2,), (joined,)), sub.ortho(joined)
 
-    def check(s):
-        hyp = is_impossible(Circuit(dim, (psi1,)), s) and is_impossible(Circuit(dim, (psi2,)), s)
-        concl = is_impossible(Circuit(dim, (joined,)), s)
-        return hyp, concl
 
-    return check, sub.ortho(joined)
+def _agree(first, second):
+    return True, first == second
 
 
 _RULES = (
-    ("orthogonal-wipe", _rule_orthogonal_wipe),
-    ("coarse-then-fine", _rule_coarse_then_fine),
-    ("coarse-then-fine-then-any", _rule_coarse_then_fine_then_any),
-    ("unitary-conjugation", _rule_unitary_conjugation),
-    ("unitary-preserves-impossibility", _rule_unitary_preserves_impossibility),
-    ("orthogonal-pair-join", _rule_orthogonal_pair_join),
+    ("orthogonal-wipe", _rule_orthogonal_wipe, lambda wiped: (True, wiped)),
+    ("coarse-then-fine", _rule_coarse_then_fine, _agree),
+    ("coarse-then-fine-then-any", _rule_coarse_then_fine_then_any, _agree),
+    ("unitary-conjugation", _rule_unitary_conjugation, _agree),
+    ("unitary-preserves-impossibility", _rule_unitary_preserves_impossibility, _agree),
+    ("orthogonal-pair-join", _rule_orthogonal_pair_join, lambda one, two, joined: (one and two, joined)),
 )
+
+
+def _fold_impossible(steps: list[tuple], states: list[np.ndarray]) -> list[bool]:
+    """:func:`is_impossible` of each run of the steps ``steps[i]`` on the
+    state with basis ``states[i]``, where every step tuple has one length.
+
+    Step j of every run is taken at once, over stacks of the runs whose
+    state and step have one basis shape, so nothing is padded.  A
+    projection onto Q takes the SVD U S V* of Q* S, whose singular values
+    are those of the projected basis Q Q* S, and keeps the columns of Q U
+    over the cut of ``span_of``.  A unitary U re-spans U S, which keeps
+    its rank.  A zero state stays zero, and a zero step makes it zero."""
+    states = list(states)
+    for j in range(len(steps[0])):
+        groups = defaultdict(list)
+        for i, state in enumerate(states):
+            step = steps[i][j]
+            if isinstance(step, Subspace) and step.rank == 0:
+                states[i] = step.basis
+            elif state.shape[1]:
+                groups[state.shape[1], step.rank if isinstance(step, Subspace) else None].append(i)
+        for (rank, width), runs in groups.items():
+            s = np.stack([states[i] for i in runs])
+            if width is None:
+                u = np.stack([steps[i][j].matrix for i in runs])
+                bases, sv, _ = np.linalg.svd(u @ s, full_matrices=False)
+                kept = sub._stacked_rank(sv)
+                if np.any(kept != rank):
+                    raise sub.InternalInvariantError("unitary image changed rank")
+            else:
+                q = np.stack([steps[i][j].basis for i in runs])
+                left, sv, _ = np.linalg.svd(q.conj().swapaxes(-1, -2) @ s, full_matrices=False)
+                bases, kept = q @ left, sub._stacked_rank(sv)
+            for i, basis, k in zip(runs, bases, kept.tolist()):
+                states[i] = basis[:, :k]
+    return [state.shape[1] == 0 for state in states]
+
+
+def _tally(law, block: list) -> tuple[int, int, int]:
+    """(instances, hypothesis hits, violations) of a rule's law over a
+    block of drawn instances, each its circuits and its states."""
+    runs = [(circuits, s.basis) for circuits, states in block for s in states]
+    states = [state for _, state in runs]
+    flags = [
+        _fold_impossible([circuits[c] for circuits, _ in runs], states) for c in range(len(runs[0][0]))
+    ]
+    outcomes = [law(*f) for f in zip(*flags)]
+    return len(runs), sum(hyp for hyp, _ in outcomes), sum(hyp and not concl for hyp, concl in outcomes)
 
 
 def check_rule_suite(dim: int, samples: int = 500, seed: int = 0) -> CheckReport:
     """Randomized check of the projection rules.
 
-    Each rule maker returns a check and a subspace to bias states into,
-    or None.  Each instance is evaluated on a random state, on the
-    unconstrained top state, occasionally on the zero state, and on a
-    state inside the bias subspace if there is one: the pair-join rule
-    biases into the joint complement so its antecedent actually fires.
+    Each rule draws ``samples`` instances from its own generator.  An
+    instance is its rule's circuits and the states they run on, drawn in
+    this order: the circuits, a random state, then the unconstrained top
+    state, the zero state a quarter of the time, and a state inside the
+    bias subspace when the rule has one (the pair-join rule biases into
+    the joint complement so that its antecedent actually fires).  The
+    draws never read a run's result, so the runs wait until the drawn
+    states fill a block of about ``_STACK_ENTRIES`` complex entries of
+    (dim, dim) matrices, at least one instance, and the last block when
+    the draws end.  Each circuit of the rule then runs over the whole
+    block as one fold, grouped by basis shape; the rule's law reads the
+    flags of its circuits on each state.
     """
     _require_positive("samples", samples)
+    top = sub.top(dim)
     results = []
-    for index, (name, make) in enumerate(_RULES):
+    for index, (name, make, law) in enumerate(_RULES):
         rng = np.random.default_rng([seed, dim, index, 101])
-        hits = 0
-        violations = 0
-        instances = 0
+        tallies, block, entries = [], [], 0
         for _ in range(samples):
-            check, bias_space = make(rng, dim)
-            states = [random_subspace(rng, dim), sub.top(dim)]
+            circuits, bias_space = make(rng, dim)
+            states = [random_subspace(rng, dim), top]
             if rng.random() < 0.25:
                 states.append(sub.bottom(dim))
             if bias_space is not None:
                 states.append(random_subspace_within(rng, bias_space))
-            for s in states:
-                hyp, concl = check(s)
-                instances += 1
-                if hyp:
-                    hits += 1
-                    if not concl:
-                        violations += 1
-        results.append(CheckResult(name, instances, hits, violations))
+            block.append((circuits, states))
+            entries += len(states) * dim * dim
+            if entries >= sub._STACK_ENTRIES:
+                tallies.append(_tally(law, block))
+                block, entries = [], 0
+        if block:
+            tallies.append(_tally(law, block))
+        results.append(CheckResult(name, *map(sum, zip(*tallies))))
     return CheckReport({"dim": dim, "samples": samples, "seed": seed}, {"states": tuple(results)})
 
 

@@ -2,10 +2,12 @@
 
 One command per invocation; results on standard output, diagnostics on
 standard error.  Exit codes: 0 the sentence or check holds, 1 it does
-not (still a clean run), 2 malformed input or usage, 3 a broken
-internal invariant.  JSON output carries a top-level ``"schema": 2``
-marker, keys are emitted sorted, and a fixed input plus fixed seed
-yields byte-identical bytes; docs/grammar.md lists every key.
+not (still a clean run), 2 malformed input or usage, or input too
+large for memory, 3 a broken internal invariant or any other exception,
+which is a bug.  Ctrl-C keeps Python's default.  JSON output carries a
+top-level ``"schema": 2`` marker, keys are emitted sorted, and a fixed
+input plus fixed seed yields byte-identical bytes; docs/grammar.md
+lists every key.
 """
 
 from __future__ import annotations
@@ -441,6 +443,12 @@ def main(argv=None) -> int:
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: the input is too large to process in the memory available", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug, never a verdict: exit 1 would read as "false"
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 

@@ -2,13 +2,23 @@
 
 All functions take an explicit ``numpy.random.Generator`` so every
 randomized suite in the package is reproducible from a single seed.
+
+A draw reads the generator in a fixed order and spends no work that its
+result does not keep.  ``random_subspace`` draws the whole (dim, dim)
+Gaussian of a Haar unitary but QR-factors only the ``rank`` columns it
+keeps: the first k columns of a Householder QR's Q depend only on the
+first k columns of the matrix (Golub & Van Loan, *Matrix Computations*,
+section 5.2), so the basis is the leading columns of that unitary.  The
+rays and the subspaces drawn inside a subspace are spans of vectors the
+kernel computed, taken by the SVD cut of ``span_of`` without its checks
+of outside input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .subspace import Subspace, UnitaryOp, _check_dim, bottom, span_of
+from .subspace import Subspace, UnitaryOp, _check_dim, _span_from_matrix, bottom
 
 __all__ = [
     "BOT_PROBABILITY",
@@ -30,13 +40,19 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _haar(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-distributed unitary matrix via QR with phase correction."""
-    _check_dim(dim)
-    z = _complex_gaussian(rng, (dim, dim))
+def _phase_corrected_q(z: np.ndarray) -> np.ndarray:
+    """The Q of z's QR with each column's phase set by R's diagonal
+    (Mezzadri, Notices AMS 54 (2007)): Haar-distributed columns for a
+    Gaussian z."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def _haar(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-distributed unitary matrix via QR with phase correction."""
+    _check_dim(dim)
+    return _phase_corrected_q(_complex_gaussian(rng, (dim, dim)))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryOp:
@@ -54,13 +70,13 @@ def random_subspace(rng: np.random.Generator, dim: int, rank: int | None = None)
         raise ValueError(f"rank {rank} out of range for dimension {dim}")
     if rank == 0:
         return bottom(dim)
-    return Subspace._trusted(dim, _haar(rng, dim)[:, :rank])
+    z = _complex_gaussian(rng, (dim, dim))
+    return Subspace._trusted(dim, _phase_corrected_q(z[:, :rank]))
 
 
 def random_ray(rng: np.random.Generator, dim: int) -> Subspace:
     _check_dim(dim)
-    v = _complex_gaussian(rng, dim)
-    return span_of([v], dim)
+    return _span_from_matrix(_complex_gaussian(rng, (dim, 1)), dim)
 
 
 def random_ray_or_bot(rng: np.random.Generator, dim: int) -> Subspace:
@@ -79,7 +95,7 @@ def random_subspace_within(rng: np.random.Generator, p: Subspace, rank: int | No
     if rank == 0 or p.rank == 0:
         return bottom(p.dim)
     coeffs = _complex_gaussian(rng, (p.rank, rank))
-    return span_of((p.basis @ coeffs).T, p.dim)
+    return _span_from_matrix(p.basis @ coeffs, p.dim)
 
 
 def random_ray_within(rng: np.random.Generator, p: Subspace) -> Subspace:

@@ -393,10 +393,18 @@ def _leading(u: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return u * (np.arange(u.shape[-1]) < rank[:, None])[:, None, :]
 
 
+def _stacked_rank(s: np.ndarray) -> np.ndarray:
+    """The rank of each matrix of a stack from its singular values, an
+    (n, k) array with k >= 1, descending: the ``RANK_TOL * max(1, s[0])``
+    cut of :func:`span_of`."""
+    cut = RANK_TOL * np.maximum(1.0, s[:, 0])
+    return np.count_nonzero(s > cut[:, None], axis=1)
+
+
 def stacked_span(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The span of each (dim, m) matrix of a stack, m >= dim, as a
-    (n, dim, dim) stack and the ranks: one SVD per matrix and the
-    ``RANK_TOL * max(1, s[0])`` cut of :func:`span_of`."""
+    (n, dim, dim) stack and the ranks: one SVD per matrix and the cut of
+    :func:`span_of`."""
     n, dim, m = a.shape
     if m < dim:
         raise ValueError(f"stacked spans need at least {dim} columns, got {m}")
@@ -404,8 +412,7 @@ def stacked_span(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty(n, dtype=np.intp)
     for chunk in stack_chunks(n, dim * m):
         u[chunk], s, _ = np.linalg.svd(a[chunk], full_matrices=False)
-        cut = RANK_TOL * np.maximum(1.0, s[:, 0])
-        rank[chunk] = np.count_nonzero(s > cut[:, None], axis=1)
+        rank[chunk] = _stacked_rank(s)
     return _leading(u, rank), rank
 
 
@@ -448,11 +455,12 @@ def stacked_leq_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The (n, m) table of :func:`leq` over every pair of p[i] in q[j],
     for stacks (n, dim, k) and (m, dim, l) whose columns are orthonormal
     or zero: a zero p[i] is below every q[j], and a zero q[j] above only
-    the zero space.  The columns of a chunk of p sit side by side, so each
-    q[j] meets them in one matrix product; the pairs whose column norms
-    leave containment undecided take one SVD of their residuals."""
+    the zero space; an empty stack gives an empty table.  The columns of
+    a chunk of p sit side by side, so each q[j] meets them in one matrix
+    product; the pairs whose column norms leave containment undecided
+    take one SVD of their residuals."""
     n, dim, k = p.shape
-    if k == 0:
+    if k == 0 or not len(q):
         return np.ones((n, len(q)), dtype=bool)
     out = np.empty((n, len(q)), dtype=bool)
     for chunk in stack_chunks(n, len(q) * dim * k):

@@ -26,8 +26,13 @@ _KERNEL_AND_CHECKS = (
     "tests/test_subspace.py", "tests/test_decide.py", "tests/test_axioms.py", "tests/test_structures.py",
 )
 
+_SUITES = ("tests/test_axioms.py", "tests/test_circuit.py", "tests/test_sampling.py")
+
 # The tests run against a mutant of each file.
 SUBSETS: dict[str, tuple[str, ...]] = {
+    "src/pqm/sampling.py": _SUITES,
+    "src/pqm/axioms.py": _SUITES,
+    "src/pqm/circuit.py": _SUITES,
     "src/pqm/subspace.py": (*_KERNEL_AND_CHECKS, "tests/test_normalize.py"),
     "src/pqm/structures.py": _KERNEL_AND_CHECKS,
     "src/pqm/normalize.py": ("tests/test_normalize.py", "tests/test_decide.py"),
@@ -102,6 +107,54 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "leq-table-band-never-contained", "src/pqm/subspace.py",
         "below[j, i] = np.linalg.svd(band, compute_uv=False)[:, 0] < EQ_TOL", "below[j, i] = False", "killed",
+    ),
+    Mutant(
+        "leq-table-empty-second-stack-reshaped", "src/pqm/subspace.py",
+        "if k == 0 or not len(q):", "if k == 0:", "killed",
+    ),
+    # -- the samplers
+    Mutant(
+        "sampler-keeps-every-column", "src/pqm/sampling.py",
+        "_phase_corrected_q(z[:, :rank])", "_phase_corrected_q(z)", "killed",
+    ),
+    Mutant(
+        "sampler-factors-every-column", "src/pqm/sampling.py",
+        "_phase_corrected_q(z[:, :rank])", "_phase_corrected_q(z)[:, :rank]", "equivalent",
+        "the first k columns of a Householder QR's Q depend only on the first k columns of the matrix; "
+        "this is the route the sampler tests compare against, so only the time differs",
+    ),
+    # -- the random suites
+    Mutant(
+        "meet-informational-at-every-dim", "src/pqm/axioms.py",
+        "informational=(axiom.name == \"meet\" and dim < 3)",
+        "informational=(axiom.name == \"meet\" or dim < 3)", "killed",
+    ),
+    Mutant(
+        "sampled-verify-draws-for-a-full-p", "src/pqm/axioms.py",
+        "if s.rank == 0 or p.rank == p.dim:", "if s.rank == 0:", "killed",
+    ),
+    Mutant(
+        "fold-flag-at-most-one", "src/pqm/circuit.py",
+        "return [state.shape[1] == 0 for state in states]", "return [state.shape[1] <= 1 for state in states]",
+        "killed",
+    ),
+    Mutant(
+        "fold-projection-without-adjoint", "src/pqm/circuit.py",
+        "q.conj().swapaxes(-1, -2) @ s", "q.swapaxes(-1, -2) @ s", "killed",
+    ),
+    Mutant(
+        "fold-unitary-rank-unchecked", "src/pqm/circuit.py",
+        "                if np.any(kept != rank):\n"
+        "                    raise sub.InternalInvariantError(\"unitary image changed rank\")\n",
+        "", "killed",
+    ),
+    Mutant(
+        "pair-join-law-either-ray", "src/pqm/circuit.py",
+        "(one and two, joined)", "(one or two, joined)", "killed",
+    ),
+    Mutant(
+        "last-partial-block-never-flushed", "src/pqm/circuit.py",
+        "        if block:\n            tallies.append(_tally(law, block))\n", "", "killed",
     ),
     # -- the structure check
     Mutant(
@@ -192,6 +245,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "law-line-not-informational", "src/pqm/cli.py",
         "extra = \" (informational)\" if r.informational else \"\"", "extra = \"\"", "killed",
+    ),
+    Mutant(
+        "memory-error-as-internal-error", "src/pqm/cli.py",
+        "    except MemoryError:\n", "    except ArithmeticError:\n", "killed",
     ),
     Mutant(
         "seed-accepts-minus-one", "src/pqm/cli.py",

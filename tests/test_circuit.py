@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pqm.subspace
 from pqm.axioms import SampledSemantics
 from pqm.circuit import (
+    _RULES,
     Circuit,
+    _fold_impossible,
     build_circuit,
     check_axioms_from_rules,
     check_rule_suite,
@@ -19,6 +22,7 @@ from pqm.lang import parse_circuit_file
 from pqm.sampling import random_ray, random_subspace, random_subspace_within, random_unitary
 from pqm.subspace import (
     DimensionMismatchError,
+    InternalInvariantError,
     UnitaryOp,
     bottom,
     eq,
@@ -198,6 +202,67 @@ def test_rule_suite_counts_are_pinned(dim, samples, seed):
     report = check_rule_suite(dim, samples=samples, seed=seed)
     counts = {r.name: (r.instances, r.hypothesis_hits, r.violations) for r in report.results}
     assert counts == RULE_COUNTS[dim, samples, seed]
+
+
+@pytest.mark.parametrize("entries", [1, 200])
+def test_rule_suite_counts_do_not_depend_on_the_block(monkeypatch, entries):
+    # at most _STACK_ENTRIES entries of drawn states wait for a fold: with
+    # 1, every instance is its own block; with 200, a few share one at dim 3
+    monkeypatch.setattr(pqm.subspace, "_STACK_ENTRIES", entries)
+    test_rule_suite_counts_are_pinned(3, 60, 0)
+
+
+def _flags_by_run(dim, steps, states):
+    return [is_impossible(Circuit(dim, st), s) for st, s in zip(steps, states)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("rule", [name for name, _, _ in _RULES])
+def test_fold_flags_are_those_of_each_run(dim, rule):
+    # the suite's own draws, each run on a random, the top and the zero
+    # state and a state inside the bias subspace
+    index = [name for name, _, _ in _RULES].index(rule)
+    make = _RULES[index][1]
+    rng = np.random.default_rng([dim, index])
+    runs = []
+    for _ in range(30):
+        circuits, bias_space = make(rng, dim)
+        states = [random_subspace(rng, dim), top(dim), bottom(dim)]
+        if bias_space is not None:
+            states.append(random_subspace_within(rng, bias_space))
+        runs.extend((circuits, s) for s in states)
+    for c in range(len(runs[0][0])):
+        steps, states = [circuits[c] for circuits, _ in runs], [s for _, s in runs]
+        assert _fold_impossible(steps, [s.basis for s in states]) == _flags_by_run(dim, steps, states)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+def test_fold_flags_over_every_rank_of_state_and_step(dim):
+    rng = np.random.default_rng(dim)
+    states = [random_subspace(rng, dim, rank) for rank in range(dim + 1) for _ in range(4)]
+    seen = set()
+    for kinds in ("PP", "PUP", "UPP", "PPP"):
+        steps = [
+            tuple(
+                random_subspace(rng, dim, int(rng.integers(0, dim + 1))) if k == "P" else random_unitary(rng, dim)
+                for k in kinds
+            )
+            for _ in states
+        ]
+        flags = _fold_impossible(steps, [s.basis for s in states])
+        assert flags == _flags_by_run(dim, steps, states)
+        seen.update(flags)
+    assert seen == {True, False}
+    # a step inside the complement of the state's projection wipes it
+    p = random_subspace(rng, dim, (dim + 1) // 2)
+    wipe = [(p, ortho(p)), (p, bottom(dim)), (bottom(dim), p)]
+    assert _fold_impossible(wipe, [top(dim).basis] * 3) == [True] * 3
+
+
+def test_fold_rejects_a_step_that_moves_a_rank():
+    singular = UnitaryOp._trusted(2, np.array([[1, 1], [1, 1]], dtype=complex))
+    with pytest.raises(InternalInvariantError, match="changed rank"):
+        _fold_impossible([(singular,)], [top(2).basis])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

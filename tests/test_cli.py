@@ -391,6 +391,40 @@ def test_internal_invariant_exits_three(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal invariant violated:")
 
 
+# main() reached through the decider and through a suite
+_RAISING_ENTRY_POINTS = pytest.mark.parametrize("entry, argv", [
+    ("evaluate", ["decide", "bell.pqm"]),
+    ("check_rule_suite", ["check-rules", "--dim", "2", "--samples", "1"]),
+], ids=["decide", "check-rules"])
+
+
+@_RAISING_ENTRY_POINTS
+@pytest.mark.parametrize("exc, code, line", [
+    (MemoryError(), 2, "error: the input is too large to process in the memory available"),
+    (IndexError("index 3 is out of bounds\nfor axis 0"),
+     3, "internal error: IndexError('index 3 is out of bounds\\nfor axis 0')"),
+    (np.linalg.LinAlgError("SVD did not converge"), 3, "internal error: LinAlgError('SVD did not converge')"),
+], ids=["memory", "index", "linalg"])
+def test_an_unexpected_exception_is_one_line_and_never_a_verdict(
+        samples_dir, capsys, monkeypatch, entry, argv, exc, code, line):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, entry, boom)
+    argv = [str(samples_dir / a) if a.endswith(".pqm") else a for a in argv]
+    assert run(capsys, *argv) == (code, "", line + "\n")
+
+
+@_RAISING_ENTRY_POINTS
+def test_an_interrupt_is_not_caught(samples_dir, monkeypatch, entry, argv):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, entry, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main([str(samples_dir / a) if a.endswith(".pqm") else a for a in argv])
+
+
 def test_check_axioms_clean_run(capsys):
     code, out, _ = run(capsys, "check-axioms", "--dim", "2", "--samples", "40", "--seed", "1")
     assert code == 0

@@ -478,6 +478,15 @@ def test_stacked_leq_table_matches_leq(seed, dim):
             assert stacked_leq_table(p_stack, q_stack).tolist() == [[leq(p, q) for q in qs] for p in ps]
 
 
+@pytest.mark.parametrize("n, m", [(2, 0), (0, 2), (0, 0)])
+def test_stacked_leq_table_of_an_empty_stack_is_empty(n, m):
+    rng = np.random.default_rng(0)
+    p = np.array([random_subspace(rng, 3, 1).basis for _ in range(n)]).reshape(n, 3, 1)
+    q = np.array([random_subspace(rng, 3, 2).basis for _ in range(m)]).reshape(m, 3, 2)
+    table = stacked_leq_table(p, q)
+    assert table.shape == (n, m) and table.dtype == bool
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
 @pytest.mark.parametrize("seed", range(3))
 def test_stacked_meet_and_compatible_match_the_pair_forms(seed, dim):
