@@ -175,10 +175,11 @@ def _fold_impossible(steps: list[tuple], states: list[np.ndarray]) -> list[bool]
         groups = defaultdict(list)
         for i, state in enumerate(states):
             step = steps[i][j]
-            if isinstance(step, Subspace) and step.rank == 0:
+            width = step.rank if isinstance(step, Subspace) else None
+            if width == 0:
                 states[i] = step.basis
             elif state.shape[1]:
-                groups[state.shape[1], step.rank if isinstance(step, Subspace) else None].append(i)
+                groups[state.shape[1], width].append(i)
         for (rank, width), runs in groups.items():
             s = np.stack([states[i] for i in runs])
             if width is None:

@@ -10,6 +10,7 @@ from pqm.circuit import (
     _RULES,
     Circuit,
     _fold_impossible,
+    _tally,
     build_circuit,
     check_axioms_from_rules,
     check_rule_suite,
@@ -26,6 +27,7 @@ from pqm.subspace import (
     UnitaryOp,
     bottom,
     eq,
+    join,
     leq,
     ortho,
     principal_angles,
@@ -257,6 +259,15 @@ def test_fold_flags_over_every_rank_of_state_and_step(dim):
     p = random_subspace(rng, dim, (dim + 1) // 2)
     wipe = [(p, ortho(p)), (p, bottom(dim)), (bottom(dim), p)]
     assert _fold_impossible(wipe, [top(dim).basis] * 3) == [True] * 3
+
+
+def test_pair_join_hypothesis_needs_both_rays_to_wipe():
+    # random states are almost never orthogonal to one ray and not the
+    # other, so the suite's own draws cannot tell "and" from "or" here
+    e1, e2, e3 = (span_of([row], 3) for row in np.eye(3))
+    law = {name: law for name, _, law in _RULES}["orthogonal-pair-join"]
+    block = [(((e1,), (e2,), (join(e1, e2),)), [e2, e1, e3])]
+    assert _tally(law, block) == (3, 1, 0)
 
 
 def test_fold_rejects_a_step_that_moves_a_rank():
