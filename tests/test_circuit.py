@@ -219,11 +219,10 @@ def _flags_by_run(dim, steps, states):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
-@pytest.mark.parametrize("rule", [name for name, _, _ in _RULES])
-def test_fold_flags_are_those_of_each_run(dim, rule):
+@pytest.mark.parametrize("index", range(len(_RULES)), ids=[name for name, _, _ in _RULES])
+def test_fold_flags_are_those_of_each_run(dim, index):
     # the suite's own draws, each run on a random, the top and the zero
     # state and a state inside the bias subspace
-    index = [name for name, _, _ in _RULES].index(rule)
     make = _RULES[index][1]
     rng = np.random.default_rng([dim, index])
     runs = []
