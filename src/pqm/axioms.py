@@ -16,10 +16,11 @@ twice:
 
 * the *element domain* decides what x ranges over: arbitrary subspaces,
   or only rays and the zero space;
-* the *semantics* decides how a verification statement [s : p] is
-  evaluated: exact containment, or the projective definition sampled
-  over rays of the complement (every ray of p-orthogonal must project s
-  to the zero space).
+* the *verify* function decides a verification statement [s : p]:
+  exact containment (``pqm.subspace.leq``), or the projective
+  definition sampled over rays of the complement (every ray of
+  p-orthogonal must project s to the zero space), which
+  ``SampledSemantics.verify`` gives.
 
 The sampled semantics exercises the same statements using nothing but
 projection impossibility, mirroring how the axioms fall out of the
@@ -44,7 +45,6 @@ from .subspace import EQ_TOL, Subspace
 __all__ = [
     "CheckResult",
     "CheckReport",
-    "ExactSemantics",
     "SampledSemantics",
     "RAYS_PER_CHECK",
     "SubspaceElements",
@@ -92,13 +92,6 @@ class RayElements:
 
 # ---------------------------------------------------------------------------
 # Semantics
-
-
-class ExactSemantics:
-    """[s : p] is containment."""
-
-    def verify(self, s: Subspace, p: Subspace) -> bool:
-        return sub.leq(s, p)
 
 
 # Complement rays drawn per sampled verification statement.
@@ -468,21 +461,22 @@ def run_axiom_suite(
     samples: int,
     seed: int,
     domain,
-    semantics,
+    verify,
     figure: str = "all",
 ) -> tuple[CheckResult, ...]:
-    """Evaluate every axiom of the figure on ``samples`` random instances.
+    """Evaluate every axiom of the figure on ``samples`` random instances,
+    with ``verify(s, p)`` deciding each verification statement.
 
     For a conditional axiom a violation is an instance whose antecedent
     holds and conclusion fails; for an existential the whole run must
     produce at least one witness.  Both sides are evaluated on every
-    instance: a sampled semantics draws from its own generator, so the
+    instance: a sampled ``verify`` draws from its own generator, so the
     stream must not depend on the hypothesis.  The unconditioned meet
     axiom is marked informational below dimension 3: it is recorded
     there, never asserted.
     """
     _require_positive("samples", samples)
-    interp = _OverSubspaces(semantics.verify, dim)
+    interp = _OverSubspaces(verify, dim)
     results = []
     for index, axiom in enumerate(select_axioms(figure)):
         rng = np.random.default_rng([seed, dim, index])

@@ -36,7 +36,6 @@ __all__ = [
     "run_circuit",
     "run_circuit_trace",
     "final_state",
-    "is_impossible",
     "build_circuit",
     "check_rule_suite",
     "check_axioms_from_rules",
@@ -82,10 +81,6 @@ def final_state(trace: list[Subspace], state: Subspace) -> Subspace:
 def run_circuit(circuit: Circuit, state: Subspace) -> Subspace:
     """The final state of the run of ``circuit`` on ``state``."""
     return final_state(run_circuit_trace(circuit, state), state)
-
-
-def is_impossible(circuit: Circuit, state: Subspace) -> bool:
-    return run_circuit(circuit, state).rank == 0
 
 
 def build_circuit(cp: CircuitProblem) -> tuple[Circuit, Subspace]:
@@ -161,8 +156,8 @@ _RULES = (
 
 
 def _fold_impossible(steps: list[tuple], states: list[np.ndarray]) -> list[bool]:
-    """:func:`is_impossible` of each run of the steps ``steps[i]`` on the
-    state with basis ``states[i]``, where every step tuple has one length.
+    """Whether each run of the steps ``steps[i]`` on the state with basis
+    ``states[i]`` is impossible, where every step tuple has one length.
 
     Step j of every run is taken at once, over stacks of the runs whose
     state and step have one basis shape, so nothing is padded.  A
@@ -260,8 +255,8 @@ def check_axioms_from_rules(dim: int, samples: int = 200, seed: int = 0) -> Chec
     and firing single projection steps, never by containment, mirroring
     how the axioms are derived from the circuit rules.
     """
-    sem = SampledSemantics(np.random.default_rng([seed, dim, 7]))
+    verify = SampledSemantics(np.random.default_rng([seed, dim, 7])).verify
     domain = SubspaceElements()
-    results = run_axiom_suite(dim, samples, seed, domain, sem, "base")
+    results = run_axiom_suite(dim, samples, seed, domain, verify, "base")
     params = {"dim": dim, "samples": samples, "seed": seed, "rays_per_check": RAYS_PER_CHECK}
     return CheckReport(params, {domain.label: results})

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .axioms import (
     CheckReport,
-    ExactSemantics,
     RayElements,
     SubspaceElements,
     run_axiom_suite,
@@ -193,9 +192,8 @@ def verdict_to_json(v: Verdict) -> dict:
 def check_axiom_suite(dim: int, samples: int = 500, seed: int = 0, figure: str = "all") -> CheckReport:
     """Randomized check of every axiom against the subspace model and the
     ray model, under exact containment semantics."""
-    sem = ExactSemantics()
     by_domain = {
-        domain.label: run_axiom_suite(dim, samples, seed, domain, sem, figure)
+        domain.label: run_axiom_suite(dim, samples, seed, domain, leq, figure)
         for domain in (SubspaceElements(), RayElements())
     }
     return CheckReport({"dim": dim, "samples": samples, "seed": seed, "figure": figure}, by_domain)

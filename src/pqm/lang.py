@@ -65,7 +65,6 @@ __all__ = [
     "parse_problem",
     "parse_circuit_file",
     "parse_definitions",
-    "parse_formula",
     "pretty_print",
     "term_to_str",
     "validate",
@@ -685,16 +684,6 @@ def parse_definitions(text: str) -> tuple[int, dict, dict]:
     return raw.dim, subspaces, unitaries
 
 
-def parse_formula(text: str) -> Formula:
-    """Parse a bare formula (syntax only, no symbol table)."""
-    p = _Parser(text)
-    f, _ = p.formula()
-    t = p.peek()
-    if t[0] != "EOF":
-        raise p.error(f"trailing input after formula: {t[0]!r}", t)
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Pretty printer
 
@@ -734,7 +723,7 @@ def _wrap(s: str, prec: int, min_prec: int) -> str:
 
 
 def pretty_print(f: Formula) -> str:
-    """Render a formula so that parse_formula(pretty_print(f)) == f."""
+    """Render a formula as text that parses back to the same formula."""
     return _pp(f, 0)
 
 

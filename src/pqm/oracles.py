@@ -33,7 +33,6 @@ __all__ = [
     "MIN_CHAIN_START",
     "f_step",
     "f_chain",
-    "steps_to_one",
     "EllipseWitness",
     "ellipse_witness",
     "IncompatDecomposition",
@@ -87,11 +86,6 @@ def f_chain(a: float) -> list[float]:
         if len(chain) > limit:
             raise InternalInvariantError("step chain exceeded its closed-form bound")
     return chain
-
-
-def steps_to_one(a: float) -> int:
-    """Number of step-map applications needed to push ``a`` to 1."""
-    return len(f_chain(a)) - 1
 
 
 # ---------------------------------------------------------------------------

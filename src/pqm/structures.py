@@ -77,7 +77,6 @@ __all__ = [
     "CharacterizationReport",
     "load_structure",
     "parse_structure_json",
-    "structure_to_json",
     "check_structure_axioms",
     "kappa_of",
     "check_strong_morphism",
@@ -544,25 +543,6 @@ def load_structure(path) -> FiniteStructure:
         # an integer past the interpreter's digit limit, or too deep nesting
         raise StructureValidationError([f"unreadable JSON: {exc}"]) from exc
     return parse_structure_json(data)
-
-
-def structure_to_json(s: FiniteStructure) -> dict:
-    return {
-        "dim": s.dim,
-        "domain": list(s.domain),
-        "subspaces": {
-            name: sub.subspace_to_json(v)["basis"] for name, v in s.subspaces.items()
-        },
-        "projectors": {name: dict(t) for name, t in s.projectors.items()},
-        "unitaries": {
-            name: {
-                "matrix": [sub._pairs_json(row) for row in tu.op.matrix],
-                "table": dict(tu.table),
-            }
-            for name, tu in s.unitaries.items()
-        },
-        "relation": sorted([list(pair) for pair in s.relation]),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ __all__ = [
     "sasaki_hook",
     "compatible",
     "apply_unitary",
-    "principal_angles",
     "ray_in_avoiding",
     "subspace_to_json",
     "unitary_deviation",
@@ -474,28 +473,6 @@ def stacked_leq_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             below[j, i] = np.linalg.svd(band, compute_uv=False)[:, 0] < EQ_TOL
         out[chunk] = below.T
     return out
-
-
-def principal_angles(p: Subspace, q: Subspace) -> np.ndarray:
-    """Principal angles (radians, ascending) between two subspaces.
-
-    Small angles come from the sine route (singular values of the
-    projection residual); arccos alone loses half the precision near 0.
-    """
-    _same_dim(p, q)
-    if p.rank == 0 or q.rank == 0:
-        return np.zeros(0)
-    m = p.basis.conj().T @ q.basis
-    cos = np.linalg.svd(m, compute_uv=False)
-    if p.rank >= q.rank:
-        resid = q.basis - p.basis @ m
-    else:
-        resid = p.basis - q.basis @ m.conj().T
-    sin = np.linalg.svd(resid, compute_uv=False)[::-1]
-    k = min(p.rank, q.rank)
-    cos = np.clip(cos[:k], -1.0, 1.0)
-    sin = np.clip(sin[:k], 0.0, 1.0)
-    return np.where(cos**2 >= 0.5, np.arcsin(sin), np.arccos(cos))
 
 
 def _ray_admissible(u: Subspace, p: Subspace, avoid: Sequence[Subspace]) -> bool:

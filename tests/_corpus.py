@@ -12,6 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
+from pqm import subspace as sub
 from pqm.sampling import random_unitary
 from pqm.structures import FiniteStructure, TableUnitary
 from pqm.subspace import InternalInvariantError, UnitaryOp, apply_unitary, eq, leq, sasaki_and, span_of, top
@@ -105,6 +106,26 @@ def build_corpus() -> list[tuple[str, FiniteStructure, dict]]:
         s, elem_val = image_structure(*maker(np.random.default_rng(seed), 3), copies)
         out.append((name, s, elem_val))
     return out
+
+
+def structure_to_json(s: FiniteStructure) -> dict:
+    """The structure in the JSON format that ``parse_structure_json`` reads."""
+    return {
+        "dim": s.dim,
+        "domain": list(s.domain),
+        "subspaces": {
+            name: sub.subspace_to_json(v)["basis"] for name, v in s.subspaces.items()
+        },
+        "projectors": {name: dict(t) for name, t in s.projectors.items()},
+        "unitaries": {
+            name: {
+                "matrix": [sub._pairs_json(row) for row in tu.op.matrix],
+                "table": dict(tu.table),
+            }
+            for name, tu in s.unitaries.items()
+        },
+        "relation": sorted([list(pair) for pair in s.relation]),
+    }
 
 
 def _with(s: FiniteStructure, relation=None, projectors=None) -> FiniteStructure:

@@ -8,10 +8,21 @@ the tests check it against:
 - the lattice formula of the Sasaki conjunction, against the projector
   image that ``sasaki_and`` computes;
 - the projector commutator, against the lattice test ``compatible``;
+- the principal angles of two subspaces, against the residual sines
+  that the containment test and the meet cut at ``EQ_TOL``;
+- a bare formula parsed without a symbol table, against
+  ``pretty_print``, which must render text that parses back to it;
+- one run of a circuit to its last state, against the rule suite's
+  fold, which decides the impossibility of many runs at once;
 - a one-sided Monte-Carlo check over rays, against the decider;
 - the samplers as full Haar unitaries sliced to their leading columns
   and as spans through ``span_of``, against ``pqm.sampling``, which
   factors only the columns it keeps and spans kernel results unchecked;
+- a sentence evaluated in a finite structure by brute force, with no
+  floating point and no normal form, against ``normalize`` and
+  ``evaluate`` over the structure's subspaces and unitaries: by the
+  completeness of the theory, a model satisfies exactly the sentences
+  that hold over C^d;
 - the fragment index's ``meet``, ``sasaki_and`` and ``compatible``
   tables with every ordered symbol pair sent through the stacked kernel,
   against the index, which reads the pairs that its ``leq`` table
@@ -39,7 +50,11 @@ import numpy as np
 
 from pqm import subspace as sub
 from pqm.axioms import CheckReport, CheckResult, select_axioms
+from pqm.circuit import Circuit, run_circuit
 from pqm.decide import decide_basic
+from pqm.lang import (
+    And, Apply, Atom, Exists, Forall, Formula, Iff, Implies, Not, Or, Proj, Term, Var, _Parser,
+)
 from pqm.normalize import BasicSentence
 from pqm.structures import FiniteStructure, KappaResult, MorphismReport, kappa_of
 from pqm.subspace import EQ_TOL, Subspace, UnitaryOp, _same_dim, join, meet, ortho
@@ -72,6 +87,47 @@ def projectors_commute(p: Subspace, q: Subspace) -> bool:
     _same_dim(p, q)
     pp, pq = p.projector(), q.projector()
     return float(np.abs(pp @ pq - pq @ pp).max()) < EQ_TOL
+
+
+def principal_angles(p: Subspace, q: Subspace) -> np.ndarray:
+    """Principal angles (radians, ascending) between two subspaces.
+
+    Small angles come from the sine route (singular values of the
+    projection residual); arccos alone loses half the precision near 0.
+    """
+    _same_dim(p, q)
+    if p.rank == 0 or q.rank == 0:
+        return np.zeros(0)
+    m = p.basis.conj().T @ q.basis
+    cos = np.linalg.svd(m, compute_uv=False)
+    if p.rank >= q.rank:
+        resid = q.basis - p.basis @ m
+    else:
+        resid = p.basis - q.basis @ m.conj().T
+    sin = np.linalg.svd(resid, compute_uv=False)[::-1]
+    k = min(p.rank, q.rank)
+    cos = np.clip(cos[:k], -1.0, 1.0)
+    sin = np.clip(sin[:k], 0.0, 1.0)
+    return np.where(cos**2 >= 0.5, np.arcsin(sin), np.arccos(cos))
+
+
+# ---------------------------------------------------------------------------
+# Front-end and circuit routes
+
+
+def parse_formula(text: str) -> Formula:
+    """Parse a bare formula (syntax only, no symbol table)."""
+    parser = _Parser(text)
+    f, _ = parser.formula()
+    t = parser.peek()
+    if t[0] != "EOF":
+        raise parser.error(f"trailing input after formula: {t[0]!r}", t)
+    return f
+
+
+def is_impossible(circuit: Circuit, state: Subspace) -> bool:
+    """Whether the run of ``circuit`` on ``state`` ends in the zero space."""
+    return run_circuit(circuit, state).rank == 0
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +249,46 @@ def cross_check_vd(basic: BasicSentence, dim: int, samples: int = 10_000, seed: 
         else:
             witness_ok = bool(_satisfies_mask(w.basis, basic).all())
     return VdCrossCheck(verdict.truth, found, witness_ok, samples)
+
+
+# ---------------------------------------------------------------------------
+# Sentences in a finite structure
+
+
+def evaluate_in_structure(s: FiniteStructure, sentence: Formula) -> bool:
+    """The truth of a closed sentence in the structure ``s``: a quantifier
+    runs over the domain, ``[t : p]`` is a lookup in the relation,
+    ``proj[q](t)`` in q's projector table and ``U(t)`` in U's table.  A
+    projection onto a symbol with no projector table raises ``KeyError``."""
+
+    def term(t: Term, env: dict[str, str]) -> str:
+        if isinstance(t, Var):
+            return env[t.name]
+        if isinstance(t, Proj):
+            return s.projectors[t.sym][term(t.arg, env)]
+        if isinstance(t, Apply):
+            return s.unitaries[t.sym].table[term(t.arg, env)]
+        raise TypeError(f"unknown term node {t!r}")
+
+    def holds(f: Formula, env: dict[str, str]) -> bool:
+        if isinstance(f, Atom):
+            return s.related(term(f.term, env), f.sym)
+        if isinstance(f, Not):
+            return not holds(f.arg, env)
+        if isinstance(f, And):
+            return holds(f.left, env) and holds(f.right, env)
+        if isinstance(f, Or):
+            return holds(f.left, env) or holds(f.right, env)
+        if isinstance(f, Implies):
+            return not holds(f.left, env) or holds(f.right, env)
+        if isinstance(f, Iff):
+            return holds(f.left, env) == holds(f.right, env)
+        if isinstance(f, (Exists, Forall)):
+            over = any if isinstance(f, Exists) else all
+            return over(holds(f.body, {**env, f.var: m}) for m in s.domain)
+        raise TypeError(f"unknown formula node {f!r}")
+
+    return holds(sentence, {})
 
 
 # ---------------------------------------------------------------------------

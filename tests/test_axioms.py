@@ -153,7 +153,7 @@ def test_random_suite_reads_both_sides_of_every_instance():
     # so its state after a run pins how many statements were evaluated;
     # skipping a conclusion whose hypothesis failed would move it.
     sem = SampledSemantics(np.random.default_rng([0, 3, 7]))
-    run_axiom_suite(3, 40, 0, SubspaceElements(), sem, "base")
+    run_axiom_suite(3, 40, 0, SubspaceElements(), sem.verify, "base")
     assert int(sem.rng.integers(2**62)) == 1754940360808966105
 
 

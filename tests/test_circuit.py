@@ -15,7 +15,6 @@ from pqm.circuit import (
     check_axioms_from_rules,
     check_rule_suite,
     final_state,
-    is_impossible,
     run_circuit,
     run_circuit_trace,
 )
@@ -30,10 +29,11 @@ from pqm.subspace import (
     join,
     leq,
     ortho,
-    principal_angles,
     span_of,
     top,
 )
+
+from _routes import is_impossible, principal_angles
 
 seeds = st.integers(0, 2**32 - 1)
 

@@ -28,11 +28,12 @@ from pqm.lang import (
     _Parser,
     parse_circuit_file,
     parse_definitions,
-    parse_formula,
     parse_problem,
     pretty_print,
     validate,
 )
+
+from _routes import parse_formula
 
 GOOD = """\
 # comment survives anywhere

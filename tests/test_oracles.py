@@ -14,7 +14,6 @@ from pqm.oracles import (
     f_chain,
     f_step,
     incompat_decompose,
-    steps_to_one,
     two_ray_collapse,
 )
 from pqm.sampling import random_subspace
@@ -41,7 +40,7 @@ def test_step_map_values():
 
 def test_half_takes_three_steps():
     chain = f_chain(0.5)
-    assert len(chain) - 1 == 3 == steps_to_one(0.5)
+    assert len(chain) - 1 == 3
     expected = [0.5, 1 / math.sqrt(3), 1 / math.sqrt(2), 1.0]
     assert np.allclose(chain, expected, atol=1e-12)
 
@@ -52,17 +51,17 @@ def test_domain_guards():
     with pytest.raises(OracleDomainError):
         f_step(-0.1)
     with pytest.raises(OracleDomainError):
-        steps_to_one(0.0)
+        f_chain(0.0)
     with pytest.raises(OracleDomainError):
-        steps_to_one(1.5)
-    assert steps_to_one(1.0) == 0
+        f_chain(1.5)
+    assert len(f_chain(1.0)) - 1 == 0
 
 
 @given(st.floats(min_value=0.01, max_value=0.999))
 @settings(max_examples=200, deadline=None)
 def test_steps_match_closed_form(a):
     expected, exact = closed_form_steps(a)
-    got = steps_to_one(a)
+    got = len(f_chain(a)) - 1
     if exact:
         assert got == expected
     else:
@@ -70,7 +69,7 @@ def test_steps_match_closed_form(a):
 
 
 def test_steps_antitone_on_grid():
-    values = [steps_to_one(a) for a in np.linspace(0.02, 1.0, 400)]
+    values = [len(f_chain(a)) - 1 for a in np.linspace(0.02, 1.0, 400)]
     assert all(x >= y for x, y in zip(values, values[1:]))
     assert values[-1] == 0
 
@@ -139,14 +138,14 @@ def test_incompat_postconditions_random(seed, dim):
 @settings(max_examples=25, deadline=None)
 def test_collapse_round_count_matches_chain(a):
     t = two_ray_collapse(a)
-    assert t.rounds == steps_to_one(a)
+    assert t.rounds == len(f_chain(a)) - 1
     assert t.final_meet_rank == 0
     assert t.parameters[0] == a
     assert t.parameters[-1] >= 1.0 - 1e-15  # last step may round just below 1
 
 
 def test_chain_and_collapse_at_the_least_start():
-    assert steps_to_one(MIN_CHAIN_START) == 9999
+    assert len(f_chain(MIN_CHAIN_START)) - 1 == 9999
     assert two_ray_collapse(MIN_CHAIN_START).rounds == 9999
     below = math.nextafter(MIN_CHAIN_START, 0.0)
     for fn in (f_chain, two_ray_collapse):

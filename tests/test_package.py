@@ -1,11 +1,12 @@
 """Package hygiene: no unused imports in its modules, no stale ``__all__``
-entry, no private helper that nothing in the package uses, no option
+entry, no public name and no private helper that nothing uses, no option
 that no caller sets, and no reference cycles left behind by the decide
 and model-check paths."""
 
 import ast
 import gc
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ import pytest
 import pqm
 
 SRC = Path(pqm.__file__).parent
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 # __init__.py is left out of the import scan: its imports are re-exports.
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -65,22 +67,33 @@ def test_all_names_resolve(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def orphaned_helpers(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module, name) of every module-level private function or class in
-    ``sources`` (module name -> source) that no code in ``sources`` reads,
-    as a name or an attribute, outside the helper's own body."""
-    defined, read = [], set()
-    for module, source in sources.items():
+def names_read(sources: dict[str, str]) -> set[str]:
+    """Every name that code in ``sources`` (module name -> source) reads,
+    as a name or an attribute, outside the body of the module-level
+    function or class that defines it.  An import is not a read."""
+    read = set()
+    for source in sources.values():
         for node in ast.parse(source).body:
-            own = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_") and not own.startswith("__"):
-                defined.append((module, own))
             read |= {
                 n.attr if isinstance(n, ast.Attribute) else n.id
                 for n in ast.walk(node)
                 if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
-            } - {own}
-    return sorted((module, name) for module, name in defined if name not in read)
+            } - {getattr(node, "name", None)}
+    return read
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of every module-level private function or class in
+    ``sources`` (module name -> source) that no code in ``sources`` reads,
+    as a name or an attribute, outside the helper's own body."""
+    read = names_read(sources)
+    return sorted(
+        (module, node.name)
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__") and node.name not in read
+    )
 
 
 def test_orphan_scan_flags_only_unread_helpers():
@@ -101,6 +114,56 @@ def test_orphan_scan_flags_only_unread_helpers():
 def test_no_orphaned_helpers():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert orphaned_helpers(sources) == []
+
+
+def uncalled_exports(sources: dict[str, str], mentions: str) -> list[tuple[str, str]]:
+    """(module, name) of every name in a module's ``__all__`` in ``sources``
+    (module name -> source) that no code in ``sources`` reads outside its
+    own definition, and that ``mentions`` never names as a whole word.
+
+    Imports are not reads, so the re-exports of ``__init__`` count for
+    nothing.  Dunder names such as ``__version__`` are conventions, not
+    API, and are exempt.
+    """
+    read = names_read(sources)
+    out = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                out += [
+                    (module, name)
+                    for name in ast.literal_eval(node.value)
+                    if not name.startswith("__") and name not in read
+                    and not re.search(rf"\b{re.escape(name)}\b", mentions)
+                ]
+    return sorted(out)
+
+
+def test_uncalled_export_scan_flags_only_unread_names():
+    sources = {
+        "__init__": "from .a import used, unused, named\n"
+                    "__all__ = ['used', 'unused', 'named', '__version__']\n"
+                    "__version__ = '0'\n",
+        "a": "__all__ = ['used', 'unused', 'named', 'recursive', 'by_attribute']\n"
+             "def used():\n    return 1\n"
+             "def unused():\n    return used()\n"
+             "def named():\n    pass\n"
+             "def recursive(n):\n    return recursive(n - 1)\n"
+             "def by_attribute():\n    pass\n",
+        "b": "from . import a\nx = a.by_attribute\n",
+    }
+    mentions = "Call `named()`; unnamed and unused_twice are other words."
+    assert uncalled_exports(sources, mentions) == [("__init__", "unused"), ("a", "recursive"), ("a", "unused")]
+
+
+def test_every_public_name_has_a_caller():
+    """A public name is read by the package, named by the benchmark, or
+    documented in README.md; a route that only the tests use lives in
+    ``tests/``."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    mentions = "\n".join(p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.rglob("*.py")))
+    mentions += (ROOT / "README.md").read_text(encoding="utf-8")
+    assert uncalled_exports(sources, mentions) == []
 
 
 def unset_options(modules: list[str], callers: list[str]) -> list[tuple[str, str]]:

@@ -24,7 +24,6 @@ from pqm.structures import (
     kappa_of,
     load_structure,
     parse_structure_json,
-    structure_to_json,
 )
 from pqm.sampling import random_subspace, random_unitary
 from pqm.subspace import (
@@ -46,7 +45,9 @@ from pqm.subspace import (
     top,
 )
 
-from _corpus import boolean_fragment, build_corpus, build_mutants, image_structure, mixed_fragment
+from _corpus import (
+    boolean_fragment, build_corpus, build_mutants, image_structure, mixed_fragment, structure_to_json,
+)
 from _routes import (
     check_incompatible_pairs, check_ray_coverage, check_two_ray_floor, filter_of, fragment_tables_by_all_pairs,
     projectors_commute, saturate, strong_morphism_by_pairs, structure_axioms_by_instances,

@@ -30,7 +30,6 @@ from pqm.subspace import (
     leq,
     meet,
     ortho,
-    principal_angles,
     ray_in_avoiding,
     sasaki_and,
     sasaki_hook,
@@ -45,7 +44,7 @@ from pqm.subspace import (
     unitary_deviation,
 )
 
-from _routes import meet_by_complements, projectors_commute, sasaki_and_lattice
+from _routes import meet_by_complements, principal_angles, projectors_commute, sasaki_and_lattice
 
 seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(1, 4)
