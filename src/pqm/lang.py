@@ -41,6 +41,8 @@ from .subspace import (
 
 __all__ = [
     "MAX_DIM",
+    "MAX_SYMBOLS",
+    "MAX_ELEMENTS",
     "MAX_FORMULA_DEPTH",
     "FrontendError",
     "LexError",
@@ -302,6 +304,14 @@ MAX_FORMULA_DEPTH = 100
 # matrix, 16 MiB at this bound; without one a one-line file could ask
 # for any amount of memory.
 MAX_DIM = 1024
+
+# Largest numbers of fragment symbols and of domain elements accepted
+# from a structure file.  The axiom check holds arrays over (case,
+# element), and the meet axiom's cases are all unordered symbol pairs, so
+# its work and memory grow with symbols^2 x elements (the measured curve
+# is in docs/grammar.md).
+MAX_SYMBOLS = 256
+MAX_ELEMENTS = 512
 
 
 class _Parser:

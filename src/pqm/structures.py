@@ -65,7 +65,7 @@ import numpy as np
 
 from . import subspace as sub
 from .axioms import CheckReport, CheckResult, select_axioms
-from .lang import MAX_DIM
+from .lang import MAX_DIM, MAX_ELEMENTS, MAX_SYMBOLS
 from .subspace import Subspace, UnitaryOp
 
 __all__ = [
@@ -416,10 +416,17 @@ def _check_table(table, domain: tuple[str, ...], where: str, issues: list[str]) 
 
 
 def parse_structure_json(data) -> FiniteStructure:
-    """Validate a decoded JSON object; raises with every issue at once."""
+    """Validate a decoded JSON object; raises with every issue at once,
+    or, before reading anything, with the one issue of a structure past
+    ``MAX_SYMBOLS`` symbols or ``MAX_ELEMENTS`` elements."""
     issues: list[str] = []
     if not isinstance(data, dict):
         raise StructureValidationError(["top level: expected a JSON object"])
+    for key, kind, bound, what in (
+        ("subspaces", dict, MAX_SYMBOLS, "symbols"), ("domain", list, MAX_ELEMENTS, "elements"),
+    ):
+        if isinstance(data.get(key), kind) and len(data[key]) > bound:
+            raise StructureValidationError([f"{key}: {len(data[key])} {what}, more than the {bound} accepted"])
     for key in data:
         if key not in ("dim", "domain", "subspaces", "projectors", "unitaries", "relation"):
             issues.append(f"top level: unknown key {key!r}")

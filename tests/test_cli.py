@@ -12,7 +12,7 @@ import pytest
 from pqm import cli
 from pqm.axioms import CheckReport, CheckResult
 from pqm.cli import main
-from pqm.lang import MAX_DIM, MAX_FORMULA_DEPTH
+from pqm.lang import MAX_DIM, MAX_ELEMENTS, MAX_FORMULA_DEPTH
 from pqm.subspace import InternalInvariantError
 
 from test_structures import tiny_structure_json
@@ -250,6 +250,17 @@ def test_corrupt_structure_json_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "model-check", str(f))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["model-check", "kappa"])
+def test_structure_past_the_element_bound_is_one_diagnostic(tmp_path, capsys, command):
+    data = tiny_structure_json()
+    data["domain"] = [f"m{k}" for k in range(MAX_ELEMENTS + 1)]
+    f = tmp_path / "large.json"
+    f.write_text(json.dumps(data))
+    assert run(capsys, command, str(f)) == (
+        2, "", f"error: domain: {MAX_ELEMENTS + 1} elements, more than the {MAX_ELEMENTS} accepted\n"
+    )
 
 
 def test_validation_issues_all_reach_stderr(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import pqm.axioms
 import pqm.subspace
-from pqm.lang import MAX_DIM
+from pqm.lang import MAX_DIM, MAX_ELEMENTS, MAX_SYMBOLS
 from pqm.structures import (
     FiniteStructure,
     StructureValidationError,
@@ -116,6 +116,27 @@ def test_structure_dim_out_of_range_is_rejected(dim):
     with pytest.raises(StructureValidationError) as exc:
         parse_structure_json(data)
     assert any(i.startswith(f"dim: expected an integer from 1 to {MAX_DIM}") for i in exc.value.issues)
+
+
+def _filled(key: str, count: int):
+    """``count`` symbols with no vector list, or ``count`` element names."""
+    return {f"s{k}": None for k in range(count)} if key == "subspaces" else [f"m{k}" for k in range(count)]
+
+
+@pytest.mark.parametrize("key, bound, what", [
+    ("subspaces", MAX_SYMBOLS, "symbols"), ("domain", MAX_ELEMENTS, "elements"),
+])
+def test_structure_past_a_size_bound_is_rejected_before_it_is_read(key, bound, what):
+    # every symbol would be an issue of its own if the structure were read
+    data = tiny_structure_json()
+    data[key] = _filled(key, bound + 1)
+    with pytest.raises(StructureValidationError) as exc:
+        parse_structure_json(data)
+    assert exc.value.issues == (f"{key}: {bound + 1} {what}, more than the {bound} accepted",)
+    data[key] = _filled(key, bound)
+    with pytest.raises(StructureValidationError) as exc:
+        parse_structure_json(data)
+    assert not any("accepted" in issue for issue in exc.value.issues)
 
 
 @st.composite
