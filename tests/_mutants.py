@@ -166,9 +166,38 @@ MUTANTS: tuple[Mutant, ...] = (
         "[case_names(c) for c in np.flatnonzero(failed)[:_MAX_EXAMPLES]]",
         "[case_names(c) for c in np.flatnonzero(failed)[:1]]", "killed",
     ),
+    Mutant(  # the bare interp.unresolved is a Python bool where no conclusion verifies, and crashes on .sum()
+        "skip-mask-without-hypothesis", "src/pqm/structures.py",
+        "skip = hypothesis & interp.unresolved", "skip = np.logical_or(interp.unresolved, False)", "killed",
+    ),
+    Mutant(
+        "hits-leave-out-skipped-instances", "src/pqm/structures.py",
+        "hits, skipped = int(hypothesis.sum()), int(skip.sum())",
+        "hits, skipped = int((hypothesis & ~skip).sum()), int(skip.sum())", "killed",
+    ),
+    Mutant(
+        "conditional-shows-one-example-fewer", "src/pqm/structures.py",
+        "np.unravel_index(np.flatnonzero(failed)[:_MAX_EXAMPLES], shape)",
+        "np.unravel_index(np.flatnonzero(failed)[:_MAX_EXAMPLES - 1], shape)", "killed",
+    ),
     Mutant(
         "morphism-evaluated-mask-dropped", "src/pqm/structures.py",
         "bad = evaluated & ((got < 0) |", "bad = ((got < 0) |", "killed",
+    ),
+    # -- the fragment index's shortcuts
+    Mutant(
+        "meet-table-mirror-dropped", "src/pqm/structures.py",
+        "                if term == \"meet\":\n                    table[second, first] = table[first, second]\n",
+        "", "killed",
+    ),
+    Mutant(
+        "ordered-pair-reads-the-larger-symbol", "src/pqm/structures.py",
+        "np.where(self.below, self._first_equal[:, None], self._first_equal)",
+        "np.where(self.below, self._first_equal, self._first_equal[:, None])", "killed",
+    ),
+    Mutant(
+        "sasaki-and-table-taken-as-symmetric", "src/pqm/structures.py",
+        "symmetric=term == \"meet\"", "symmetric=True", "killed",
     ),
     # -- the normal form
     Mutant(

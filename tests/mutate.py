@@ -1,6 +1,7 @@
 """Mutation runner: each mutant of ``tests/_mutants.py`` against its file's tests.
 
     python tests/mutate.py --out MUTATION.json
+    python tests/mutate.py --out partial.json --only NAME[,NAME...]
 
 Every run, the baseline ones included, gets a fresh copy of the tree (the
 files git tracks or would track, as they stand in the working tree) in a
@@ -9,9 +10,13 @@ seeded.  First each test subset runs unmutated; the tests that fail there
 fail whatever the mutant, so they are deselected in the mutant runs.
 Then each mutant runs with ``-x``: it is killed when any test fails or
 errors, or when the run passes ``TIMEOUT`` seconds, and survives otherwise.
+``--only`` runs just the named mutants and the baselines of their test
+subsets; an unknown name exits 2 and lists the known ones.
 
 The report lists each mutant's result and the score, the killed mutants
-over all mutants but the survivors marked equivalent.  The exit status is
+over all mutants but the survivors marked equivalent; a report of an
+``--only`` run says ``"partial": true`` and names the mutants it ran, so
+it is never taken for the score of the whole list.  The exit status is
 1 when a result differs from the one the list expects, 2 when a mutant's
 text does not occur exactly once in its file or a baseline run cannot
 collect its tests, and 0 otherwise.  Not collected by pytest.
@@ -79,7 +84,19 @@ def _run(files: list[str], tests: tuple[str, ...], deselect: list[str],
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="where to write the JSON report")
+    parser.add_argument("--only", metavar="NAME[,NAME...]",
+                        help="run only these mutants, and the baselines of their test subsets")
     args = parser.parse_args(argv)
+
+    mutants = MUTANTS
+    if args.only is not None:
+        names = args.only.split(",")
+        known = [m.name for m in MUTANTS]
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            print(f"error: unknown mutant {', '.join(unknown)}; known: {', '.join(known)}", file=sys.stderr)
+            return 2
+        mutants = tuple(m for m in MUTANTS if m.name in names)
 
     stale = [m.name for m in MUTANTS if (ROOT / m.file).read_text().count(m.old) != 1]
     if stale:
@@ -88,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     files = _tree_files()
 
     baseline: dict[tuple[str, ...], dict] = {}
-    for tests in dict.fromkeys(SUBSETS[m.file] for m in MUTANTS):
+    for tests in dict.fromkeys(SUBSETS[m.file] for m in mutants):
         status, failed, seconds = _run(files, tests, [])
         if status not in (0, 1):
             print(f"error: the unmutated run of {' '.join(tests)} gave pytest status {status}", file=sys.stderr)
@@ -97,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"baseline {' '.join(tests)}: {len(failed)} failed, {seconds:.0f} s", flush=True)
 
     results = []
-    for m in MUTANTS:
+    for m in mutants:
         tests = SUBSETS[m.file]
         status, failed, seconds = _run(files, tests, baseline[tests]["failed"], m)
         result = "survived" if status == 0 else "killed"
@@ -121,9 +138,11 @@ def main(argv: list[str] | None = None) -> int:
         "score": round(killed / max(1, len(results) - equivalent), 4),
         "unexpected": unexpected,
     }
+    if args.only is not None:
+        report.update(partial=True, only=[m.name for m in mutants])
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"score {report['score']}: {killed} killed, {equivalent} equivalent, "
-          f"{report['survived']} survived; unexpected: {unexpected or 'none'}")
+    print(f"{'partial ' if args.only is not None else ''}score {report['score']}: {killed} killed, "
+          f"{equivalent} equivalent, {report['survived']} survived; unexpected: {unexpected or 'none'}")
     return 1 if unexpected else 0
 
 
