@@ -8,8 +8,8 @@ the tests check it against:
 - the lattice formula of the Sasaki conjunction, against the projector
   image that ``sasaki_and`` computes;
 - the projector commutator, against the lattice test ``compatible``;
-- the principal angles of two subspaces, against the residual sines
-  that the containment test and the meet cut at ``EQ_TOL``;
+- the principal angles of two subspaces, by their sines and cosines,
+  which measure how far a computed subspace is from the expected one;
 - a bare formula parsed without a symbol table, against
   ``pretty_print``, which must render text that parses back to it;
 - one run of a circuit to its last state, against the rule suite's
