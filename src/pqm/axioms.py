@@ -6,9 +6,17 @@ conclusion over an interpretation ``I``, which offers ``verify``,
 ``project``, ``transform``, ``top``, ``bottom``, the lattice terms the
 axioms name, and ``both(a, b)`` and ``no(a)`` for ``a and b()`` and
 ``not a``, which cannot take arrays.  Two interpretations read the same
-statements: over subspaces, where ``run_axiom_suite`` draws random
-instances one at a time, and over a finite structure, where
-``pqm.structures`` reads each axiom once over arrays of all instances.
+statements, each over arrays of many instances at once: over stacks of
+subspaces, where ``run_axiom_suite`` draws and checks random instances
+in blocks, and over a finite structure, where ``pqm.structures`` reads
+each axiom once over all its instances.
+
+The random suites draw a block of about ``_STACK_ENTRIES`` complex
+entries (dim * dim per instance) per numpy call and check it with one
+stacked kernel call per lattice term.  Unlike the rule suite's, their
+counts depend on the block length, since a block's draws read the
+kernel's results, and the counts for a given seed changed when the
+suites moved from one instance at a time to blocks.
 
 Random instances bias the antecedent towards truth, since for random
 data most antecedents are vacuously false.  Evaluation is parameterized
@@ -16,10 +24,10 @@ twice:
 
 * the *element domain* decides what x ranges over: arbitrary subspaces,
   or only rays and the zero space;
-* the *verify* function decides a verification statement [s : p]:
-  exact containment (``pqm.subspace.leq``), or the projective
-  definition sampled over rays of the complement (every ray of
-  p-orthogonal must project s to the zero space), which
+* the *verify* function decides the verification statements [s : p] of
+  a block: exact containment (``pqm.subspace.stacked_leq``), or the
+  projective definition sampled over rays of the complement (every ray
+  of p-orthogonal must project s to the zero space), which
   ``SampledSemantics.verify`` gives.
 
 The sampled semantics exercises the same statements using nothing but
@@ -29,7 +37,6 @@ circuit rules.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
@@ -37,10 +44,10 @@ import numpy as np
 
 from . import subspace as sub
 from .sampling import (
-    BOT_PROBABILITY, random_compatible_pair, random_ray_or_bot, random_ray_within, random_subspace,
-    random_subspace_within, random_unitary,
+    BOT_PROBABILITY, random_compatible_pairs, random_rays_or_bot, random_subspaces, random_subspaces_within,
+    random_unitaries,
 )
-from .subspace import EQ_TOL, Subspace
+from .subspace import EQ_TOL, SubspaceStack
 
 __all__ = [
     "CheckResult",
@@ -61,7 +68,7 @@ def _require_positive(name: str, value: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Element domains
+# Element domains: each draws a block of elements at once, as a stack
 
 
 class SubspaceElements:
@@ -69,11 +76,12 @@ class SubspaceElements:
 
     label = "subspaces"
 
-    def free(self, rng: np.random.Generator, dim: int) -> Subspace:
-        return random_subspace(rng, dim)
+    def free(self, rng: np.random.Generator, n: int, dim: int) -> SubspaceStack:
+        return random_subspaces(rng, n, dim)
 
-    def inside(self, rng: np.random.Generator, s: Subspace) -> Subspace:
-        return random_subspace_within(rng, s)
+    def inside(self, rng: np.random.Generator, s: SubspaceStack) -> SubspaceStack:
+        """A subspace of each s[i], of rank uniform over 0..s[i]'s."""
+        return random_subspaces_within(rng, s, rng.integers(0, s.rank + 1))
 
 
 class RayElements:
@@ -81,13 +89,14 @@ class RayElements:
 
     label = "rays"
 
-    def free(self, rng: np.random.Generator, dim: int) -> Subspace:
-        return random_ray_or_bot(rng, dim)
+    def free(self, rng: np.random.Generator, n: int, dim: int) -> SubspaceStack:
+        return random_rays_or_bot(rng, n, dim)
 
-    def inside(self, rng: np.random.Generator, s: Subspace) -> Subspace:
-        if s.rank == 0 or rng.random() < BOT_PROBABILITY:
-            return sub.bottom(s.dim)
-        return random_ray_within(rng, s)
+    def inside(self, rng: np.random.Generator, s: SubspaceStack) -> SubspaceStack:
+        """A ray of each nonzero s[i], or the zero space with probability
+        ``BOT_PROBABILITY``."""
+        ray = (s.rank > 0) & (rng.random(len(s.rank)) >= BOT_PROBABILITY)
+        return random_subspaces_within(rng, s, ray.astype(np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -102,52 +111,121 @@ class SampledSemantics:
     """[s : p] by its projective definition, sampled over rays.
 
     s verifies p when every ray of the complement of p projects s to the
-    zero space.  ``RAYS_PER_CHECK`` rays of the complement are drawn
-    from ``rng`` per evaluation.  A true statement is never refuted by
-    sampling, and a false one is missed only when every drawn ray is
-    orthogonal to s within ``EQ_TOL``, so suites under this semantics
-    are one-sided in the safe direction.
+    zero space.  ``verify(s, p)`` decides a block of statements at once,
+    over zero-padded stacks of bases whose columns lead.  The complements
+    come from one QR call, and ``RAYS_PER_CHECK`` rays of each from
+    ``rng``, one draw per chunk of about ``_STACK_ENTRIES`` entries of
+    rays.  A true statement is never refuted by sampling, and a false one
+    is missed only when every drawn ray is orthogonal to s within
+    ``EQ_TOL``, so suites under this semantics are one-sided in the safe
+    direction.
 
-    The zero s and the full p verify without a draw, so the generator
-    moves only for the statements that sampling decides, and neither
-    takes the complement's SVD.
+    The zero s (whose first column is zero) and the full p (whose last
+    column is not) verify without a draw, so the generator moves only for
+    the statements that sampling decides, and neither takes the QR.
     """
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
 
-    def verify(self, s: Subspace, p: Subspace) -> bool:
-        if s.rank == 0 or p.rank == p.dim:
-            return True
-        comp = sub.ortho(p)
-        # Projecting s onto a ray phi gives the zero space exactly when
-        # phi is orthogonal to s, i.e. the basis residual s* phi vanishes.
-        shape = (comp.rank, RAYS_PER_CHECK)
-        coeffs = self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
-        phis = comp.basis @ coeffs
-        phis = phis / np.linalg.norm(phis, axis=0, keepdims=True)
-        overlaps = np.linalg.norm(s.basis.conj().T @ phis, axis=0)
-        return bool(np.all(overlaps < EQ_TOL))
+    def verify(self, s: np.ndarray, p: np.ndarray) -> np.ndarray:
+        out = np.ones(len(s), dtype=bool)
+        todo = np.flatnonzero(s[:, :, 0].any(axis=-1) & ~p[:, :, -1].any(axis=-1))
+        if not todo.size:
+            return out
+        dim, p = p.shape[1], p[todo]
+        rank = np.count_nonzero(p.any(axis=-2), axis=-1)
+        u = _completed(p)
+        outside = (np.arange(dim) >= rank[:, None])[:, :, None]
+        residuals = s[todo].conj().swapaxes(-1, -2) @ u
+        for chunk in sub.stack_chunks(todo.size, dim * RAYS_PER_CHECK):
+            # A ray phi = U c of the complement of p has coordinates c only
+            # on the columns of U past the rank cut, and |phi| = |c|.
+            shape = (len(residuals[chunk]), dim, RAYS_PER_CHECK, 2)
+            coeffs = self.rng.standard_normal(shape).view(np.complex128)[..., 0] * outside[chunk]
+            # Projecting s onto phi gives the zero space exactly when phi is
+            # orthogonal to s, i.e. the basis residual s* phi vanishes.
+            overlaps = sub._squared_columns(residuals[chunk] @ coeffs)
+            out[todo[chunk]] = np.all(overlaps < EQ_TOL**2 * sub._squared_columns(coeffs), axis=-1)
+        return out
 
 
-class _OverSubspaces:
-    """The axioms read over subspaces of C^dim: ``verify`` is the given
-    one, and projection, unitary action and every lattice term come from
-    ``pqm.subspace``.  Projecting an element is its Sasaki conjunction,
-    and a unitary moves an element as it moves a subspace."""
+# ---------------------------------------------------------------------------
+# The stacked lattice operations
 
-    def __init__(self, verify, dim: int):
-        self.verify = verify
-        self.top, self.bottom = sub.top(dim), sub.bottom(dim)
-        # looked up per instance, not in the class body, so that a wrapper
-        # set on a pqm.subspace function after import sees these calls
-        self.meet, self.ortho = sub.meet, sub.ortho
-        self.sasaki_and = self.project = sub.sasaki_and
-        self.sasaki_hook = sub.sasaki_hook
-        self.image = self.transform = sub.apply_unitary
-        self.preimage = lambda u, p: sub.apply_unitary(u.adjoint(), p)
 
-    both, no = staticmethod(lambda a, b: a and b()), staticmethod(operator.not_)
+def _span(a: np.ndarray) -> SubspaceStack:
+    return SubspaceStack(*sub.stacked_span(a))
+
+
+def _meet(p: SubspaceStack, q: SubspaceStack) -> SubspaceStack:
+    """``sub.meet`` of each pair, over padded stacks.  A padding column of
+    p leaves a zero column in the residual off q, whose zero sine is no
+    direction of the meet: a unit row under each padding column lifts its
+    sine to 1, apart from the sines of p's own columns."""
+    dim = p.basis.shape[1]
+    padding = np.arange(dim) >= p.rank[:, None]
+    lifted = np.concatenate([sub._residual(p.basis, q.basis), padding[:, None, :] * np.eye(dim)], axis=1)
+    _, sin, vh = np.linalg.svd(lifted, full_matrices=False)
+    rank = np.count_nonzero(sin < EQ_TOL, axis=-1)
+    return SubspaceStack(sub._leading(p.basis @ vh[:, ::-1].conj().swapaxes(-1, -2), rank), rank)
+
+
+def _ortho(p: SubspaceStack) -> SubspaceStack:
+    """``sub.ortho`` of each: the columns of the Q of p's basis past its
+    rank, moved to the front."""
+    dim = p.basis.shape[1]
+    order = (np.arange(dim) + p.rank[:, None]) % dim
+    complement = np.take_along_axis(_completed(p.basis), order[:, None, :], axis=2)
+    return SubspaceStack(sub._leading(complement, dim - p.rank), dim - p.rank)
+
+
+def _completed(basis: np.ndarray) -> np.ndarray:
+    """The Q of each basis of a stack: a padding column adds no Householder
+    reflection, so Q's leading columns span the basis and the others its
+    complement."""
+    return np.linalg.qr(basis)[0]
+
+
+def _sasaki_and(p: SubspaceStack, q: SubspaceStack) -> SubspaceStack:
+    """The span of each p projected onto q."""
+    return _span(q.basis @ (q.basis.conj().swapaxes(-1, -2) @ p.basis))
+
+
+def _sasaki_hook(p: SubspaceStack, q: SubspaceStack) -> SubspaceStack:
+    """q' v (p ^ q) of each pair."""
+    return _span(np.concatenate([_ortho(q).basis, _meet(p, q).basis], axis=-1))
+
+
+def _image(u: np.ndarray, p: SubspaceStack) -> SubspaceStack:
+    """Each p moved by the unitary u[i]: a unitary keeps a basis orthonormal."""
+    return SubspaceStack(u @ p.basis, p.rank)
+
+
+def _preimage(u: np.ndarray, p: SubspaceStack) -> SubspaceStack:
+    return _image(u.conj().swapaxes(-1, -2), p)
+
+
+class _OverStacks:
+    """The axioms read over a block of n random instances in C^dim, every
+    instance at once, as ``pqm.structures._OverStructure`` reads them over
+    a finite structure: elements and parameters are ``SubspaceStack``s
+    and (n, dim, dim) stacks of unitaries, ``verify`` is the given one
+    over the two stacks' bases, and each lattice term is one stacked
+    call.  Projecting an element is its Sasaki conjunction, and a unitary
+    moves an element as it moves a subspace."""
+
+    def __init__(self, verify, n: int, dim: int):
+        self.verify = lambda x, p: verify(x.basis, p.basis)
+        eye = np.eye(dim, dtype=np.complex128)
+        self.top = SubspaceStack(np.broadcast_to(eye, (n, dim, dim)), np.full(n, dim))
+        self.bottom = SubspaceStack(np.zeros((n, dim, dim), dtype=np.complex128), np.zeros(n, dtype=np.intp))
+
+    meet, ortho, sasaki_hook = staticmethod(_meet), staticmethod(_ortho), staticmethod(_sasaki_hook)
+    sasaki_and = project = staticmethod(_sasaki_and)
+    image = transform = staticmethod(_image)
+    preimage = staticmethod(_preimage)
+    both, no = staticmethod(lambda a, b: a & b()), staticmethod(np.logical_not)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +238,9 @@ class AxiomDef:
 
     ``hypothesis``, ``conclusion`` and ``note`` take an interpretation
     and the instance's arguments: the element x, then the parameters.
-    ``draw(rng, dim, domain)`` samples the arguments over subspaces.
+    ``draw(rng, n, dim, domain)`` samples the arguments of n instances
+    over subspaces: a ``SubspaceStack`` per element or subspace, and an
+    (n, dim, dim) stack per unitary.
     ``cases(s)`` gives the cases of a finite structure ``s`` in checking
     order, each taken with every domain element as x: an int array with
     a row per case and a column per parameter, of symbol positions in
@@ -183,72 +263,91 @@ class AxiomDef:
     over_unitaries: bool = False
 
 
-def _mix(rng, domain, dim, inside_of: Subspace | None):
-    """Half the time sample x inside the biasing subspace, else freely."""
-    if inside_of is not None and rng.random() < 0.5:
-        return domain.inside(rng, inside_of)
-    return domain.free(rng, dim)
+def _take(s: SubspaceStack, mask: np.ndarray) -> SubspaceStack:
+    return SubspaceStack(s.basis[mask], s.rank[mask])
 
 
-def _draw_free(rng, dim, domain):
-    return (domain.free(rng, dim),)
+def _assemble(n: int, dim: int, parts) -> SubspaceStack:
+    """One stack from (mask, stack) parts, each stack holding the
+    instances its mask selects, in order."""
+    basis = np.empty((n, dim, dim), dtype=np.complex128)
+    rank = np.empty(n, dtype=np.intp)
+    for mask, part in parts:
+        basis[mask], rank[mask] = part
+    return SubspaceStack(basis, rank)
 
 
-def _draw_monotone(rng, dim, domain):
-    p = random_subspace(rng, dim)
-    q = sub.join(p, random_subspace(rng, dim))
-    return _mix(rng, domain, dim, p), p, q
+def _mix(rng, domain, bias: SubspaceStack) -> SubspaceStack:
+    """Half the instances sample x inside the biasing subspace, the rest
+    freely."""
+    n, dim, _ = bias.basis.shape
+    inside = rng.random(n) < 0.5
+    free = domain.free(rng, n - int(inside.sum()), dim)
+    return _assemble(n, dim, [(inside, domain.inside(rng, _take(bias, inside))), (~inside, free)])
 
 
-def _draw_compatible_pair(rng, dim, domain):
-    p, q = random_compatible_pair(rng, dim)
-    return _mix(rng, domain, dim, sub.meet(p, q)), p, q
+def _draw_free(rng, n, dim, domain):
+    return (domain.free(rng, n, dim),)
+
+
+def _draw_monotone(rng, n, dim, domain):
+    p = random_subspaces(rng, n, dim)
+    q = _span(np.concatenate([p.basis, random_subspaces(rng, n, dim).basis], axis=-1))
+    return _mix(rng, domain, p), p, q
+
+
+def _draw_compatible_pair(rng, n, dim, domain):
+    p, q, common = random_compatible_pairs(rng, n, dim)
+    return _mix(rng, domain, common), p, q
 
 
 def _free_pair(bias):
     """Draw free p and q, then x biased into ``bias(p, q)``."""
 
-    def draw(rng, dim, domain):
-        p = random_subspace(rng, dim)
-        q = random_subspace(rng, dim)
-        return _mix(rng, domain, dim, bias(p, q)), p, q
+    def draw(rng, n, dim, domain):
+        p = random_subspaces(rng, n, dim)
+        q = random_subspaces(rng, n, dim)
+        return _mix(rng, domain, bias(p, q)), p, q
 
     return draw
 
 
-def _draw_project_chain(rng, dim, domain):
-    q = random_subspace(rng, dim)
-    p = random_subspace_within(rng, q)
+def _draw_project_chain(rng, n, dim, domain):
+    q = random_subspaces(rng, n, dim)
+    p = random_subspaces_within(rng, q, rng.integers(0, q.rank + 1))
+    comp_q = _ortho(q)
     # Bias: x projecting into q inside the complement of p.  Seed a ray of
-    # comp(p) ^ q, shift it by a ray of comp(q); the projection onto q of
-    # the shifted ray lands back on the seed, which is p-orthogonal.
-    seed_space = sub.meet(sub.ortho(p), q)
-    if rng.random() < 0.5:
-        x = domain.free(rng, dim)
-    elif seed_space.rank > 0:
-        w = random_ray_within(rng, seed_space)
-        comp_q = sub.ortho(q)
-        vec = w.basis
-        if comp_q.rank > 0 and rng.random() < 0.5:
-            vec = vec + random_ray_within(rng, comp_q).basis
-        x = sub._span_from_matrix(vec, dim)
-    else:
-        x = domain.inside(rng, sub.ortho(q))
-    return x, p, q
+    # comp(p) ^ q, half the time shift it by a ray of comp(q); the
+    # projection onto q of the shifted ray lands back on the seed, which is
+    # p-orthogonal.  Without a seed, x lies inside comp(q).
+    seed_space = _meet(_ortho(p), q)
+    free = rng.random(n) < 0.5
+    seeded = ~free & (seed_space.rank > 0)
+    unseeded = ~free & ~seeded
+    ones = np.ones(int(seeded.sum()), dtype=np.intp)
+    seed = random_subspaces_within(rng, _take(seed_space, seeded), ones).basis
+    shifted = (rng.random(len(ones)) < 0.5) & (comp_q.rank[seeded] > 0)
+    seed = seed + random_subspaces_within(rng, _take(comp_q, seeded), shifted.astype(np.intp)).basis
+    rays = SubspaceStack(seed / np.linalg.norm(seed[:, :, :1], axis=1, keepdims=True), ones)
+    return _assemble(n, dim, [
+        (free, domain.free(rng, int(free.sum()), dim)),
+        (seeded, rays),
+        (unseeded, domain.inside(rng, _take(comp_q, unseeded))),
+    ]), p, q
 
 
-def _draw_project_bottom(rng, dim, domain):
-    q = random_subspace(rng, dim)
-    return _mix(rng, domain, dim, sub.ortho(q)), q
+def _draw_project_bottom(rng, n, dim, domain):
+    q = random_subspaces(rng, n, dim)
+    return _mix(rng, domain, _ortho(q)), q
 
 
 def _draw_unitary(bias):
     """Draw a unitary u and a free p, then x biased into ``bias(u, p)``."""
 
-    def draw(rng, dim, domain):
-        u = random_unitary(rng, dim)
-        p = random_subspace(rng, dim)
-        return _mix(rng, domain, dim, bias(u, p)), u, p
+    def draw(rng, n, dim, domain):
+        u = random_unitaries(rng, n, dim)
+        p = random_subspaces(rng, n, dim)
+        return _mix(rng, domain, bias(u, p)), u, p
 
     return draw
 
@@ -330,7 +429,7 @@ AXIOMS: tuple[AxiomDef, ...] = (
     # the same statement over every pair, compatible or not
     replace(
         _MEET_COMPATIBLE, name="meet", in_base=False, in_revised=True,
-        draw=_free_pair(lambda p, q: sub.meet(p, q)), cases=_unordered_pairs,
+        draw=_free_pair(_meet), cases=_unordered_pairs,
     ),
     AxiomDef(
         "project-intro", True, True, False, _free_pair(lambda p, q: p), _onto_projectors,
@@ -354,7 +453,7 @@ AXIOMS: tuple[AxiomDef, ...] = (
     ),
     AxiomDef(
         "project-adjoint", False, True, False,
-        _free_pair(lambda p, q: sub.sasaki_hook(p, q)), _onto_projectors,
+        _free_pair(_sasaki_hook), _onto_projectors,
         hypothesis=lambda I, x, p, q: I.verify(I.project(x, q), p),
         conclusion=lambda I, x, p, q: I.verify(x, I.sasaki_hook(p, q)),
         note=lambda I, x, p, q: (
@@ -370,7 +469,7 @@ AXIOMS: tuple[AxiomDef, ...] = (
     ),
     AxiomDef(
         "unitary-elim", True, True, False,
-        _draw_unitary(lambda u, p: sub.apply_unitary(u.adjoint(), p)), _under_unitaries,
+        _draw_unitary(_preimage), _under_unitaries,
         hypothesis=lambda I, x, u, p: I.verify(I.transform(u, x), p),
         conclusion=lambda I, x, u, p: I.verify(x, I.preimage(u, p)),
         note=lambda I, x, u, p: f"{u} image of {x} verifies {p} but {x} misses its preimage",
@@ -465,32 +564,38 @@ def run_axiom_suite(
     figure: str = "all",
 ) -> tuple[CheckResult, ...]:
     """Evaluate every axiom of the figure on ``samples`` random instances,
-    with ``verify(s, p)`` deciding each verification statement.
+    with ``verify(s, p)`` deciding the verification statements of a block
+    at once, over two zero-padded (n, dim, dim) stacks of bases.
 
-    For a conditional axiom a violation is an instance whose antecedent
-    holds and conclusion fails; for an existential the whole run must
-    produce at least one witness.  Both sides are evaluated on every
-    instance: a sampled ``verify`` draws from its own generator, so the
-    stream must not depend on the hypothesis.  The unconditioned meet
+    Each axiom draws its instances from its own generator in blocks of
+    about ``_STACK_ENTRIES`` complex entries, at dim * dim per instance
+    and at least one instance, and reads its hypothesis and conclusion
+    once per block over stacks.  A block's draws read its own kernel
+    results (the bias subspaces), so the counts depend on the block
+    length.  For a conditional axiom a violation is an instance whose
+    antecedent holds and conclusion fails; for an existential the whole
+    run must produce at least one witness.  Both sides are evaluated on
+    every instance: a sampled ``verify`` draws from its own generator, so
+    the stream must not depend on the hypothesis.  The unconditioned meet
     axiom is marked informational below dimension 3: it is recorded
     there, never asserted.
     """
     _require_positive("samples", samples)
-    interp = _OverSubspaces(verify, dim)
     results = []
     for index, axiom in enumerate(select_axioms(figure)):
         rng = np.random.default_rng([seed, dim, index])
         hits = 0
         violations = 0
         witnessed = False
-        for _ in range(samples):
-            args = axiom.draw(rng, dim, domain)
-            hyp = axiom.hypothesis(interp, *args)
-            concl = axiom.conclusion(interp, *args)
-            witnessed = witnessed or concl
-            if hyp:
-                hits += 1
-                violations += not concl
+        for block in sub.stack_chunks(samples, dim * dim):
+            n = min(block.stop, samples) - block.start
+            interp = _OverStacks(verify, n, dim)
+            args = axiom.draw(rng, n, dim, domain)
+            hyp = np.broadcast_to(axiom.hypothesis(interp, *args), n)
+            concl = np.broadcast_to(axiom.conclusion(interp, *args), n)
+            witnessed = witnessed or bool(concl.any())
+            hits += int(hyp.sum())
+            violations += int((hyp & ~concl).sum())
         if axiom.existential:
             hits = int(witnessed)
             violations = int(not witnessed)

@@ -31,6 +31,7 @@ from .subspace import (
     leq,
     meet,
     ray_in_avoiding,
+    stacked_leq,
     subspace_to_json,
     top,
 )
@@ -193,7 +194,7 @@ def check_axiom_suite(dim: int, samples: int = 500, seed: int = 0, figure: str =
     """Randomized check of every axiom against the subspace model and the
     ray model, under exact containment semantics."""
     by_domain = {
-        domain.label: run_axiom_suite(dim, samples, seed, domain, leq, figure)
+        domain.label: run_axiom_suite(dim, samples, seed, domain, stacked_leq, figure)
         for domain in (SubspaceElements(), RayElements())
     }
     return CheckReport({"dim": dim, "samples": samples, "seed": seed, "figure": figure}, by_domain)

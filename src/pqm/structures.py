@@ -65,7 +65,7 @@ import numpy as np
 
 from . import subspace as sub
 from .axioms import CheckReport, CheckResult, select_axioms
-from .lang import MAX_DIM, MAX_ELEMENTS, MAX_SYMBOLS
+from .lang import MAX_DIM, MAX_ELEMENTS, MAX_SYMBOLS, MAX_UNITARIES
 from .subspace import Subspace, UnitaryOp
 
 __all__ = [
@@ -418,12 +418,14 @@ def _check_table(table, domain: tuple[str, ...], where: str, issues: list[str]) 
 def parse_structure_json(data) -> FiniteStructure:
     """Validate a decoded JSON object; raises with every issue at once,
     or, before reading anything, with the one issue of a structure past
-    ``MAX_SYMBOLS`` symbols or ``MAX_ELEMENTS`` elements."""
+    ``MAX_SYMBOLS`` symbols, ``MAX_ELEMENTS`` elements or
+    ``MAX_UNITARIES`` unitaries."""
     issues: list[str] = []
     if not isinstance(data, dict):
         raise StructureValidationError(["top level: expected a JSON object"])
     for key, kind, bound, what in (
         ("subspaces", dict, MAX_SYMBOLS, "symbols"), ("domain", list, MAX_ELEMENTS, "elements"),
+        ("unitaries", dict, MAX_UNITARIES, "unitaries"),
     ):
         if isinstance(data.get(key), kind) and len(data[key]) > bound:
             raise StructureValidationError([f"{key}: {len(data[key])} {what}, more than the {bound} accepted"])

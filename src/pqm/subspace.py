@@ -27,15 +27,16 @@ near 0.  All three cut them at ``EQ_TOL``, so ``leq(p, q)`` holds
 exactly when ``meet(p, q)`` keeps p's rank.
 
 The stacked forms (:func:`stacked_span`, :func:`stacked_meet`,
-:func:`stacked_compatible`, :func:`stacked_leq_table`) take the same
-rank cut, residual cut and residual test over a whole stack of bases in
-a few numpy calls, for callers that ask one question of many subspaces.
+:func:`stacked_compatible`, :func:`stacked_leq`, :func:`stacked_leq_table`)
+take the same rank cut, residual cut and residual test over a whole
+stack of bases in a few numpy calls, for callers that ask one question
+of many subspaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,11 +64,13 @@ __all__ = [
     "ray_in_avoiding",
     "subspace_to_json",
     "unitary_deviation",
+    "SubspaceStack",
     "stack_chunks",
     "stacked",
     "stacked_span",
     "stacked_meet",
     "stacked_compatible",
+    "stacked_leq",
     "stacked_leq_table",
 ]
 
@@ -372,6 +375,14 @@ def apply_unitary(u: UnitaryOp, p: Subspace) -> Subspace:
 _STACK_ENTRIES = 1 << 13
 
 
+class SubspaceStack(NamedTuple):
+    """n subspaces of C^dim: their bases as one (n, dim, dim) stack, each
+    in its leading columns and zero-padded, and their (n,) ranks."""
+
+    basis: np.ndarray
+    rank: np.ndarray
+
+
 def stack_chunks(n: int, entries_per_item: int) -> Iterator[slice]:
     """Slices of ``range(n)`` holding at most ``_STACK_ENTRIES`` entries
     each, at ``entries_per_item`` entries per item (at least one item)."""
@@ -447,6 +458,25 @@ def stacked_compatible(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         inside = np.linalg.svd(resid, compute_uv=False) < EQ_TOL  # sines: p ^ q
         outside = np.linalg.svd(pc - resid, compute_uv=False) < EQ_TOL  # cosines: p ^ q'
         out[chunk] = np.count_nonzero(inside, axis=-1) + np.count_nonzero(outside, axis=-1) == k
+    return out
+
+
+def stacked_leq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`leq` of p[i] in q[i] for each i, over stacks (n, dim, k) and
+    (n, dim, m) whose columns are orthonormal or zero: a zero p[i] is
+    below every q[i], and a zero q[i] above only the zero space.  The
+    column norms of the residuals decide most pairs, as in :func:`leq`;
+    the band they leave open takes one SVD call."""
+    n, dim, k = p.shape
+    out = np.empty(n, dtype=bool)
+    for chunk in stack_chunks(n, dim * max(k, q.shape[-1])):
+        resid = _residual(p[chunk], q[chunk])
+        columns = _squared_columns(resid)
+        below = columns.sum(axis=-1) < EQ_TOL**2
+        band = np.flatnonzero(~below & (columns.max(axis=-1, initial=0.0) < EQ_TOL**2))
+        if band.size:
+            below[band] = np.linalg.svd(resid[band], compute_uv=False)[:, 0] < EQ_TOL
+        out[chunk] = below
     return out
 
 

@@ -109,6 +109,11 @@ MUTANTS: tuple[Mutant, ...] = (
         "below[j, i] = np.linalg.svd(band, compute_uv=False)[:, 0] < EQ_TOL", "below[j, i] = False", "killed",
     ),
     Mutant(
+        "stacked-leq-band-svd-skipped", "src/pqm/subspace.py",
+        "        if band.size:\n            below[band] = np.linalg.svd(resid[band], compute_uv=False)[:, 0] < EQ_TOL\n",
+        "", "killed",
+    ),
+    Mutant(
         "leq-table-empty-second-stack-reshaped", "src/pqm/subspace.py",
         "if k == 0 or not len(q):", "if k == 0:", "killed",
     ),
@@ -131,7 +136,31 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "sampled-verify-draws-for-a-full-p", "src/pqm/axioms.py",
-        "if s.rank == 0 or p.rank == p.dim:", "if s.rank == 0:", "killed",
+        "todo = np.flatnonzero(s[:, :, 0].any(axis=-1) & ~p[:, :, -1].any(axis=-1))",
+        "todo = np.flatnonzero(s[:, :, 0].any(axis=-1))", "killed",
+    ),
+    # -- the blocks of the random axiom suites
+    Mutant(
+        "meet-padding-mask-off-by-one", "src/pqm/axioms.py",
+        "padding = np.arange(dim) >= p.rank[:, None]", "padding = np.arange(dim) > p.rank[:, None]", "killed",
+    ),
+    Mutant(
+        "both-reads-only-its-first-side", "src/pqm/axioms.py",
+        "both, no = staticmethod(lambda a, b: a & b()), staticmethod(np.logical_not)",
+        "both, no = staticmethod(lambda a, b: a), staticmethod(np.logical_not)", "killed",
+    ),
+    Mutant(
+        "axiom-block-bound-ignored", "src/pqm/axioms.py",
+        "for block in sub.stack_chunks(samples, dim * dim):", "for block in sub.stack_chunks(samples, 1):",
+        "killed",
+    ),
+    Mutant(
+        "conclusion-read-only-where-the-hypothesis-holds", "src/pqm/axioms.py",
+        "            concl = np.broadcast_to(axiom.conclusion(interp, *args), n)\n",
+        "            concl = np.ones(n, dtype=bool)\n"
+        "            held = [a[hyp] if isinstance(a, np.ndarray) else _take(a, hyp) for a in args]\n"
+        "            concl[hyp] = axiom.conclusion(_OverStacks(verify, int(hyp.sum()), dim), *held)\n",
+        "killed",
     ),
     Mutant(
         "fold-flag-at-most-one", "src/pqm/circuit.py",

@@ -33,6 +33,9 @@ the tests check it against:
 - the structure axiom check one instance at a time, over names, against
   ``check_structure_axioms``, which reads each axiom once over arrays of
   all its instances;
+- the axioms read over one instance of subspaces at a time, through the
+  per-pair kernel, against the random suites, which read each axiom once
+  per block of instances over stacks;
 - filter closure, ray coverage, the two-ray floor and the
   incompatible-pair diagnostics, which read a finite structure's
   filters and least members, and ``saturate``, which closes a seed set
@@ -409,6 +412,25 @@ def strong_morphism_by_pairs(s: FiniteStructure) -> dict:
         kappa, no_least, tuple(relation), projector, unitary,
         len(no_least) * len(val) + skipped, any(v.rank > 0 for v in mapped.values()),
     ).to_json()
+
+
+class OverSubspaces:
+    """The axioms read over one instance in C^dim: elements and parameters
+    are ``Subspace`` and ``UnitaryOp`` values, ``verify`` is the given
+    one, and projection, unitary action and every lattice term come from
+    ``pqm.subspace``.  Projecting an element is its Sasaki conjunction,
+    and a unitary moves an element as it moves a subspace."""
+
+    def __init__(self, verify, dim: int):
+        self.verify = verify
+        self.top, self.bottom = sub.top(dim), sub.bottom(dim)
+        self.meet, self.ortho = sub.meet, sub.ortho
+        self.sasaki_and = self.project = sub.sasaki_and
+        self.sasaki_hook = sub.sasaki_hook
+        self.image = self.transform = sub.apply_unitary
+        self.preimage = lambda u, p: sub.apply_unitary(u.adjoint(), p)
+
+    both, no = staticmethod(lambda a, b: a and b()), staticmethod(operator.not_)
 
 
 class _Unresolved(Exception):

@@ -11,11 +11,7 @@ import time
 
 import numpy as np
 
-from pqm.axioms import (
-    RayElements,
-    SubspaceElements,
-    random_subspace,
-)
+from pqm.axioms import RayElements, SubspaceElements
 from pqm.circuit import (
     build_circuit,
     check_axioms_from_rules,
@@ -30,8 +26,11 @@ from pqm.oracles import (
     f_chain,
     incompat_decompose,
 )
+from pqm.sampling import random_subspace
 from pqm.structures import check_strong_morphism, check_structure_axioms
 from pqm.subspace import (
+    Subspace,
+    SubspaceStack,
     compatible,
     eq,
     join,
@@ -41,6 +40,7 @@ from pqm.subspace import (
     sasaki_and,
     sasaki_hook,
     span_of,
+    stacked,
 )
 
 from _corpus import build_corpus, build_mutants
@@ -121,6 +121,11 @@ def test_c2_ortholattice_and_sasaki_laws():
     _report("criterion 2 (ortholattice and Sasaki law suite)", problems)
 
 
+def _only(stack: SubspaceStack) -> Subspace:
+    """The subspace of a one-instance stack, checked."""
+    return Subspace(stack.basis.shape[1], stack.basis[0, :, : stack.rank[0]])
+
+
 def test_c3_axiom_suites_in_both_models():
     problems = []
 
@@ -153,7 +158,10 @@ def test_c3_axiom_suites_in_both_models():
                     if not compatible(p, q) and meet(p, q).rank > 0:
                         break
                 common = meet(p, q)
-                x = domain.inside(rng, common) if rng.random() < 0.5 else domain.free(rng, dim)
+                if rng.random() < 0.5:
+                    x = _only(domain.inside(rng, SubspaceStack(stacked([common.basis], dim), np.array([common.rank]))))
+                else:
+                    x = _only(domain.free(rng, 1, dim))
                 if leq(x, p) and leq(x, q):
                     hits += 1
                     if not leq(x, common):

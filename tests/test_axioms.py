@@ -1,24 +1,37 @@
 """The axioms, stated once, read over subspaces and over finite structures.
 
-The literals below were recorded with a separate hand-written copy of
-each axiom for the random suites and for the structure check.  They fail
-when a draw order, an enumeration order, a side condition or a
-violation note drifts.
+The structure literals below were recorded with a separate hand-written
+copy of each axiom for the structure check, and the random-suite counts
+when the suites moved to blocks of stacked instances.  They fail when a
+draw order, an enumeration order, a side condition or a violation note
+drifts.  The stacked reading of a block is checked, instance by
+instance, against the axioms read one instance at a time through the
+per-pair kernel (``OverSubspaces`` in ``tests/_routes.py``).
 """
 
 import hashlib
 import json
+import tracemalloc
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pqm.axioms import AXIOMS, SampledSemantics, SubspaceElements, run_axiom_suite, select_axioms
+import pqm.axioms
+import pqm.subspace
+from pqm import subspace as sub
+from pqm.axioms import (
+    AXIOMS, RayElements, SampledSemantics, SubspaceElements, _OverStacks, run_axiom_suite, select_axioms,
+)
 from pqm.circuit import check_axioms_from_rules, check_rule_suite
 from pqm.decide import check_axiom_suite
 from pqm.structures import check_structure_axioms, parse_structure_json
+from pqm.subspace import Subspace, SubspaceStack, UnitaryOp, eq, leq, stacked_leq
 
 from _corpus import build_corpus, build_mutants
+from _routes import OverSubspaces
 from test_structures import tiny_structure_json
 
 # (instances, skipped, violations) per axiom, summed over the corpus and
@@ -72,33 +85,34 @@ FIRST_NOTE_PER_AXIOM = {
 REPORTS_SHA256 = "e37e9fdb8cd537fe4da5a8a61c9aff6b1e7308ebb56005a39b2f3353a68d20c7"
 
 # (instances, hypothesis_hits, violations) of check_axiom_suite(3,
-# samples=60, seed=0) per element domain.
+# samples=60, seed=0) per element domain, drawn and read in blocks: each
+# axiom's 60 instances are one block at dim 3.
 SUITE_COUNTS = {
     "subspaces": {
         "verify-top": (60, 60, 0),
         "some-possible": (60, 1, 0),
-        "monotone": (60, 41, 0),
-        "meet-compatible": (60, 43, 0),
-        "meet": (60, 32, 0),
-        "project-intro": (60, 44, 0),
-        "project-chain": (60, 55, 0),
-        "project-bottom": (60, 43, 0),
-        "project-adjoint": (60, 45, 0),
-        "unitary-intro": (60, 46, 0),
-        "unitary-elim": (60, 46, 0),
+        "monotone": (60, 47, 0),
+        "meet-compatible": (60, 35, 0),
+        "meet": (60, 35, 0),
+        "project-intro": (60, 49, 0),
+        "project-chain": (60, 49, 0),
+        "project-bottom": (60, 47, 0),
+        "project-adjoint": (60, 47, 0),
+        "unitary-intro": (60, 45, 0),
+        "unitary-elim": (60, 44, 0),
     },
     "rays": {
         "verify-top": (60, 60, 0),
         "some-possible": (60, 1, 0),
         "monotone": (60, 44, 0),
         "meet-compatible": (60, 32, 0),
-        "meet": (60, 28, 0),
-        "project-intro": (60, 42, 0),
-        "project-chain": (60, 51, 0),
-        "project-bottom": (60, 33, 0),
-        "project-adjoint": (60, 45, 0),
-        "unitary-intro": (60, 39, 0),
-        "unitary-elim": (60, 42, 0),
+        "meet": (60, 32, 0),
+        "project-intro": (60, 46, 0),
+        "project-chain": (60, 47, 0),
+        "project-bottom": (60, 43, 0),
+        "project-adjoint": (60, 44, 0),
+        "unitary-intro": (60, 44, 0),
+        "unitary-elim": (60, 44, 0),
     },
 }
 
@@ -106,13 +120,13 @@ SUITE_COUNTS = {
 DERIVED_COUNTS = {
     "verify-top": (40, 40, 0),
     "some-possible": (40, 1, 0),
-    "monotone": (40, 29, 0),
-    "meet-compatible": (40, 27, 0),
-    "project-intro": (40, 27, 0),
-    "project-chain": (40, 31, 0),
-    "project-bottom": (40, 26, 0),
-    "unitary-intro": (40, 30, 0),
-    "unitary-elim": (40, 28, 0),
+    "monotone": (40, 31, 0),
+    "meet-compatible": (40, 20, 0),
+    "project-intro": (40, 28, 0),
+    "project-chain": (40, 32, 0),
+    "project-bottom": (40, 27, 0),
+    "unitary-intro": (40, 32, 0),
+    "unitary-elim": (40, 29, 0),
 }
 
 
@@ -149,12 +163,139 @@ def test_random_suite_counts_are_pinned():
 
 
 def test_random_suite_reads_both_sides_of_every_instance():
-    # The sampled semantics draws from its own generator on every verify,
-    # so its state after a run pins how many statements were evaluated;
-    # skipping a conclusion whose hypothesis failed would move it.
+    # The sampled semantics draws from its own generator for every block
+    # of statements it cannot decide without a draw, so its state after a
+    # run pins which statements were evaluated; reading a conclusion only
+    # where its hypothesis held would move it.
     sem = SampledSemantics(np.random.default_rng([0, 3, 7]))
     run_axiom_suite(3, 40, 0, SubspaceElements(), sem.verify, "base")
-    assert int(sem.rng.integers(2**62)) == 1754940360808966105
+    assert int(sem.rng.integers(2**62)) == 2487057855453658227
+
+
+def _instance(arg, i: int):
+    """Instance i of a drawn or computed argument, as the per-instance
+    route takes it: a ``Subspace`` (checked, so its leading columns must
+    be orthonormal) or a ``UnitaryOp``."""
+    if isinstance(arg, SubspaceStack):
+        assert not np.any(arg.basis[i, :, arg.rank[i]:]), "padding is not zero"
+        return Subspace(arg.basis.shape[1], arg.basis[i, :, : arg.rank[i]])
+    return UnitaryOp(arg.shape[1], arg[i])
+
+
+def _checked_term(stacked_term, per_instance_term):
+    """``stacked_term``, asserting that each of its results is, instance
+    by instance, the subspace that ``per_instance_term`` gives, at the
+    same rank."""
+
+    def term(*args):
+        out = stacked_term(*args)
+        for i in range(len(out.rank)):
+            got, want = _instance(out, i), per_instance_term(*(_instance(a, i) for a in args))
+            assert got.rank == want.rank and eq(got, want)
+        return out
+
+    return term
+
+
+class _CheckedStacks(_OverStacks):
+    """The stacked reading of a block, with every term checked against the
+    per-pair kernel and every verification statement decided three ways:
+    by the stacked containment, by the stacked sampled semantics and by
+    ``leq`` one pair at a time, which must all agree."""
+
+    def __init__(self, n: int, dim: int, rng: np.random.Generator):
+        sampled = SampledSemantics(rng).verify
+
+        def verify(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+            exact = stacked_leq(x, p)
+            assert np.array_equal(sampled(x, p), exact)
+            return exact
+
+        super().__init__(verify, n, dim)
+        one = OverSubspaces(leq, dim)
+        for term in ("meet", "ortho", "sasaki_and", "project", "sasaki_hook", "image", "transform", "preimage"):
+            setattr(self, term, _checked_term(getattr(self, term), getattr(one, term)))
+        plain = self.verify
+
+        def verify_checked(x, p):
+            out = plain(x, p)
+            assert out.tolist() == [leq(_instance(x, i), _instance(p, i)) for i in range(len(out))]
+            return out
+
+        self.verify = verify_checked
+
+
+@pytest.mark.parametrize("domain", [SubspaceElements(), RayElements()], ids=lambda d: d.label)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+@settings(max_examples=6, deadline=None)
+def test_stacked_blocks_agree_with_the_per_instance_route(dim, domain, seed, n):
+    # every axiom's drawn block, unstacked: each side of each instance read
+    # over subspaces one at a time through pqm.subspace gives the same truth
+    one = OverSubspaces(leq, dim)
+    for index, axiom in enumerate(AXIOMS):
+        rng = np.random.default_rng([seed, dim, index])
+        args = axiom.draw(rng, n, dim, domain)
+        interp = _CheckedStacks(n, dim, np.random.default_rng([seed, dim, index, 7]))
+        hypothesis = np.broadcast_to(axiom.hypothesis(interp, *args), n)
+        conclusion = np.broadcast_to(axiom.conclusion(interp, *args), n)
+        for i in range(n):
+            instance = [_instance(a, i) for a in args]
+            assert axiom.hypothesis(one, *instance) == hypothesis[i], (axiom.name, i)
+            assert axiom.conclusion(one, *instance) == conclusion[i], (axiom.name, i)
+
+
+def _spied(lengths: list):
+    """AXIOMS with each draw recording the length of its block."""
+
+    def spy(draw):
+        def recorded(rng, n, dim, domain):
+            lengths.append(n)
+            return draw(rng, n, dim, domain)
+
+        return recorded
+
+    return tuple(replace(a, draw=spy(a.draw)) for a in AXIOMS)
+
+
+@pytest.mark.parametrize("entries", [1, 200])
+def test_axiom_suite_blocks_hold_at_least_one_instance_within_the_bound(monkeypatch, entries):
+    # With 1 entry every instance is its own block; with 200, 22 instances
+    # share one at dim 3.  Unlike the rule suite's, these counts may differ
+    # from SUITE_COUNTS: a block's draws read kernel results (the bias
+    # subspaces) computed over the whole block, so the random stream
+    # depends on the block length.  Only the invariants are asserted.
+    monkeypatch.setattr(pqm.subspace, "_STACK_ENTRIES", entries)
+    lengths = []
+    monkeypatch.setattr(pqm.axioms, "AXIOMS", _spied(lengths))
+    exact = check_axiom_suite(3, samples=60, seed=0)
+    sampled = check_axioms_from_rules(3, samples=40, seed=0)
+    assert lengths and min(lengths) >= 1 and max(lengths) <= max(1, entries // 9)
+    assert sum(lengths) == 60 * len(exact.results) + 40 * len(sampled.results)
+    for report, samples in ((exact, 60), (sampled, 40)):
+        assert all(r.instances == samples for r in report.results)
+        assert report.total_violations == 0 and report.ok
+
+
+# Peak traced memory of a suite at dim 128, two samples: one instance
+# (128 * 128 entries) fills a block past _STACK_ENTRIES, so each block
+# holds one instance.  Measured with tracemalloc at 4.3 MB for each of
+# check_axiom_suite and check_axioms_from_rules (5.1 MB for the first
+# call in a fresh process).  The bound leaves a margin of about 1.6x over
+# 4.3 MB; blocks of two instances measured 8.3 MB, past it.
+SUITE_PEAK_BYTES = 7_000_000
+
+
+@pytest.mark.parametrize("suite", [check_axiom_suite, check_axioms_from_rules])
+def test_a_suite_at_dim_128_stays_within_its_memory_bound(suite):
+    tracemalloc.start()
+    try:
+        report = suite(128, samples=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < SUITE_PEAK_BYTES, peak
 
 
 @pytest.mark.parametrize("dim, informational", [(2, {"meet"}), (3, set())])

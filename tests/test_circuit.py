@@ -19,10 +19,11 @@ from pqm.circuit import (
     run_circuit_trace,
 )
 from pqm.lang import parse_circuit_file
-from pqm.sampling import random_ray, random_subspace, random_subspace_within, random_unitary
+from pqm.sampling import random_ray, random_subspace, random_subspace_within, random_subspaces, random_unitary
 from pqm.subspace import (
     DimensionMismatchError,
     InternalInvariantError,
+    Subspace,
     UnitaryOp,
     bottom,
     eq,
@@ -142,13 +143,16 @@ def test_verifies_basics():
     assert not leq(bell, span_of([KET10], 4))
 
 
-@given(seeds)
+@given(seeds, st.integers(1, 8))
 @settings(max_examples=100, deadline=None)
-def test_verifies_exact_and_sampled_agree(seed):
+def test_verifies_exact_and_sampled_agree(seed, n):
+    # the sampled semantics decides a block of statements at once, over
+    # stacks of bases; each must agree with containment of its own pair
     rng = np.random.default_rng(seed)
-    s = random_subspace(rng, 3)
-    p = random_subspace(rng, 3)
-    assert leq(s, p) == SampledSemantics(np.random.default_rng(seed)).verify(s, p)
+    s, p = random_subspaces(rng, n, 3), random_subspaces(rng, n, 3)
+    sampled = SampledSemantics(np.random.default_rng(seed)).verify(s.basis, p.basis)
+    pairs = [(Subspace(3, s.basis[i, :, : s.rank[i]]), Subspace(3, p.basis[i, :, : p.rank[i]])) for i in range(n)]
+    assert sampled.tolist() == [leq(a, b) for a, b in pairs]
 
 
 def test_trace_matches_run(rng):

@@ -12,7 +12,7 @@ import pytest
 from pqm import cli
 from pqm.axioms import CheckReport, CheckResult
 from pqm.cli import main
-from pqm.lang import MAX_DIM, MAX_ELEMENTS, MAX_FORMULA_DEPTH
+from pqm.lang import MAX_DIM, MAX_ELEMENTS, MAX_FORMULA_DEPTH, MAX_UNITARIES
 from pqm.subspace import InternalInvariantError
 
 from test_structures import tiny_structure_json
@@ -260,6 +260,17 @@ def test_structure_past_the_element_bound_is_one_diagnostic(tmp_path, capsys, co
     f.write_text(json.dumps(data))
     assert run(capsys, command, str(f)) == (
         2, "", f"error: domain: {MAX_ELEMENTS + 1} elements, more than the {MAX_ELEMENTS} accepted\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["model-check", "kappa"])
+def test_structure_past_the_unitary_bound_is_one_diagnostic(tmp_path, capsys, command):
+    data = tiny_structure_json()
+    data["unitaries"] = {f"u{k}": {"matrix": None, "table": {}} for k in range(MAX_UNITARIES + 1)}
+    f = tmp_path / "many.json"
+    f.write_text(json.dumps(data))
+    assert run(capsys, command, str(f)) == (
+        2, "", f"error: unitaries: {MAX_UNITARIES + 1} unitaries, more than the {MAX_UNITARIES} accepted\n"
     )
 
 
@@ -587,8 +598,8 @@ SAMPLE_OUTPUTS_SHA256 = {
     "circuit": "ad33f74de2a66df329375dde7abb7c9e6b37246630308f81f80576248311fbba",
     "model-check": "57ac407b65a50a0f3e69666d365daa92eaa3da5861f3b80c1f358b71c154f565",
     "kappa": "64f5138af7f5304203fb08965b2c103a8d2b705ab93dc6af00eab5b0f83fffff",
-    "check-axioms": "293a71b61af234ca23e367cc13c34f8da4f7365464afe1aa805971bd77977d7d",
-    "check-rules": "cc094e4622fc425df83ecf924244dd028f46c8538c3f7846921d08c8b9f3c69d",
+    "check-axioms": "ab956a1888feb54d677e6092b15e0e9238a68d72ec465c120257271e74afa447",
+    "check-rules": "325f88316fe0cdf3ef05eee9c86089c36bfa4cd8878390bae30b12f4c4d445e4",
     "oracle": "0a1936ba1140942e0d911c88b9658dd08e104e83e29313c0b22dc44ae4485e2a",
 }
 

@@ -5,13 +5,19 @@ must agree in shape, strides and bytes, and the generators must end in
 one state, so that every later draw of a suite is the same too.  The
 bytes are those of the LAPACK build numpy links to; another build may
 give other bytes on both sides, as ``test_sample_outputs_are_pinned``
-says of its digests.
+says of its digests.  The stacked draws of a block are checked for what
+each instance must be: a subspace of its kind and rank, inside the
+subspace it was drawn in.
 """
 
 import numpy as np
 import pytest
 
-from pqm.sampling import random_ray, random_ray_within, random_subspace, random_subspace_within
+from pqm.sampling import (
+    random_compatible_pairs, random_ray, random_ray_within, random_rays_or_bot, random_subspace,
+    random_subspace_within, random_subspaces, random_subspaces_within, random_unitaries,
+)
+from pqm.subspace import Subspace, UnitaryOp, compatible, eq, leq, meet
 
 from _routes import (
     random_ray_by_span_of,
@@ -62,3 +68,30 @@ def test_draws_within_a_subspace_are_the_spans_of_their_vectors(dim):
                 )
             a, b = _twins(seed, dim, outer)
             assert_same_draw(random_ray_within(a, p), random_ray_within_by_span_of(b, p), a, b)
+
+
+def _instances(stack):
+    """Each subspace of a stack, checked, after asserting its padding is zero."""
+    dim = stack.basis.shape[1]
+    for basis, rank in zip(stack.basis, stack.rank):
+        assert not basis[:, rank:].any()
+        yield Subspace(dim, basis[:, :rank])
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_stacked_draws_are_subspaces_of_their_kind(dim):
+    rng = np.random.default_rng([dim, 29])
+    n = 40
+    subspaces = random_subspaces(rng, n, dim)
+    inner_rank = rng.integers(0, subspaces.rank + 1)
+    inner = random_subspaces_within(rng, subspaces, inner_rank)
+    rays = random_rays_or_bot(rng, n, dim)
+    p, q, common = random_compatible_pairs(rng, n, dim)
+    assert 0 <= subspaces.rank.min() and subspaces.rank.max() <= dim and set(rays.rank) <= {0, 1}
+    for outer, x, r, want in zip(_instances(subspaces), _instances(inner), subspaces.rank, inner_rank):
+        assert outer.rank == r and x.rank == want and leq(x, outer)
+    assert [x.rank for x in _instances(rays)] == list(rays.rank)
+    for a, b, c in zip(_instances(p), _instances(q), _instances(common)):
+        assert compatible(a, b) and eq(c, meet(a, b))
+    for u in random_unitaries(rng, n, dim):
+        UnitaryOp(dim, u)

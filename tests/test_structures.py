@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import pqm.axioms
 import pqm.subspace
-from pqm.lang import MAX_DIM, MAX_ELEMENTS, MAX_SYMBOLS
+from pqm.lang import MAX_DIM, MAX_ELEMENTS, MAX_SYMBOLS, MAX_UNITARIES
 from pqm.structures import (
     FiniteStructure,
     StructureValidationError,
@@ -119,12 +119,16 @@ def test_structure_dim_out_of_range_is_rejected(dim):
 
 
 def _filled(key: str, count: int):
-    """``count`` symbols with no vector list, or ``count`` element names."""
-    return {f"s{k}": None for k in range(count)} if key == "subspaces" else [f"m{k}" for k in range(count)]
+    """``count`` symbols with no vector list, ``count`` unitaries with no
+    matrix, or ``count`` element names."""
+    if key == "domain":
+        return [f"m{k}" for k in range(count)]
+    return {f"{key[0]}{k}": None for k in range(count)}
 
 
 @pytest.mark.parametrize("key, bound, what", [
     ("subspaces", MAX_SYMBOLS, "symbols"), ("domain", MAX_ELEMENTS, "elements"),
+    ("unitaries", MAX_UNITARIES, "unitaries"),
 ])
 def test_structure_past_a_size_bound_is_rejected_before_it_is_read(key, bound, what):
     # every symbol would be an issue of its own if the structure were read

@@ -36,6 +36,7 @@ from pqm.subspace import (
     span_of,
     stacked,
     stacked_compatible,
+    stacked_leq,
     stacked_leq_table,
     stacked_meet,
     stacked_span,
@@ -471,6 +472,8 @@ def test_stacked_leq_table_matches_leq(seed, dim):
     padded = _stack_of(spaces, dim)
     table = stacked_leq_table(padded, padded)
     assert table.tolist() == [[leq(p, q) for q in spaces] for p in spaces]
+    first, second = np.divmod(np.arange(len(spaces) ** 2), len(spaces))
+    assert stacked_leq(padded[first], padded[second]).tolist() == table.ravel().tolist()
     # one rank on each side, unpadded, as a symbol lookup asks it
     for ps, p_stack in _by_rank(spaces):
         for qs, q_stack in _by_rank(spaces):
@@ -539,7 +542,7 @@ def test_stacked_forms_are_the_same_in_small_chunks(monkeypatch, entries):
     mats = np.stack(_span_inputs(5, dim) * 3)
 
     def run():
-        return (stacked_leq_table(padded, padded), *stacked_meet(rays, q_rows),
+        return (stacked_leq_table(padded, padded), stacked_leq(padded, padded[::-1]), *stacked_meet(rays, q_rows),
                 stacked_compatible(rays, q_rows), *stacked_span(mats))
 
     whole = run()
@@ -578,3 +581,4 @@ def test_leq_table_decides_the_column_norm_band(p, q, contained):
     assert stacked_leq_table(p.basis[None], q.basis[None]).tolist() == [[contained]]
     pair = _stack_of([p, q], p.dim)
     assert stacked_leq_table(pair, pair).tolist() == [[True, contained], [leq(q, p), True]]
+    assert stacked_leq(pair, pair[::-1]).tolist() == [contained, leq(q, p)]
