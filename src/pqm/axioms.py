@@ -13,10 +13,12 @@ each axiom once over all its instances.
 
 The random suites draw a block of about ``_STACK_ENTRIES`` complex
 entries (dim * dim per instance) per numpy call and check it with one
-stacked kernel call per lattice term.  Unlike the rule suite's, their
-counts depend on the block length, since a block's draws read the
-kernel's results, and the counts for a given seed changed when the
-suites moved from one instance at a time to blocks.
+stacked kernel call per lattice term.  A block draws each quantity for
+all its instances in one call, so which numbers of the stream each
+instance gets depends on the block length.  Unlike the rule suite's
+(drawn instance by instance, run in blocks), their counts therefore
+depend on the block length, and the counts for a given seed changed
+when the suites moved from one instance at a time to blocks.
 
 Random instances bias the antecedent towards truth, since for random
 data most antecedents are vacuously false.  Evaluation is parameterized
@@ -570,9 +572,9 @@ def run_axiom_suite(
     Each axiom draws its instances from its own generator in blocks of
     about ``_STACK_ENTRIES`` complex entries, at dim * dim per instance
     and at least one instance, and reads its hypothesis and conclusion
-    once per block over stacks.  A block's draws read its own kernel
-    results (the bias subspaces), so the counts depend on the block
-    length.  For a conditional axiom a violation is an instance whose
+    once per block over stacks.  A block draws each quantity for all its
+    instances at once, so the counts depend on the block length.  For a
+    conditional axiom a violation is an instance whose
     antecedent holds and conclusion fails; for an existential the whole
     run must produce at least one witness.  Both sides are evaluated on
     every instance: a sampled ``verify`` draws from its own generator, so

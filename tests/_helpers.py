@@ -1,4 +1,5 @@
-"""Shared generators and an independent sampled evaluator.
+"""Shared generators, the unstacking of a drawn block, and an independent
+sampled evaluator.
 
 The evaluator here deliberately avoids the normalizer and the
 containment shortcut: it assigns quantified variables concrete rays
@@ -30,6 +31,8 @@ from pqm.normalize import BAnd, BNot, BOr, BasicSentence, BoolCombo
 from pqm.sampling import random_ray, random_ray_within, random_subspace, random_unitary
 from pqm.subspace import (
     Subspace,
+    SubspaceStack,
+    UnitaryOp,
     apply_unitary,
     bottom,
     leq,
@@ -38,6 +41,17 @@ from pqm.subspace import (
     sasaki_and,
     top,
 )
+
+
+def instance(block, i: int):
+    """Instance i of a block: a checked ``Subspace`` of a ``SubspaceStack``,
+    whose padding must be zero, or a checked ``UnitaryOp`` of a stack of
+    matrices.  The checks reject a basis that is not orthonormal."""
+    if isinstance(block, SubspaceStack):
+        basis, rank = block.basis[i], block.rank[i]
+        assert not basis[:, rank:].any(), "padding is not zero"
+        return Subspace(basis.shape[0], basis[:, :rank])
+    return UnitaryOp(block.shape[1], block[i])
 
 
 def random_basic(rng: np.random.Generator, dim: int,

@@ -110,7 +110,8 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "stacked-leq-band-svd-skipped", "src/pqm/subspace.py",
-        "        if band.size:\n            below[band] = np.linalg.svd(resid[band], compute_uv=False)[:, 0] < EQ_TOL\n",
+        "        if band.size:\n"
+        "            below[band] = np.linalg.svd(resid[band], compute_uv=False)[:, 0] < EQ_TOL\n",
         "", "killed",
     ),
     Mutant(
@@ -128,6 +129,17 @@ MUTANTS: tuple[Mutant, ...] = (
         "the first k columns of a Householder QR's Q depend only on the first k columns of the matrix; "
         "this is the route the sampler tests compare against, so only the time differs",
     ),
+    Mutant(
+        "ray-or-bot-draws-a-block-of-two", "src/pqm/sampling.py",
+        "return _first(random_rays_or_bot(rng, 1, dim))", "return _first(random_rays_or_bot(rng, 2, dim))",
+        "killed",
+    ),
+    Mutant(
+        "within-mask-takes-a-padding-row", "src/pqm/sampling.py",
+        "mask = (columns < s.rank[:, None])", "mask = (columns <= s.rank[:, None])", "equivalent",
+        "the extra row of coefficients multiplies a zero padding column of s, and the Gaussian is drawn whole "
+        "either way",
+    ),
     # -- the random suites
     Mutant(
         "meet-informational-at-every-dim", "src/pqm/axioms.py",
@@ -139,7 +151,24 @@ MUTANTS: tuple[Mutant, ...] = (
         "todo = np.flatnonzero(s[:, :, 0].any(axis=-1) & ~p[:, :, -1].any(axis=-1))",
         "todo = np.flatnonzero(s[:, :, 0].any(axis=-1))", "killed",
     ),
+    Mutant(
+        "sampled-overlap-cut-inclusive", "src/pqm/axioms.py",
+        "np.all(overlaps < EQ_TOL**2 * sub._squared_columns(coeffs), axis=-1)",
+        "np.all(overlaps <= EQ_TOL**2 * sub._squared_columns(coeffs), axis=-1)", "equivalent",
+        "an overlap lands exactly on its cut with probability zero; a zero cut needs a zero complement, "
+        "which is decided without a draw",
+    ),
     # -- the blocks of the random axiom suites
+    Mutant(
+        "project-chain-free-coin-inclusive", "src/pqm/axioms.py",
+        "free = rng.random(n) < 0.5", "free = rng.random(n) <= 0.5", "equivalent",
+        "rng.random() returns exactly 0.5 with probability 2**-53",
+    ),
+    Mutant(
+        "project-chain-shift-coin-inclusive", "src/pqm/axioms.py",
+        "shifted = (rng.random(len(ones)) < 0.5)", "shifted = (rng.random(len(ones)) <= 0.5)", "equivalent",
+        "rng.random() returns exactly 0.5 with probability 2**-53",
+    ),
     Mutant(
         "meet-padding-mask-off-by-one", "src/pqm/axioms.py",
         "padding = np.arange(dim) >= p.rank[:, None]", "padding = np.arange(dim) > p.rank[:, None]", "killed",

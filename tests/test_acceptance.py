@@ -29,7 +29,6 @@ from pqm.oracles import (
 from pqm.sampling import random_subspace
 from pqm.structures import check_strong_morphism, check_structure_axioms
 from pqm.subspace import (
-    Subspace,
     SubspaceStack,
     compatible,
     eq,
@@ -44,7 +43,7 @@ from pqm.subspace import (
 )
 
 from _corpus import build_corpus, build_mutants
-from _helpers import random_basic
+from _helpers import instance, random_basic
 from _routes import cross_check_vd, principal_angles, projectors_commute, sasaki_and_lattice
 
 
@@ -121,11 +120,6 @@ def test_c2_ortholattice_and_sasaki_laws():
     _report("criterion 2 (ortholattice and Sasaki law suite)", problems)
 
 
-def _only(stack: SubspaceStack) -> Subspace:
-    """The subspace of a one-instance stack, checked."""
-    return Subspace(stack.basis.shape[1], stack.basis[0, :, : stack.rank[0]])
-
-
 def test_c3_axiom_suites_in_both_models():
     problems = []
 
@@ -159,9 +153,9 @@ def test_c3_axiom_suites_in_both_models():
                         break
                 common = meet(p, q)
                 if rng.random() < 0.5:
-                    x = _only(domain.inside(rng, SubspaceStack(stacked([common.basis], dim), np.array([common.rank]))))
+                    x = instance(domain.inside(rng, SubspaceStack(stacked([common.basis], dim), np.array([common.rank]))), 0)
                 else:
-                    x = _only(domain.free(rng, 1, dim))
+                    x = instance(domain.free(rng, 1, dim), 0)
                 if leq(x, p) and leq(x, q):
                     hits += 1
                     if not leq(x, common):

@@ -21,16 +21,16 @@ from hypothesis import given, settings, strategies as st
 
 import pqm.axioms
 import pqm.subspace
-from pqm import subspace as sub
 from pqm.axioms import (
     AXIOMS, RayElements, SampledSemantics, SubspaceElements, _OverStacks, run_axiom_suite, select_axioms,
 )
 from pqm.circuit import check_axioms_from_rules, check_rule_suite
 from pqm.decide import check_axiom_suite
 from pqm.structures import check_structure_axioms, parse_structure_json
-from pqm.subspace import Subspace, SubspaceStack, UnitaryOp, eq, leq, stacked_leq
+from pqm.subspace import eq, leq, stacked_leq
 
 from _corpus import build_corpus, build_mutants
+from _helpers import instance
 from _routes import OverSubspaces
 from test_structures import tiny_structure_json
 
@@ -172,16 +172,6 @@ def test_random_suite_reads_both_sides_of_every_instance():
     assert int(sem.rng.integers(2**62)) == 2487057855453658227
 
 
-def _instance(arg, i: int):
-    """Instance i of a drawn or computed argument, as the per-instance
-    route takes it: a ``Subspace`` (checked, so its leading columns must
-    be orthonormal) or a ``UnitaryOp``."""
-    if isinstance(arg, SubspaceStack):
-        assert not np.any(arg.basis[i, :, arg.rank[i]:]), "padding is not zero"
-        return Subspace(arg.basis.shape[1], arg.basis[i, :, : arg.rank[i]])
-    return UnitaryOp(arg.shape[1], arg[i])
-
-
 def _checked_term(stacked_term, per_instance_term):
     """``stacked_term``, asserting that each of its results is, instance
     by instance, the subspace that ``per_instance_term`` gives, at the
@@ -190,7 +180,7 @@ def _checked_term(stacked_term, per_instance_term):
     def term(*args):
         out = stacked_term(*args)
         for i in range(len(out.rank)):
-            got, want = _instance(out, i), per_instance_term(*(_instance(a, i) for a in args))
+            got, want = instance(out, i), per_instance_term(*(instance(a, i) for a in args))
             assert got.rank == want.rank and eq(got, want)
         return out
 
@@ -219,7 +209,7 @@ class _CheckedStacks(_OverStacks):
 
         def verify_checked(x, p):
             out = plain(x, p)
-            assert out.tolist() == [leq(_instance(x, i), _instance(p, i)) for i in range(len(out))]
+            assert out.tolist() == [leq(instance(x, i), instance(p, i)) for i in range(len(out))]
             return out
 
         self.verify = verify_checked
@@ -240,9 +230,9 @@ def test_stacked_blocks_agree_with_the_per_instance_route(dim, domain, seed, n):
         hypothesis = np.broadcast_to(axiom.hypothesis(interp, *args), n)
         conclusion = np.broadcast_to(axiom.conclusion(interp, *args), n)
         for i in range(n):
-            instance = [_instance(a, i) for a in args]
-            assert axiom.hypothesis(one, *instance) == hypothesis[i], (axiom.name, i)
-            assert axiom.conclusion(one, *instance) == conclusion[i], (axiom.name, i)
+            one_by_one = [instance(a, i) for a in args]
+            assert axiom.hypothesis(one, *one_by_one) == hypothesis[i], (axiom.name, i)
+            assert axiom.conclusion(one, *one_by_one) == conclusion[i], (axiom.name, i)
 
 
 def _spied(lengths: list):
@@ -262,8 +252,8 @@ def _spied(lengths: list):
 def test_axiom_suite_blocks_hold_at_least_one_instance_within_the_bound(monkeypatch, entries):
     # With 1 entry every instance is its own block; with 200, 22 instances
     # share one at dim 3.  Unlike the rule suite's, these counts may differ
-    # from SUITE_COUNTS: a block's draws read kernel results (the bias
-    # subspaces) computed over the whole block, so the random stream
+    # from SUITE_COUNTS: a block draws each quantity for all its instances
+    # in one call, so which numbers of the stream each instance gets
     # depends on the block length.  Only the invariants are asserted.
     monkeypatch.setattr(pqm.subspace, "_STACK_ENTRIES", entries)
     lengths = []

@@ -23,7 +23,6 @@ from pqm.sampling import random_ray, random_subspace, random_subspace_within, ra
 from pqm.subspace import (
     DimensionMismatchError,
     InternalInvariantError,
-    Subspace,
     UnitaryOp,
     bottom,
     eq,
@@ -34,6 +33,7 @@ from pqm.subspace import (
     top,
 )
 
+from _helpers import instance
 from _routes import is_impossible, principal_angles
 
 seeds = st.integers(0, 2**32 - 1)
@@ -151,8 +151,7 @@ def test_verifies_exact_and_sampled_agree(seed, n):
     rng = np.random.default_rng(seed)
     s, p = random_subspaces(rng, n, 3), random_subspaces(rng, n, 3)
     sampled = SampledSemantics(np.random.default_rng(seed)).verify(s.basis, p.basis)
-    pairs = [(Subspace(3, s.basis[i, :, : s.rank[i]]), Subspace(3, p.basis[i, :, : p.rank[i]])) for i in range(n)]
-    assert sampled.tolist() == [leq(a, b) for a, b in pairs]
+    assert sampled.tolist() == [leq(instance(s, i), instance(p, i)) for i in range(n)]
 
 
 def test_trace_matches_run(rng):

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from pqm.sampling import (
-    random_compatible_pairs, random_ray, random_ray_within, random_rays_or_bot, random_subspace,
-    random_subspace_within, random_subspaces, random_subspaces_within, random_unitaries,
+    random_compatible_pair, random_compatible_pairs, random_ray, random_ray_or_bot, random_ray_within,
+    random_rays_or_bot, random_subspace, random_subspace_within, random_subspaces, random_subspaces_within,
+    random_unitaries,
 )
-from pqm.subspace import Subspace, UnitaryOp, compatible, eq, leq, meet
+from pqm.subspace import UnitaryOp, compatible, eq, leq, meet
 
+from _helpers import instance
 from _routes import (
     random_ray_by_span_of,
     random_ray_within_by_span_of,
@@ -70,12 +72,22 @@ def test_draws_within_a_subspace_are_the_spans_of_their_vectors(dim):
             assert_same_draw(random_ray_within(a, p), random_ray_within_by_span_of(b, p), a, b)
 
 
+@pytest.mark.parametrize("dim", DIMS)
+def test_scalar_ray_or_bot_and_compatible_pair_are_one_instance_blocks(dim):
+    for seed in SEEDS:
+        a, b = _twins(seed, dim)
+        ray, block = random_ray_or_bot(a, dim), random_rays_or_bot(b, 1, dim)
+        assert ray.basis.tobytes() == block.basis[0, :, : block.rank[0]].tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+        a, b = _twins(seed, dim)
+        pair, blocks = random_compatible_pair(a, dim), random_compatible_pairs(b, 1, dim)
+        for got, want in zip(pair, blocks):
+            assert got.basis.tobytes() == want.basis[0, :, : want.rank[0]].tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 def _instances(stack):
-    """Each subspace of a stack, checked, after asserting its padding is zero."""
-    dim = stack.basis.shape[1]
-    for basis, rank in zip(stack.basis, stack.rank):
-        assert not basis[:, rank:].any()
-        yield Subspace(dim, basis[:, :rank])
+    return [instance(stack, i) for i in range(len(stack.rank))]
 
 
 @pytest.mark.parametrize("dim", DIMS)
