@@ -218,7 +218,7 @@ class _CheckedStacks(_OverStacks):
 @pytest.mark.parametrize("domain", [SubspaceElements(), RayElements()], ids=lambda d: d.label)
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=20, deadline=None)
 def test_stacked_blocks_agree_with_the_per_instance_route(dim, domain, seed, n):
     # every axiom's drawn block, unstacked: each side of each instance read
     # over subspaces one at a time through pqm.subspace gives the same truth
